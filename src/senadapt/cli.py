@@ -4,11 +4,12 @@ Each subcommand reads a flat key=value config file, applies --seed/--out
 overrides, writes its resolved config next to its outputs, and exits with a
 stable code on failure:
 
-    2  config error (unknown key, bad value)
+    2  config error (unknown key, bad value, or a dim/K that disagrees
+       with the corpus or the acoustic-model bundle)
     3  I/O error while writing outputs
-    4  required corpus file missing
+    4  required corpus file missing or malformed
     5  acoustic-model bundle is not frozen
-    6  required model bundle missing
+    6  required model bundle missing or malformed
 
 The three evaluation arms (DNN baseline, BAT, SAT) share the one pretrained
 acoustic-model bundle, so reported differences come from adaptation alone.
@@ -17,6 +18,7 @@ acoustic-model bundle, so reported differences come from adaptation alone.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import evaluate, models, synthdata, training
 from .models import AssessmentNetwork
+from .nn import FormatError, pack_container, unpack_container
 
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
 
@@ -64,11 +67,17 @@ CONFIG_SCHEMA = {
     "out_dir": (str, "run"),
 }
 
-ASSESS_MAGIC = b"SAAC"
-
 
 class ConfigError(ValueError):
     pass
+
+
+class StageError(Exception):
+    """A stage cannot run; carries the documented exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def load_run_config(path: str | None, overrides: dict) -> dict:
@@ -91,6 +100,17 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    for key, (cast, _) in CONFIG_SCHEMA.items():
+        if cast is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+    for key in ("am_hidden", "adapter_hidden", "disc_hidden"):
+        _int_list(cfg[key])
+    if not (cfg["pretrain_batch"] >= 1 and cfg["pretrain_lr"] >= 0 and cfg["assess_lr"] >= 0
+            and 0 <= cfg["pretrain_momentum"] < 1):
+        raise ConfigError("need pretrain_batch >= 1, pretrain_lr and assess_lr >= 0, "
+                          "pretrain_momentum in [0, 1)")
+    _gen_config(cfg).validate()
+    _adv_config(cfg).validate()
     return cfg
 
 def resolved_config_text(cfg: dict) -> str:
@@ -104,7 +124,10 @@ def fingerprint_config_text(cfg: dict) -> str:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    widths = [int(t) for t in text.split(",") if t.strip()]
+    if any(w < 1 for w in widths):
+        raise ConfigError(f"layer widths must be positive, got {text!r}")
+    return widths
 
 
 def _gen_config(cfg: dict) -> synthdata.GeneratorConfig:
@@ -127,29 +150,38 @@ def _adv_config(cfg: dict) -> training.AdversarialConfig:
 
 
 def save_assessment_corpus(path, feats, pron, flu) -> None:
-    import struct
-    with open(path, "wb") as fh:
-        fh.write(ASSESS_MAGIC)
-        fh.write(struct.pack("<IIQ", 1, feats.shape[1], feats.shape[0]))
-        fh.write(feats.astype("<f8").tobytes())
-        fh.write(pron.astype("u1").tobytes())
-        fh.write(flu.astype("u1").tobytes())
+    Path(path).write_bytes(pack_container("assessment", {}, {
+        "features": feats.astype("<f8"), "pron": pron.astype("u1"), "flu": flu.astype("u1")}))
 
 
 def load_assessment_corpus(path):
-    import struct
-    data = Path(path).read_bytes()
-    if data[:4] != ASSESS_MAGIC:
-        raise synthdata.FormatError("bad magic: not an assessment corpus")
-    version, dim, n = struct.unpack_from("<IIQ", data, 4)
-    if version != 1:
-        raise synthdata.FormatError(f"unsupported assessment corpus version {version}")
-    off = 20
-    feats = np.frombuffer(data, dtype="<f8", count=n * dim, offset=off).reshape(n, dim).copy()
-    off += 8 * n * dim
-    pron = np.frombuffer(data, dtype="u1", count=n, offset=off).astype(np.int64)
-    flu = np.frombuffer(data, dtype="u1", count=n, offset=off + n).astype(np.int64)
-    return feats, pron, flu
+    _, a = unpack_container(Path(path).read_bytes(), "assessment")
+    try:
+        n, dim = a["features"].shape
+    except (KeyError, ValueError) as e:
+        raise FormatError(f"malformed assessment corpus: {e!r}") from e
+    layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
+    if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
+        raise FormatError("assessment corpus arrays disagree in dtype or length")
+    return a["features"], a["pron"].astype(np.int64), a["flu"].astype(np.int64)
+
+
+def _load(path: Path, loader, what: str, code: int):
+    """loader(path), or StageError(code) when the file is missing or malformed."""
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        raise StageError(code, f"{what} missing: {path}") from None
+    except (OSError, FormatError) as e:
+        raise StageError(code, f"{what} malformed: {path}: {e}") from None
+
+
+def _check_dims(cfg: dict, corpus, am=None) -> None:
+    """The config's dim and K must describe the corpus and acoustic model a stage reads."""
+    found = {(corpus.dim, corpus.K)} | ({(am.net.in_dim, am.K)} if am else set())
+    if found != {(cfg["dim"], cfg["K"])}:
+        raise StageError(EXIT_CONFIG, f"config (dim, K) = ({cfg['dim']}, {cfg['K']}) disagrees "
+                                      f"with the corpus or acoustic model: {sorted(found)}")
 
 
 def _outdir(cfg: dict) -> Path:
@@ -180,11 +212,8 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_pretrain(cfg: dict) -> int:
     out = _outdir(cfg)
-    corpus_path = out / "corpus.saco"
-    if not corpus_path.exists():
-        print(f"error: corpus missing: {corpus_path}", file=sys.stderr)
-        return EXIT_NO_CORPUS
-    corpus = synthdata.load_corpus(corpus_path)
+    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
+    _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
     log = training.pretrain_adult_am(
@@ -202,19 +231,12 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def cmd_adapt(cfg: dict) -> int:
     out = _outdir(cfg)
-    am_path = out / "am.bundle"
-    if not am_path.exists():
-        print(f"error: acoustic-model bundle missing: {am_path}", file=sys.stderr)
-        return EXIT_NO_BUNDLE
-    corpus_path = out / "corpus.saco"
-    if not corpus_path.exists():
-        print(f"error: corpus missing: {corpus_path}", file=sys.stderr)
-        return EXIT_NO_CORPUS
-    am = models.load_adult_am(am_path)
+    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
+               EXIT_NO_BUNDLE)
+    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
     if not am.frozen:
-        print("error: acoustic-model bundle is not frozen", file=sys.stderr)
-        return EXIT_UNFROZEN
-    corpus = synthdata.load_corpus(corpus_path)
+        raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
+    _check_dims(cfg, corpus, am)
     acfg = _adv_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     adapter = models.AdaptationNetwork(cfg["dim"], _int_list(cfg["adapter_hidden"]), rng=rng)
@@ -235,16 +257,10 @@ def cmd_adapt(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
-    am_path = out / "am.bundle"
-    corpus_path = out / "corpus.saco"
-    if not corpus_path.exists():
-        print(f"error: corpus missing: {corpus_path}", file=sys.stderr)
-        return EXIT_NO_CORPUS
-    if not am_path.exists():
-        print(f"error: acoustic-model bundle missing: {am_path}", file=sys.stderr)
-        return EXIT_NO_BUNDLE
-    am = models.load_adult_am(am_path)
-    corpus = synthdata.load_corpus(corpus_path)
+    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
+    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
+               EXIT_NO_BUNDLE)
+    _check_dims(cfg, corpus, am)
     report = evaluate.MetricsReport(
         fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
         seed=cfg["seed"])
@@ -257,11 +273,14 @@ def cmd_eval(cfg: dict) -> int:
         d_path = out / f"disc_{mode}.bundle"
         if not a_path.exists():
             continue
-        adapter = models.load_adapter(a_path)
+        adapter = _load(a_path, models.load_adapter, "adapter bundle", EXIT_NO_BUNDLE)
+        disc = (_load(d_path, models.load_discriminator, "discriminator bundle",
+                      EXIT_NO_BUNDLE) if d_path.exists() else None)
+        if adapter.g.in_dim != corpus.dim or disc and disc.net.in_dim != corpus.dim:
+            raise StageError(EXIT_NO_BUNDLE, f"{mode} bundles do not take dim={corpus.dim}")
         errors[mode] = evaluate.child_senone_error(am, corpus, adapter)
         report.set(f"senone_err.child.test.{mode}", errors[mode])
-        if d_path.exists():
-            disc = models.load_discriminator(d_path)
+        if disc:
             acc, conf = evaluate.domain_confusion(disc, adapter, test)
             report.set(f"disc_acc.test.{mode}", 100.0 * acc)
             report.set(f"disc_conf.test.{mode}", conf)
@@ -274,7 +293,8 @@ def cmd_eval(cfg: dict) -> int:
 
     assess_path = out / "assess.saac"
     if assess_path.exists():
-        feats, pron, flu = load_assessment_corpus(assess_path)
+        feats, pron, flu = _load(assess_path, load_assessment_corpus,
+                                 "assessment corpus", EXIT_NO_CORPUS)
         n_train = int(0.8 * len(feats))
         net = AssessmentNetwork(input_dim=feats.shape[1],
                                 rng=np.random.default_rng(cfg["seed"]))
@@ -315,7 +335,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     handler = {"gen": cmd_gen, "pretrain": cmd_pretrain,
                "adapt": cmd_adapt, "eval": cmd_eval}[args.command]
-    return handler(cfg)
+    try:
+        return handler(cfg)
+    except StageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

@@ -14,16 +14,13 @@ hidden layers get normal init so gradients flow from the first step).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .nn import (FormatError, ForwardTrace, LayerSpec, Network,
-                 ParameterStore, ShapeError)
-
-BUNDLE_MAGIC = b"SABL"
-BUNDLE_VERSION = 1
+from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
+                 ShapeError, pack_container, unpack_container)
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +160,6 @@ class AssessmentNetwork:
 # composition
 
 
-def compose_adapted_posteriors(adapter: AdaptationNetwork | None,
-                               am: AdultAcousticModel, x: np.ndarray,
-                               apply_adapter: bool = True,
-                               train_mode: bool = False,
-                               rng: np.random.Generator | None = None):
-    """Senone posteriors of am(adapter(x)) (or am(x) when apply_adapter is
-    false), with the traces needed to backpropagate into the adapter.
-
-    Returns (posteriors, adapter_trace_or_None, am_trace). During training
-    the acoustic model must be frozen; gradients then flow through it into
-    the adapter only.
-    """
-    if train_mode and not am.frozen:
-        raise RuntimeError("adversarial phase requires a frozen acoustic model")
-    if apply_adapter:
-        if adapter is None:
-            raise ValueError("apply_adapter=True but no adapter given")
-        at = adapter.forward(x, train_mode=train_mode, rng=rng)
-        am_trace = am.net.forward(at.output, train_mode=False)
-        return am_trace.output, at, am_trace
-    am_trace = am.net.forward(np.asarray(x, dtype=np.float64), train_mode=False)
-    return am_trace.output, None, am_trace
-
-
-def extract_senone_posteriors(am: AdultAcousticModel, features: np.ndarray) -> np.ndarray:
-    """Senone posterior rows from the frozen adult model, as constants."""
-    if not am.frozen:
-        raise RuntimeError("senone posteriors must come from a frozen acoustic model")
-    return am.posteriors(features)
-
-
 def discriminate(disc: DomainDiscriminator, adapted: np.ndarray) -> np.ndarray:
     """Probability rows from the discriminator (2 or 2K columns)."""
     return disc.net.forward(adapted, train_mode=False).output
@@ -209,7 +175,7 @@ def marginal_domain_probs(joint: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model bundle files: parameter blob + text manifest in one container
+# model bundle files: text manifest plus parameter matrices in one container
 
 
 def _layers_to_text(net: Network) -> str:
@@ -226,33 +192,28 @@ def _layers_from_text(text: str) -> list[LayerSpec]:
 
 
 def save_bundle(path, store: ParameterStore, manifest: dict) -> None:
-    lines = [f"{k}={v}" for k, v in manifest.items()]
-    mtext = ("\n".join(lines) + "\n").encode("utf-8")
-    blob = store.serialize()
-    with open(path, "wb") as fh:
-        fh.write(BUNDLE_MAGIC)
-        fh.write(struct.pack("<II", BUNDLE_VERSION, len(mtext)))
-        fh.write(mtext)
-        fh.write(blob)
+    arrays = {name: store.value(name) for name in store.names()}
+    Path(path).write_bytes(pack_container("bundle", manifest, arrays))
 
 
 def load_bundle(path) -> tuple[ParameterStore, dict]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != BUNDLE_MAGIC:
-        raise FormatError("bad magic: not a model bundle")
-    version, mlen = struct.unpack_from("<II", data, 4)
-    if version != BUNDLE_VERSION:
-        raise FormatError(f"unsupported bundle version {version}")
-    mtext = data[12 : 12 + mlen].decode("utf-8")
-    manifest = {}
-    for line in mtext.splitlines():
-        if line.strip():
-            k, _, v = line.partition("=")
-            manifest[k] = v
-    store = ParameterStore.deserialize(data[12 + mlen :])
+    manifest, arrays = unpack_container(Path(path).read_bytes(), "bundle")
+    store = ParameterStore.from_arrays(arrays)
     store.frozen = manifest.get("frozen", "false") == "true"
     return store, manifest
+
+
+def _load_network(path, kind: str, wrap):
+    """Load a bundle of this kind and return wrap(network, manifest); any
+    disagreement between the manifest and the stored matrices is a
+    FormatError."""
+    store, m = load_bundle(path)
+    if m.get("kind") != kind:
+        raise FormatError(f"bundle kind {m.get('kind')!r}, expected {kind}")
+    try:
+        return wrap(Network(_layers_from_text(m["layers"]), store=store), m)
+    except (KeyError, ValueError) as e:
+        raise FormatError(f"{kind} bundle does not match its manifest: {e!r}") from e
 
 
 def save_adult_am(path, am: AdultAcousticModel) -> None:
@@ -265,11 +226,7 @@ def save_adult_am(path, am: AdultAcousticModel) -> None:
 
 
 def load_adult_am(path) -> AdultAcousticModel:
-    store, m = load_bundle(path)
-    if m.get("kind") != "adult_am":
-        raise FormatError(f"bundle kind {m.get('kind')!r}, expected adult_am")
-    net = Network(_layers_from_text(m["layers"]), store=store)
-    return AdultAcousticModel(net, int(m["K"]))
+    return _load_network(path, "adult_am", lambda net, m: AdultAcousticModel(net, int(m["K"])))
 
 
 def save_adapter(path, adapter: AdaptationNetwork) -> None:
@@ -281,15 +238,15 @@ def save_adapter(path, adapter: AdaptationNetwork) -> None:
     })
 
 
-def load_adapter(path) -> AdaptationNetwork:
-    store, m = load_bundle(path)
-    if m.get("kind") != "adapter":
-        raise FormatError(f"bundle kind {m.get('kind')!r}, expected adapter")
-    layers = _layers_from_text(m["layers"])
+def _adapter_from(net: Network, m: dict) -> AdaptationNetwork:
     adapter = AdaptationNetwork.__new__(AdaptationNetwork)
-    adapter.g = Network(layers, store=store)
+    adapter.g = net
     adapter.dim = int(m["dim"])
     return adapter
+
+
+def load_adapter(path) -> AdaptationNetwork:
+    return _load_network(path, "adapter", _adapter_from)
 
 
 def save_discriminator(path, disc: DomainDiscriminator) -> None:
@@ -302,12 +259,13 @@ def save_discriminator(path, disc: DomainDiscriminator) -> None:
     })
 
 
-def load_discriminator(path) -> DomainDiscriminator:
-    store, m = load_bundle(path)
-    if m.get("kind") != "discriminator":
-        raise FormatError(f"bundle kind {m.get('kind')!r}, expected discriminator")
+def _discriminator_from(net: Network, m: dict) -> DomainDiscriminator:
     disc = DomainDiscriminator.__new__(DomainDiscriminator)
-    disc.net = Network(_layers_from_text(m["layers"]), store=store)
+    disc.net = net
     disc.mode = m["mode"]
     disc.K = int(m["K"]) if m.get("K") else None
     return disc
+
+
+def load_discriminator(path) -> DomainDiscriminator:
+    return _load_network(path, "discriminator", _discriminator_from)

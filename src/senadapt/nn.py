@@ -13,8 +13,8 @@ the fixed adult acoustic model participates in adversarial training.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -23,8 +23,9 @@ ACTIVATIONS = ("rectifier", "sigmoid", "identity", "softmax")
 # floor for log arguments inside losses and for probability clamping
 PROB_FLOOR = 1e-12
 
-PARAM_MAGIC = b"SAPM"
-PARAM_VERSION = 1
+CONTAINER_MAGIC = b"SENADAPT"
+# the only dtypes a container holds, as numpy dtype strings (byte order explicit)
+CONTAINER_DTYPES = ("<f8", "<u4", "u1")
 
 
 class ShapeError(ValueError):
@@ -95,48 +96,80 @@ class ParameterStore:
     def num_params(self) -> int:
         return sum(v.size for v in self._values.values())
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._values.items()}
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParameterStore":
+        store = cls()
+        for name, v in arrays.items():
+            if v.dtype != np.float64 or v.ndim != 2:
+                raise FormatError(f"parameter {name!r} is not a 2-D float64 matrix")
+            store.add(name, v)
+        return store
 
     def serialize(self) -> bytes:
-        """Flat binary container: magic "SAPM", version u32, then per-entry
-        records (name length u32, name bytes, rows u32, cols u32, f64 LE values)."""
-        out = [PARAM_MAGIC, struct.pack("<I", PARAM_VERSION)]
-        for name, v in self._values.items():
-            nb = name.encode("utf-8")
-            out.append(struct.pack("<I", len(nb)))
-            out.append(nb)
-            out.append(struct.pack("<II", v.shape[0], v.shape[1]))
-            out.append(v.astype("<f8").tobytes())
-        return b"".join(out)
+        return pack_container("params", {}, self._values)
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "ParameterStore":
-        if blob[:4] != PARAM_MAGIC:
-            raise FormatError("bad magic: not a parameter container")
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != PARAM_VERSION:
-            raise FormatError(f"unsupported parameter container version {version}")
-        store = cls()
-        off = 8
-        while off < len(blob):
-            if off + 4 > len(blob):
-                raise FormatError("truncated parameter container")
-            (nlen,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off : off + nlen].decode("utf-8")
-            off += nlen
-            if off + 8 > len(blob):
-                raise FormatError("truncated parameter container")
-            rows, cols = struct.unpack_from("<II", blob, off)
-            off += 8
-            nbytes = 8 * rows * cols
-            if off + nbytes > len(blob):
-                raise FormatError("truncated parameter container")
-            v = np.frombuffer(blob[off : off + nbytes], dtype="<f8").reshape(rows, cols)
-            off += nbytes
-            store.add(name, v.copy())
-        return store
+        return cls.from_arrays(unpack_container(blob, "params")[1])
+
+
+def pack_container(kind: str, manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """Every file the program writes: magic, header length (u32 LE), a UTF-8
+    header of key=value lines ("kind=...", one "meta.<key>=<value>" per
+    manifest entry, one "array.<name>=<dtype> <d0>,<d1>,..." per array),
+    then each array's little-endian bytes in header order. Deterministic:
+    the same inputs give the same bytes."""
+    lines = [f"kind={kind}"] + [f"meta.{k}={v}" for k, v in manifest.items()]
+    body = []
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a)
+        dtype = a.dtype.str.lstrip("|")
+        if dtype not in CONTAINER_DTYPES:
+            raise ValueError(f"array {name!r}: dtype {dtype} cannot be stored")
+        lines.append(f"array.{name}={dtype} {','.join(map(str, a.shape))}")
+        body.append(a.tobytes())
+    header = "\n".join(lines).encode("utf-8")
+    return b"".join([CONTAINER_MAGIC, len(header).to_bytes(4, "little"), header] + body)
+
+
+def unpack_container(blob: bytes, kind: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Inverse of pack_container: (manifest, arrays), both in file order.
+    Raises FormatError unless blob is exactly one container of this kind."""
+    start = len(CONTAINER_MAGIC) + 4
+    if blob[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC or len(blob) < start:
+        raise FormatError("bad magic: not a senadapt container")
+    end = start + int.from_bytes(blob[start - 4 : start], "little")
+    if end > len(blob):
+        raise FormatError("container header runs past the end of the file")
+    manifest, specs = {}, {}
+    try:
+        lines = blob[start:end].decode("utf-8").split("\n")
+        for line in lines[1:]:
+            key, sep, value = line.partition("=")
+            if not sep or not key.startswith(("meta.", "array.")):
+                raise ValueError(f"bad line {line!r}")
+            if key.startswith("meta."):
+                manifest[key[5:]] = value
+                continue
+            dtype, _, dims = value.partition(" ")
+            shape = tuple(int(d) for d in dims.split(","))
+            if dtype not in CONTAINER_DTYPES or min(shape) < 0:
+                raise ValueError(f"bad array spec {line!r}")
+            specs[key[6:]] = (np.dtype(dtype), shape)
+    except (UnicodeDecodeError, ValueError) as e:
+        raise FormatError(f"malformed container header: {e}") from e
+    if lines[0] != f"kind={kind}":
+        raise FormatError(f"container {lines[0]!r}, expected kind={kind}")
+    size = end + sum(dt.itemsize * prod(shape) for dt, shape in specs.values())
+    if len(blob) != size:
+        raise FormatError(f"truncated or oversized container: {len(blob)} bytes, "
+                          f"header declares {size}")
+    arrays, off = {}, end
+    for name, (dt, shape) in specs.items():
+        n = prod(shape)
+        arrays[name] = np.frombuffer(blob, dt, n, off).reshape(shape).copy()
+        off += dt.itemsize * n
+    return manifest, arrays
 
 
 @dataclass
@@ -185,6 +218,12 @@ class Network:
         self.layers = list(layers)
         self.prefix = name_prefix
         if store is not None:
+            expected = {}
+            for i, spec in enumerate(self.layers):
+                expected[self._pname(i, "W")] = (spec.in_dim, spec.out_dim)
+                expected[self._pname(i, "b")] = (1, spec.out_dim)
+            if {n: store.value(n).shape for n in store.names()} != expected:
+                raise ShapeError("stored parameters do not match the layer specs")
             self.store = store
         else:
             self.store = ParameterStore()
@@ -287,7 +326,7 @@ def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0)
     """theta <- theta - lr * v with v <- momentum * v + grad; zeros grads after."""
     if store.frozen:
         raise FrozenStoreError("sgd_step on a frozen parameter store")
-    if learning_rate < 0:
+    if not (learning_rate >= 0):
         raise ValueError("learning rate must be nonnegative")
     if not (0.0 <= momentum < 1.0):
         raise ValueError("momentum must be in [0, 1)")

@@ -13,15 +13,12 @@ nothing for child frames.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .nn import FormatError
-
-CORPUS_MAGIC = b"SACO"
-CORPUS_VERSION = 1
+from .nn import FormatError, pack_container, unpack_container
 
 SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST = 0, 1, 2
 SPLIT_NAMES = {"train": SPLIT_TRAIN, "dev": SPLIT_DEV, "test": SPLIT_TEST}
@@ -48,10 +45,12 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.K < 2:
             raise ValueError("K must be at least 2")
+        if self.dim < 1:
+            raise ValueError("dim must be positive")
         if len(self.shift_profile) != self.K:
             raise ValueError("shift_profile length must equal K")
-        if any(s < 0 for s in self.shift_profile):
-            raise ValueError("shift magnitudes must be nonnegative")
+        if not all(0 <= s < np.inf for s in self.shift_profile):
+            raise ValueError("shift magnitudes must be finite and nonnegative")
         if self.within_class_std <= 0:
             raise ValueError("within_class_std must be positive")
         if self.n_adult < self.K or self.n_child < self.K:
@@ -190,47 +189,30 @@ def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
 
 
 # ---------------------------------------------------------------------------
-# binary corpus file: header "SACO", version, K, dim, n_frames, then frame
-# rows as f64 LE, senone labels u32, domain labels u8, split tags u8.
+# corpus file: K and dim in the manifest, then frames f64, senone labels u32,
+# domain labels u8 and split tags u8
 
 
 def save_corpus(corpus: SyntheticCorpus, path) -> None:
-    n = corpus.frames.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
-        fh.write(struct.pack("<III", CORPUS_VERSION, corpus.K, corpus.dim))
-        fh.write(struct.pack("<Q", n))
-        fh.write(corpus.frames.astype("<f8").tobytes())
-        fh.write(corpus.senone_labels.astype("<u4").tobytes())
-        fh.write(corpus.domain_labels.astype("u1").tobytes())
-        fh.write(corpus.split_tags.astype("u1").tobytes())
-
-
-def corpus_file_size(n_frames: int, dim: int) -> int:
-    """Exact on-disk size: 24-byte header + 8*n*dim frame bytes + 6*n label bytes."""
-    return 24 + 8 * n_frames * dim + 6 * n_frames
+    Path(path).write_bytes(pack_container("corpus", {"K": corpus.K, "dim": corpus.dim}, {
+        "frames": corpus.frames.astype("<f8"),
+        "senone_labels": corpus.senone_labels.astype("<u4"),
+        "domain_labels": corpus.domain_labels.astype("u1"),
+        "split_tags": corpus.split_tags.astype("u1")}))
 
 
 def load_corpus(path) -> SyntheticCorpus:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CORPUS_MAGIC:
-        raise FormatError("bad magic: not a corpus file")
-    version, K, dim = struct.unpack_from("<III", data, 4)
-    if version != CORPUS_VERSION:
-        raise FormatError(f"unsupported corpus version {version}")
-    (n,) = struct.unpack_from("<Q", data, 16)
-    if len(data) != corpus_file_size(n, dim):
-        raise FormatError("truncated or oversized corpus file")
-    off = 24
-    frames = np.frombuffer(data, dtype="<f8", count=n * dim, offset=off).reshape(n, dim).copy()
-    off += 8 * n * dim
-    senones = np.frombuffer(data, dtype="<u4", count=n, offset=off).astype(np.int32)
-    off += 4 * n
-    domains = np.frombuffer(data, dtype="u1", count=n, offset=off).copy()
-    off += n
-    tags = np.frombuffer(data, dtype="u1", count=n, offset=off).copy()
-    return SyntheticCorpus(K, dim, frames, senones, domains, tags)
+    m, a = unpack_container(Path(path).read_bytes(), "corpus")
+    try:
+        K, dim, n = int(m["K"]), int(m["dim"]), len(a["frames"])
+    except (KeyError, ValueError) as e:
+        raise FormatError(f"malformed corpus manifest: {e!r}") from e
+    layout = {"frames": ("<f8", (n, dim)), "senone_labels": ("<u4", (n,)),
+              "domain_labels": ("|u1", (n,)), "split_tags": ("|u1", (n,))}
+    if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
+        raise FormatError("corpus arrays disagree with the manifest")
+    return SyntheticCorpus(K, dim, a["frames"], a["senone_labels"].astype(np.int32),
+                           a["domain_labels"], a["split_tags"])
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

@@ -56,7 +56,9 @@ class AdversarialConfig:
             raise ValueError("reversal coefficient must be nonnegative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.lr_adapter <= 0 or self.lr_discriminator <= 0:
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if not (self.lr_adapter > 0 and self.lr_discriminator > 0):
             raise ValueError("learning rates must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")

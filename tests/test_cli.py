@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests on a miniature configuration."""
 
 import filecmp
+import shutil
 
 import pytest
 
@@ -15,8 +16,8 @@ from senadapt.cli import (
     resolved_config_text,
 )
 from senadapt.evaluate import read_report
-from senadapt.models import build_adult_am, save_adult_am
-from senadapt.synthdata import corpus_file_size, load_corpus
+from senadapt.models import build_adult_am, load_bundle, save_adult_am, save_bundle
+from senadapt.synthdata import load_corpus
 
 SMALL = """\
 K = 4
@@ -101,7 +102,6 @@ class TestPipeline:
         assert run("gen", "--config", small_cfg, "--out", str(out)) == 0
         corpus = load_corpus(out / "corpus.saco")
         assert corpus.frames.shape == (800, 8)
-        assert (out / "corpus.saco").stat().st_size == corpus_file_size(800, 8)
         feats, pron, flu = load_assessment_corpus(out / "assess.saac")
         assert feats.shape == (200, 30)
         assert pron.min() >= 1 and flu.max() <= 5
@@ -154,3 +154,69 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+
+def _truncate(name):
+    def damage(out, cfg):
+        path = out / name
+        path.write_bytes(path.read_bytes()[:-7])
+    return damage
+
+
+def _am_matrices_disagree_with_manifest(out, cfg):
+    _, manifest = load_bundle(out / "am.bundle")
+    am = build_adult_am(8, [12], 4)  # the manifest says a 16-wide hidden layer
+    am.freeze()
+    save_bundle(out / "am.bundle", am.net.store, manifest)
+
+
+def _regenerate_corpus(out, cfg):
+    assert run("gen", "--config", cfg, "--out", str(out)) == 0
+
+
+ALL_STAGES = ("gen", "pretrain", "adapt", "eval")
+
+# name -> (config lines appended to SMALL, damage to a gen+pretrain run, stages, code)
+PROBES = {
+    "shift_profile_length_not_K": ("shift_profile = 0,1,2\n", None, ALL_STAGES, EXIT_CONFIG),
+    "unknown_update_scheme": ("update_scheme = foo\n", None, ALL_STAGES, EXIT_CONFIG),
+    "non_integer_hidden_width": ("adapter_hidden = 8,x\n", None, ALL_STAGES, EXIT_CONFIG),
+    "nan_learning_rate": ("lr_adapter = nan\n", None, ALL_STAGES, EXIT_CONFIG),
+    "zero_adversarial_epochs": ("epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
+    "zero_pretrain_batch": ("pretrain_batch = 0\n", None, ALL_STAGES, EXIT_CONFIG),
+    "negative_assessment_lr": ("assess_lr = -1\n", None, ALL_STAGES, EXIT_CONFIG),
+    "truncated_am_bundle": ("", _truncate("am.bundle"), ("adapt", "eval"), EXIT_NO_BUNDLE),
+    "truncated_assessment_corpus": ("", _truncate("assess.saac"), ("eval",), EXIT_NO_CORPUS),
+    "dim_changed_after_pretrain": ("dim = 6\n", None, ("pretrain", "adapt", "eval"),
+                                   EXIT_CONFIG),
+    "truncated_corpus": ("", _truncate("corpus.saco"), ("pretrain", "adapt", "eval"),
+                         EXIT_NO_CORPUS),
+    "bundle_matrices_disagree_with_manifest": ("", _am_matrices_disagree_with_manifest,
+                                               ("adapt", "eval"), EXIT_NO_BUNDLE),
+    "dim_changed_and_corpus_regenerated": ("dim = 6\n", _regenerate_corpus,
+                                           ("adapt", "eval"), EXIT_CONFIG),
+}
+
+
+@pytest.fixture(scope="module")
+def pretrained_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("pretrained")
+    (base / "small.cfg").write_text(SMALL)
+    for stage in ("gen", "pretrain"):
+        assert run(stage, "--config", str(base / "small.cfg"), "--out", str(base / "run")) == 0
+    return base / "run"
+
+
+@pytest.mark.parametrize("extra, damage, stages, code", PROBES.values(), ids=list(PROBES))
+def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, damage,
+                                           stages, code):
+    """Bad config values and missing, malformed or mismatched files end in
+    the exit code cli.py documents for them, never in an exception."""
+    out = tmp_path / "run"
+    shutil.copytree(pretrained_run, out)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(SMALL + extra)
+    if damage is not None:
+        damage(out, str(cfg))
+    for stage in stages:
+        assert run(stage, "--config", str(cfg), "--out", str(out)) == code, stage

@@ -9,9 +9,7 @@ from senadapt.models import (
     AssessmentNetwork,
     DomainDiscriminator,
     build_adult_am,
-    compose_adapted_posteriors,
     discriminate,
-    extract_senone_posteriors,
     load_adapter,
     load_adult_am,
     load_discriminator,
@@ -94,31 +92,13 @@ class TestComposition:
         self.x = np.random.default_rng(8).normal(size=(11, 5))
 
     def test_posterior_rows_sum_to_one(self):
-        post, at, tr = compose_adapted_posteriors(self.adapter, self.am, self.x)
+        post = self.am.posteriors(self.adapter.apply(self.x))
         assert post.shape == (11, 3)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
-        assert at is not None and tr is not None
 
     def test_identity_adapter_matches_raw(self):
-        adapted, _, _ = compose_adapted_posteriors(self.adapter, self.am, self.x)
-        raw, at, _ = compose_adapted_posteriors(None, self.am, self.x,
-                                                apply_adapter=False)
-        assert at is None
-        assert np.array_equal(adapted, raw)
-
-    def test_training_requires_frozen_am(self):
-        am = build_adult_am(5, [8], 3, rng=np.random.default_rng(7))
-        with pytest.raises(RuntimeError):
-            compose_adapted_posteriors(self.adapter, am, self.x, train_mode=True,
-                                       rng=np.random.default_rng(0))
-
-    def test_posterior_extraction_requires_frozen(self):
-        am = build_adult_am(5, [8], 3, rng=np.random.default_rng(7))
-        with pytest.raises(RuntimeError):
-            extract_senone_posteriors(am, self.x)
-        am.freeze()
-        post = extract_senone_posteriors(am, self.x)
-        assert np.allclose(post.sum(axis=1), 1.0)
+        adapted = self.am.posteriors(self.adapter.apply(self.x))
+        assert np.array_equal(adapted, self.am.posteriors(self.x))
 
     def test_marginalization_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -133,8 +113,8 @@ class TestComposition:
 
     def test_inference_contract_bit_exact(self):
         # the same frozen pipeline, called twice, gives byte-identical output
-        a = compose_adapted_posteriors(self.adapter, self.am, self.x)[0]
-        b = compose_adapted_posteriors(self.adapter, self.am, self.x)[0]
+        a = self.am.posteriors(self.adapter.apply(self.x))
+        b = self.am.posteriors(self.adapter.apply(self.x))
         assert a.tobytes() == b.tobytes()
 
 

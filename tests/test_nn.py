@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from senadapt.nn import (FormatError, FrozenStoreError, LayerSpec, Network,
-                         NonFiniteError, ParameterStore, ShapeError,
-                         finite_diff_gradient, sgd_step)
+from senadapt.nn import (CONTAINER_MAGIC, FormatError, FrozenStoreError, LayerSpec,
+                         Network, NonFiniteError, ParameterStore, ShapeError,
+                         finite_diff_gradient, pack_container, sgd_step,
+                         unpack_container)
 
 
 def make_net(specs, seed=0):
@@ -187,6 +188,13 @@ class TestSgd:
         with pytest.raises(FrozenStoreError):
             sgd_step(store, 0.1)
 
+    @pytest.mark.parametrize("lr", [-0.1, math.nan])
+    def test_bad_learning_rate_rejected(self, lr):
+        store = ParameterStore()
+        store.add("w", np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            sgd_step(store, lr)
+
 
 class TestFiniteDiff:
     def test_quadratic_loss(self):
@@ -252,6 +260,38 @@ class TestSerialization:
         store = ParameterStore()
         store.add("w", np.ones((2, 3)))
         blob = store.serialize()
-        assert blob[:4] == b"SAPM"
-        # magic + version + (name len + "w" + rows/cols + 6 doubles)
-        assert len(blob) == 4 + 4 + 4 + 1 + 8 + 48
+        header = b"kind=params\narray.w=<f8 2,3"
+        assert blob[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC
+        assert blob[8:12] == len(header).to_bytes(4, "little")
+        assert blob[12:12 + len(header)] == header
+        # magic + header length + header + 6 doubles
+        assert len(blob) == 8 + 4 + len(header) + 48
+
+    def test_container_layout(self):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "tags": np.array([1, 2], "u1")}
+        blob = pack_container("demo", {"K": 4}, arrays)
+        header = b"kind=demo\nmeta.K=4\narray.w=<f8 2,3\narray.tags=u1 2"
+        assert blob == (CONTAINER_MAGIC + len(header).to_bytes(4, "little") + header
+                        + arrays["w"].astype("<f8").tobytes() + b"\x01\x02")
+        manifest, back = unpack_container(blob, "demo")
+        assert manifest == {"K": "4"} and list(back) == ["w", "tags"]
+        assert all(np.array_equal(back[k], arrays[k]) and back[k].dtype == arrays[k].dtype
+                   for k in arrays)
+        bad_dtype = blob.replace(b"u1 2", b"i1 2")
+        past_end = blob[:len(CONTAINER_MAGIC)] + (1 << 20).to_bytes(4, "little") + blob[12:]
+        for bad, kind in ((blob[:-1], "demo"), (blob + b"\x00", "demo"),
+                          (blob, "corpus"), (bad_dtype, "demo"), (past_end, "demo")):
+            with pytest.raises(FormatError):
+                unpack_container(bad, kind)
+        with pytest.raises(ValueError):
+            pack_container("demo", {}, {"x": np.zeros(2, np.int64)})
+
+
+class TestStoreMatchesLayers:
+    def test_mismatched_store_rejected(self):
+        store = make_net([LayerSpec(3, 4, "softmax")]).store
+        Network([LayerSpec(3, 4, "softmax")], store=store)
+        for layers in ([LayerSpec(4, 4, "softmax")],
+                       [LayerSpec(3, 4), LayerSpec(4, 4, "softmax")]):
+            with pytest.raises(ShapeError):
+                Network(layers, store=store)

@@ -1,12 +1,13 @@
 """Synthetic corpus generator tests: statistics, determinism, file format."""
 
+import math
+
 import numpy as np
 import pytest
 
 from senadapt.nn import FormatError
 from senadapt.synthdata import (
     GeneratorConfig,
-    corpus_file_size,
     generate_assessment_corpus,
     generate_corpus,
     load_corpus,
@@ -105,6 +106,10 @@ class TestGeneration:
             GeneratorConfig(split_fractions=(0.5, 0.5, 0.5)).validate()
         with pytest.raises(ValueError):
             GeneratorConfig(within_class_std=0.0).validate()
+        with pytest.raises(ValueError):
+            GeneratorConfig(shift_profile=(math.nan,) * 10).validate()
+        with pytest.raises(ValueError):
+            GeneratorConfig(dim=0).validate()
 
 
 class TestTrainingView:
@@ -140,8 +145,11 @@ class TestCorpusFile:
         path = tmp_path / "c.saco"
         save_corpus(c, path)
         n, dim = c.frames.shape
-        assert path.stat().st_size == corpus_file_size(n, dim)
-        assert corpus_file_size(n, dim) == 24 + 8 * n * dim + 6 * n
+        header = (f"kind=corpus\nmeta.K={c.K}\nmeta.dim={dim}\n"
+                  f"array.frames=<f8 {n},{dim}\narray.senone_labels=<u4 {n}\n"
+                  f"array.domain_labels=u1 {n}\narray.split_tags=u1 {n}").encode()
+        # magic + header length + header + f8 frames + u4 senones + two u1 tag arrays
+        assert path.stat().st_size == 8 + 4 + len(header) + 8 * n * dim + 6 * n
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.saco"

@@ -366,7 +366,9 @@ class TestAdversarialTrain:
                     AdversarialConfig(update_scheme="joint"),
                     AdversarialConfig(reversal_coefficient=-1.0),
                     AdversarialConfig(batch_size=1),
+                    AdversarialConfig(epochs=0),
                     AdversarialConfig(lr_adapter=0.0),
+                    AdversarialConfig(lr_discriminator=float("nan")),
                     AdversarialConfig(momentum=1.0),
                     AdversarialConfig(alpha_source="mixed"),
                     AdversarialConfig(lambda_shape="step")):
