@@ -34,7 +34,7 @@ from .nn import PROB_FLOOR, ShapeError
 
 def _check_indicator(indicator: np.ndarray) -> np.ndarray:
     indicator = np.asarray(indicator)
-    if not np.isin(indicator, (0, 1)).all():
+    if not ((indicator == 0) | (indicator == 1)).all():
         raise ValueError("domain indicator values must be 0 (adult) or 1 (child)")
     return indicator.astype(np.float64)
 

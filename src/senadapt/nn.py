@@ -236,6 +236,13 @@ class Network:
                     w = glorot_uniform(rng, spec.in_dim, spec.out_dim)
                 self.store.add(self._pname(i, "W"), w)
                 self.store.add(self._pname(i, "b"), np.zeros((1, spec.out_dim)))
+        # per-layer (W, b, gW, gb): the store and every optimizer update these
+        # arrays in place, so the references stay live
+        self._params = []
+        for i in range(len(self.layers)):
+            w, b = self._pname(i, "W"), self._pname(i, "b")
+            self._params.append((self.store.value(w), self.store.value(b),
+                                 self.store.grad(w), self.store.grad(b)))
 
     def _pname(self, i: int, kind: str) -> str:
         return f"{self.prefix}layer{i}.{kind}"
@@ -263,11 +270,11 @@ class Network:
 
         caches = []
         h_out = x
-        for i, spec in enumerate(self.layers):
+        for i, (spec, (W, b, _, _)) in enumerate(zip(self.layers, self._params)):
             xi = h_out
             if xi.shape[1] != spec.in_dim:
                 raise ShapeError(f"layer {i} expects {spec.in_dim} cols, got {xi.shape[1]}")
-            z = xi @ self.store.value(self._pname(i, "W")) + self.store.value(self._pname(i, "b"))
+            z = xi @ W + b
             if spec.activation == "rectifier":
                 h = np.maximum(z, 0.0)
             elif spec.activation == "sigmoid":
@@ -301,9 +308,9 @@ class Network:
             raise ShapeError(
                 f"upstream grad shape {upstream.shape} != output shape {trace.output.shape}")
         g = upstream
-        for i in reversed(range(len(self.layers))):
-            spec = self.layers[i]
-            cache = trace.caches[i]
+        frozen = self.store.frozen
+        for spec, cache, (W, _, gW, gb) in zip(reversed(self.layers), reversed(trace.caches),
+                                               reversed(self._params)):
             if cache.mask is not None:
                 g = g * cache.mask
             if spec.activation == "rectifier":
@@ -315,10 +322,10 @@ class Network:
             else:  # softmax
                 y = cache.h
                 gz = y * (g - (g * y).sum(axis=1, keepdims=True))
-            if not self.store.frozen:
-                self.store.grad(self._pname(i, "W"))[...] += cache.x.T @ gz
-                self.store.grad(self._pname(i, "b"))[...] += gz.sum(axis=0, keepdims=True)
-            g = gz @ self.store.value(self._pname(i, "W")).T
+            if not frozen:
+                gW += cache.x.T @ gz
+                gb += gz.sum(axis=0, keepdims=True)
+            g = gz @ W.T
         return g
 
 

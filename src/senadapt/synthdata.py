@@ -25,6 +25,9 @@ SPLIT_NAMES = {"train": SPLIT_TRAIN, "dev": SPLIT_DEV, "test": SPLIT_TEST}
 
 DEFAULT_SHIFT_PROFILE = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 5.0, 5.0)
 
+# smallest assessment corpus generate_assessment_corpus accepts
+MIN_ASSESS_N = 50
+
 
 @dataclass
 class GeneratorConfig:
@@ -176,8 +179,8 @@ def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
 
     Returns (features, pron_levels, flu_levels).
     """
-    if n < 50:
-        raise ValueError("assessment corpus needs n >= 50")
+    if n < MIN_ASSESS_N:
+        raise ValueError(f"assessment corpus needs n >= {MIN_ASSESS_N}")
     rng = np.random.default_rng(seed)
     level_means = 3.0 * rng.standard_normal((levels, dim))
     z = rng.integers(1, levels + 1, size=n)

@@ -8,7 +8,8 @@ The min-max objective is realized two ways, selectable per config:
   gradient flows into the adapter negated and scaled by lambda.
 * alternating: a discriminator descent step on the domain loss, then an
   adapter descent step on [CE - lambda * domain loss] against the updated
-  discriminator.
+  discriminator. The discriminator phase forms only the discriminator's
+  gradients: no senone CE and no acoustic-model or adapter backward pass.
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
@@ -146,6 +147,8 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
     """Supervised senone training on adult frames, then freeze the model."""
     if am.frozen:
         raise RuntimeError("acoustic model is already pretrained and frozen")
+    if epochs < 1:
+        raise ValueError("pretraining needs at least one epoch")
     adult = np.flatnonzero(view.adult_mask)
     if adult.size == 0:
         raise ValueError("pretraining corpus has no adult frames")
@@ -210,13 +213,17 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
                             cfg: AdversarialConfig, lam: float,
-                            rng: np.random.Generator) -> _BatchStats:
+                            rng: np.random.Generator, *,
+                            disc_only: bool = False) -> _BatchStats | None:
     """Accumulate one batch's gradients into the adapter and discriminator
     stores per the gradient-reversal sign convention, without stepping.
 
     Adapter gradients are those of [CE mean - lam * domain loss mean];
-    discriminator gradients descend the domain loss mean. The caller steps
-    both stores (or discards one side, for the alternating scheme).
+    discriminator gradients descend the domain loss mean. With disc_only,
+    only the discriminator's gradients are accumulated (the adapter store
+    is not touched) and None is returned: the alternating scheme's
+    discriminator phase. Either way the discriminator's gradients are the
+    same, and the caller steps the stores.
     """
     adult_mask = domain == 0
     n_adult = int(adult_mask.sum())
@@ -226,15 +233,14 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
         raise RuntimeError("adversarial training requires a frozen acoustic model")
 
     at = adapter.forward(x, train_mode=True, rng=rng)
-    am_trace = am.net.forward(at.output, train_mode=False)
-    ce, ce_grad = losses.senone_ce_loss(am_trace.output, senone_labels, adult_mask)
-    feat_grad = am.net.backward(am_trace, ce_grad)
-
+    alpha_from_adapted = cfg.mode == "sat" and cfg.alpha_source == "adapted"
+    if not disc_only or alpha_from_adapted:
+        am_trace = am.net.forward(at.output, train_mode=False)
     disc_trace = disc.net.forward(at.output, train_mode=False)
     alpha_evals, alpha_crc = 0, 0
     if cfg.mode == "sat":
-        src = at.output if cfg.alpha_source == "adapted" else x
-        alpha = am.posteriors(src)  # constants: recomputed per batch, no grad
+        # constants: recomputed per batch, no grad
+        alpha = am_trace.output if alpha_from_adapted else am.posteriors(x)
         alpha_evals = alpha.shape[0]
         alpha_crc = _alpha_checksum(alpha)
         _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
@@ -245,6 +251,10 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
         dom_probs = disc_trace.output
 
     feat_grad_dom = disc.net.backward(disc_trace, dom_grad)
+    if disc_only:
+        return None
+    ce, ce_grad = losses.senone_ce_loss(am_trace.output, senone_labels, adult_mask)
+    feat_grad = am.net.backward(am_trace, ce_grad)
     adapter.backward(at, feat_grad - lam * feat_grad_dom)
 
     terms = losses.multitask_objective(ce * n_adult, n_adult,
@@ -282,21 +292,19 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
             x = view.frames[idx]
             y = view.adult_senone_labels[idx]
             dom = view.domain_labels[idx]
+            adapter.store.zero_grads()
+            disc.store.zero_grads()
             if cfg.update_scheme == "alternating":
-                # discriminator phase: keep only its own gradients, step it
-                adapter.store.zero_grads()
-                disc.store.zero_grads()
-                adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam, rng)
-                adapter.store.zero_grads()
+                adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam, rng,
+                                        disc_only=True)
                 sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-                # adapter phase against the updated discriminator
+                # adapter phase against the updated discriminator, whose
+                # gradients from this phase are discarded
                 stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
                                                 cfg, lam, rng)
                 disc.store.zero_grads()
                 sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
             else:
-                adapter.store.zero_grads()
-                disc.store.zero_grads()
                 stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
                                                 cfg, lam, rng)
                 sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)

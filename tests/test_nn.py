@@ -295,3 +295,45 @@ class TestStoreMatchesLayers:
                        [LayerSpec(3, 4), LayerSpec(4, 4, "softmax")]):
             with pytest.raises(ShapeError):
                 Network(layers, store=store)
+
+
+REF_SPECS = [LayerSpec(3, 4, "rectifier"), LayerSpec(4, 2, "identity")]
+
+
+def _fresh_net():
+    return make_net(REF_SPECS, seed=3)
+
+
+def _deserialized_net():
+    return Network(REF_SPECS, store=ParameterStore.deserialize(_fresh_net().store.serialize()))
+
+
+class TestParameterReferences:
+    """Network holds per-layer references to its store's arrays; every
+    update is made in place, so forward must see it through them."""
+
+    X = np.random.default_rng(4).normal(size=(5, 3))
+
+    @staticmethod
+    def rebuilt(net):
+        """A new network over copies of net's current parameter values."""
+        copies = {n: net.store.value(n).copy() for n in net.store.names()}
+        return Network(net.layers, store=ParameterStore.from_arrays(copies))
+
+    @pytest.mark.parametrize("build", [_fresh_net, _deserialized_net])
+    def test_forward_sees_sgd_step(self, build):
+        net = build()
+        before = net.forward(self.X).output
+        net.backward(net.forward(self.X), np.random.default_rng(5).normal(size=(5, 2)))
+        sgd_step(net.store, 0.5)
+        after = net.forward(self.X).output
+        assert not np.array_equal(after, before)
+        npt.assert_array_equal(after, self.rebuilt(net).forward(self.X).output)
+
+    @pytest.mark.parametrize("build", [_fresh_net, _deserialized_net])
+    def test_forward_sees_in_place_edits(self, build):
+        # the adapter zeroes its last layer this way after construction
+        net = build()
+        net.store.value("layer1.W")[...] = 0.0
+        net.store.value("layer1.b")[...] = [[1.5, -2.0]]
+        npt.assert_array_equal(net.forward(self.X).output, [[1.5, -2.0]] * 5)

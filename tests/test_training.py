@@ -1,6 +1,7 @@
 """Training loop tests: pretraining, min-max gradients, schedules, logs."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from senadapt.models import (
     build_adult_am,
     marginal_domain_probs,
 )
+from senadapt.nn import sgd_step
 from senadapt.synthdata import GeneratorConfig, generate_assessment_corpus, generate_corpus
 from senadapt.training import (
     AdversarialConfig,
@@ -58,15 +60,15 @@ class TestPretraining:
         assert oracle_acc >= 0.99
         assert model_acc >= oracle_acc - 0.02
 
-    def test_zero_epochs_freezes_untrained_model(self):
+    def test_zero_epochs_rejected(self):
+        # zero epochs would freeze an untrained model that later stages
+        # take for a pretrained one
         corpus = small_corpus(seed=2)
         am = build_adult_am(8, [32], 4, rng=np.random.default_rng(2))
-        pretrain_adult_am(am, corpus.training_view("train"), epochs=0,
-                          lr=0.1, seed=2)
-        adult = corpus.subset("train", "adult")
-        err = am_error(am, adult.frames, adult.senone_labels)
-        assert am.frozen
-        assert err > 0.5  # no better than an untrained guesser
+        with pytest.raises(ValueError):
+            pretrain_adult_am(am, corpus.training_view("train"), epochs=0,
+                              lr=0.1, seed=2)
+        assert not am.frozen
 
     def test_pretrain_twice_rejected(self):
         corpus = small_corpus(seed=3)
@@ -275,6 +277,33 @@ class TestBatchGradients:
             adversarial_batch_grads(adapter, self.am, disc, x, y, dom, cfg,
                                     1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("alpha_source, mode, am_forwards", [
+        ("adapted", "bat", {False: 1, True: 0}),
+        ("adapted", "sat", {False: 1, True: 1}),
+        ("raw", "sat", {False: 2, True: 1}),
+    ])
+    def test_discriminator_only_phase(self, alpha_source, mode, am_forwards):
+        # the alternating scheme's discriminator phase: the same discriminator
+        # gradients as a full call, no adapter gradient, and the frozen model
+        # run only where alpha needs it (am_forwards per disc_only value)
+        cfg = AdversarialConfig(mode=mode, alpha_source=alpha_source)
+        forward, calls = self.am.net.forward, []
+        self.am.net.forward = lambda *a, **k: calls.append(1) or forward(*a, **k)
+        disc_grads = {}
+        for disc_only in (False, True):
+            adapter, disc = self.make_arms(mode)
+            calls.clear()
+            stats = adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
+                                            self.dom, cfg, 0.7, np.random.default_rng(0),
+                                            disc_only=disc_only)
+            assert len(calls) == am_forwards[disc_only]
+            disc_grads[disc_only] = [disc.store.grad(n).copy() for n in disc.store.names()]
+            adapter_moved = any(adapter.store.grad(n).any() for n in adapter.store.names())
+            assert adapter_moved == (not disc_only)
+            assert (stats is None) == disc_only
+        for full, only in zip(disc_grads[False], disc_grads[True]):
+            assert full.any() and np.array_equal(full, only)
+
     def test_alpha_counters_track_mode(self):
         for mode in ("bat", "sat"):
             adapter, disc = self.make_arms(mode)
@@ -319,6 +348,84 @@ class TestAdversarialTrain:
                 for r in log.records:
                     assert math.isfinite(r.objective)
                     assert math.isfinite(r.domain_loss)
+
+    @staticmethod
+    def reference_train(adapter, am, disc, view, cfg):
+        """adversarial_train as written before the discriminator phase and
+        the sat alpha stopped repeating work: each phase computes the full
+        batch gradients, the discriminator phase then zeroes the adapter's,
+        and alpha comes from a second acoustic-model forward."""
+        adult_idx = np.flatnonzero(view.adult_mask)
+        child_idx = np.flatnonzero(~view.adult_mask)
+
+        def batch_grads(x, y, dom, lam):
+            at = adapter.forward(x, train_mode=True, rng=rng)
+            am_trace = am.net.forward(at.output, train_mode=False)
+            ce, ce_grad = losses.senone_ce_loss(am_trace.output, y, dom == 0)
+            feat_grad = am.net.backward(am_trace, ce_grad)
+            dt = disc.net.forward(at.output, train_mode=False)
+            evals, crc = 0, 0
+            if cfg.mode == "sat":
+                alpha = am.posteriors(at.output if cfg.alpha_source == "adapted" else x)
+                evals, crc = alpha.shape[0], zlib.crc32(alpha.astype("<f8").tobytes())
+                _, dom_mean, dg = losses.senone_aware_domain_loss(dt.output, dom, alpha)
+                probs = marginal_domain_probs(dt.output)
+            else:
+                _, dom_mean, dg = losses.binary_domain_loss(dt.output, dom)
+                probs = dt.output
+            adapter.backward(at, feat_grad - lam * disc.net.backward(dt, dg))
+            n_a = int((dom == 0).sum())
+            return (ce * n_a, dom_mean * len(x), n_a, len(x),
+                    int((probs.argmax(axis=1) == dom).sum()), evals, crc)
+
+        rng = np.random.default_rng(cfg.seed)
+        log = TrainLog()
+        for epoch in range(cfg.epochs):
+            lam = cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs,
+                                                             cfg.lambda_shape)
+            sums, crc = np.zeros(6), 0
+            for idx, _ in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
+                x, y, dom = (view.frames[idx], view.adult_senone_labels[idx],
+                             view.domain_labels[idx])
+                adapter.store.zero_grads()
+                disc.store.zero_grads()
+                if cfg.update_scheme == "alternating":
+                    batch_grads(x, y, dom, lam)
+                    adapter.store.zero_grads()
+                    sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+                    *terms, b_crc = batch_grads(x, y, dom, lam)
+                    disc.store.zero_grads()
+                    sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
+                else:
+                    *terms, b_crc = batch_grads(x, y, dom, lam)
+                    sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+                    sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
+                sums += terms
+                if cfg.mode == "sat":
+                    crc = zlib.crc32(b_crc.to_bytes(4, "little"), crc)
+            ce_sum, dom_sum, n_a, n_t, correct, evals = sums
+            log.records.append(TrainLogRecord(
+                epoch, ce_sum / n_a - dom_sum / n_t, ce_sum / n_a, dom_sum / n_t,
+                correct / n_t, 0.0, int(evals), crc))
+        return log
+
+    @pytest.mark.parametrize("scheme", ["alternating", "gradient_reversal"])
+    @pytest.mark.parametrize("mode, alpha_source", [("bat", "adapted"), ("sat", "adapted"),
+                                                    ("sat", "raw")])
+    def test_matches_reference_loop(self, mode, alpha_source, scheme):
+        # bit-identical trajectories and parameters, on any platform
+        cfg = AdversarialConfig(mode=mode, update_scheme=scheme, alpha_source=alpha_source,
+                                epochs=3, momentum=0.5, seed=2)
+        runs = []
+        for train in (adversarial_train, self.reference_train):
+            rng = np.random.default_rng(2)
+            adapter = AdaptationNetwork(8, [12], rng=rng)
+            disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
+                                       K=4 if mode == "sat" else None, rng=rng)
+            log = train(adapter, self.am, disc, self.view, cfg)
+            runs.append((log.trajectory_key(), adapter.store.serialize(),
+                         disc.store.serialize()))
+        assert runs[0] == runs[1]
 
     def test_trajectory_deterministic(self):
         a = self.run_once("sat", seed=4)[2]
