@@ -77,7 +77,7 @@ def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
     if (lab < 0).any() or (lab >= posteriors.shape[1]).any():
         raise ValueError("senone label out of range")
     p = np.maximum(posteriors[rows, lab], PROB_FLOOR)
-    loss = float(-np.log(p).mean())
+    loss = float(-np.log(p).sum() / n)
     grad = np.zeros_like(posteriors)
     grad[rows, lab] = -1.0 / (n * p)
     return loss, grad
@@ -96,7 +96,7 @@ def binary_domain_loss(disc_out: np.ndarray,
     per_frame = -np.log(p)
     grad = np.zeros_like(disc_out)
     grad[rows, cols] = -1.0 / (disc_out.shape[0] * p)
-    return per_frame, float(per_frame.mean()), grad
+    return per_frame, float(per_frame.sum() / disc_out.shape[0]), grad
 
 
 def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
@@ -116,14 +116,13 @@ def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
             f"alpha shape {alpha.shape} incompatible with 2K={disc_out.shape[1]} output")
     ind = _check_indicator(indicator)
     N = disc_out.shape[0]
-    # select each frame's true-domain block of K columns
-    offsets = (ind.astype(np.intp) * K)[:, None] + np.arange(K)[None, :]
-    rows = np.arange(N)[:, None]
-    p = np.maximum(disc_out[rows, offsets], PROB_FLOOR)
+    # each frame's true-domain block of K columns, as (N, 2, K)[row, domain]
+    rows, cols = np.arange(N), ind.astype(np.intp)
+    p = np.maximum(disc_out.reshape(N, 2, K)[rows, cols], PROB_FLOOR)
     per_frame = -(alpha * np.log(p)).sum(axis=1)
     grad = np.zeros_like(disc_out)
-    grad[rows, offsets] = -alpha / (N * p)
-    return per_frame, float(per_frame.mean()), grad
+    grad.reshape(N, 2, K)[rows, cols] = -alpha / (N * p)
+    return per_frame, float(per_frame.sum() / N), grad
 
 
 def multitask_objective(senone_ce_sum: float, n_adult: int,

@@ -88,8 +88,10 @@ class AdaptationNetwork:
         inner = self.g.forward(x, train_mode=train_mode, rng=rng)
         return AdapterTrace(inner=inner, output=np.asarray(x, dtype=np.float64) + inner.output)
 
-    def backward(self, trace: AdapterTrace, upstream: np.ndarray) -> np.ndarray:
-        return upstream + self.g.backward(trace.inner, upstream)
+    def backward(self, trace: AdapterTrace, upstream: np.ndarray, *,
+                 input_grad: bool = True) -> np.ndarray | None:
+        g = self.g.backward(trace.inner, upstream, input_grad=input_grad)
+        return None if g is None else upstream + g
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, train_mode=False).output
@@ -145,10 +147,11 @@ class AssessmentNetwork:
         f = self.head_flu.forward(t.output, train_mode=train_mode, rng=rng)
         return t, p, f
 
-    def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> np.ndarray:
+    def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray, *,
+                 input_grad: bool = True) -> np.ndarray | None:
         t, p, f = traces
         gt = self.head_pron.backward(p, grad_pron) + self.head_flu.backward(f, grad_flu)
-        return self.trunk.backward(t, gt)
+        return self.trunk.backward(t, gt, input_grad=input_grad)
 
     def predict_levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Argmax level per head, on the 1..levels scale."""
@@ -170,8 +173,7 @@ def marginal_domain_probs(joint: np.ndarray) -> np.ndarray:
     joint = np.asarray(joint, dtype=np.float64)
     if joint.shape[1] % 2 != 0:
         raise ShapeError("joint posterior matrix must have 2K columns")
-    K = joint.shape[1] // 2
-    return np.stack([joint[:, :K].sum(axis=1), joint[:, K:].sum(axis=1)], axis=1)
+    return joint.reshape(len(joint), 2, joint.shape[1] // 2).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,17 @@ Parameters live in a ParameterStore that pairs every value matrix with a
 gradient buffer of identical shape. A frozen store still propagates input
 gradients through its network but discards parameter gradients, which is how
 the fixed adult acoustic model participates in adversarial training.
+
+Network.backward never writes into the caller's upstream gradient; it works
+in place only on arrays it allocated itself. With input_grad=False it stops
+after the first layer's parameter gradients and returns None, for callers
+that would discard dLoss/dInput; the parameter gradients are the same bits
+either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -175,7 +181,6 @@ def unpack_container(blob: bytes, kind: str) -> tuple[dict[str, str], dict[str, 
 @dataclass
 class _LayerCache:
     x: np.ndarray           # layer input
-    z: np.ndarray           # pre-activation
     h: np.ndarray           # post-activation (pre-dropout)
     mask: np.ndarray | None # dropout keep-mask scaled by 1/(1-p), or None
 
@@ -184,13 +189,13 @@ class _LayerCache:
 class ForwardTrace:
     caches: list[_LayerCache]
     output: np.ndarray
-    train_mode: bool
-    consumed: bool = field(default=False)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def glorot_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
@@ -274,9 +279,10 @@ class Network:
             xi = h_out
             if xi.shape[1] != spec.in_dim:
                 raise ShapeError(f"layer {i} expects {spec.in_dim} cols, got {xi.shape[1]}")
-            z = xi @ W + b
+            z = xi @ W
+            z += b
             if spec.activation == "rectifier":
-                h = np.maximum(z, 0.0)
+                h = np.maximum(z, 0.0, out=z)
             elif spec.activation == "sigmoid":
                 h = 1.0 / (1.0 + np.exp(-z))
             elif spec.activation == "identity":
@@ -290,13 +296,15 @@ class Network:
                 h_out = h * mask
             else:
                 h_out = h
-            caches.append(_LayerCache(x=xi, z=z, h=h, mask=mask))
+            caches.append(_LayerCache(x=xi, h=h, mask=mask))
         if not np.isfinite(h_out).all():
             raise NonFiniteError("non-finite values in network output")
-        return ForwardTrace(caches=caches, output=h_out, train_mode=train_mode)
+        return ForwardTrace(caches=caches, output=h_out)
 
-    def backward(self, trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients (+=) and return dLoss/dInput.
+    def backward(self, trace: ForwardTrace, upstream: np.ndarray, *,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients (+=) and return dLoss/dInput, or
+        None with input_grad=False. upstream is never written to.
 
         Frozen stores receive the input gradient but their parameter
         gradients are discarded.
@@ -308,24 +316,29 @@ class Network:
             raise ShapeError(
                 f"upstream grad shape {upstream.shape} != output shape {trace.output.shape}")
         g = upstream
+        owned = False  # whether g was allocated here and may be overwritten
         frozen = self.store.frozen
-        for spec, cache, (W, _, gW, gb) in zip(reversed(self.layers), reversed(trace.caches),
-                                               reversed(self._params)):
+        for i in range(len(self.layers) - 1, -1, -1):
+            spec, cache, (W, _, gW, gb) = self.layers[i], trace.caches[i], self._params[i]
             if cache.mask is not None:
-                g = g * cache.mask
-            if spec.activation == "rectifier":
-                gz = g * (cache.z > 0)
+                g, owned = np.multiply(g, cache.mask, out=g if owned else None), True
+            if spec.activation == "rectifier":  # h > 0 exactly where z > 0
+                gz = np.multiply(g, cache.h > 0, out=g if owned else None)
             elif spec.activation == "sigmoid":
                 gz = g * cache.h * (1.0 - cache.h)
             elif spec.activation == "identity":
                 gz = g
-            else:  # softmax
+            else:  # softmax: y * (g - rowsum(g * y)) in one temporary
                 y = cache.h
-                gz = y * (g - (g * y).sum(axis=1, keepdims=True))
+                gz = g * y
+                np.subtract(g, gz.sum(axis=1, keepdims=True), out=gz)
+                gz *= y
             if not frozen:
                 gW += cache.x.T @ gz
                 gb += gz.sum(axis=0, keepdims=True)
-            g = gz @ W.T
+            if i == 0 and not input_grad:
+                return None
+            g, owned = gz @ W.T, True
         return g
 
 

@@ -166,7 +166,7 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
             x, y = x_all[idx], y_all[idx]
             trace = am.net.forward(x, train_mode=True, rng=rng)
             ce, grad = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
-            am.net.backward(trace, grad)
+            am.net.backward(trace, grad, input_grad=False)
             sgd_step(am.net.store, lr, momentum)
             ce_sum += ce * len(y)
             correct += int((trace.output.argmax(axis=1) == y).sum())
@@ -250,12 +250,12 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
         _, dom_mean, dom_grad = losses.binary_domain_loss(disc_trace.output, domain)
         dom_probs = disc_trace.output
 
-    feat_grad_dom = disc.net.backward(disc_trace, dom_grad)
+    feat_grad_dom = disc.net.backward(disc_trace, dom_grad, input_grad=not disc_only)
     if disc_only:
         return None
     ce, ce_grad = losses.senone_ce_loss(am_trace.output, senone_labels, adult_mask)
     feat_grad = am.net.backward(am_trace, ce_grad)
-    adapter.backward(at, feat_grad - lam * feat_grad_dom)
+    adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
 
     terms = losses.multitask_objective(ce * n_adult, n_adult,
                                        dom_mean * len(x), len(x))
@@ -354,7 +354,7 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                 _, dom_mean, dom_grad = losses.binary_domain_loss(trace.output, dom)
                 probs = trace.output
             disc.store.zero_grads()
-            disc.net.backward(trace, dom_grad)
+            disc.net.backward(trace, dom_grad, input_grad=False)
             sgd_step(disc.store, lr, momentum)
             dom_sum += dom_mean * len(idx)
             correct += int((probs.argmax(axis=1) == dom).sum())
@@ -371,6 +371,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
                              momentum: float = 0.9) -> TrainLog:
     """Joint training of the two-head assessment network; both heads use
     softmax cross-entropy against their 1..5 level labels."""
+    if epochs < 1:
+        raise ValueError("assessment training needs at least one epoch")
     rng = np.random.default_rng(seed)
     n = len(features)
     ones = np.ones(batch_size, bool)
@@ -388,7 +390,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
             net.trunk.store.zero_grads()
             net.head_pron.store.zero_grads()
             net.head_flu.store.zero_grads()
-            net.backward(traces, g_p, g_f)
+            net.backward(traces, g_p, g_f, input_grad=False)
             sgd_step(net.trunk.store, lr, momentum)
             sgd_step(net.head_pron.store, lr, momentum)
             sgd_step(net.head_flu.store, lr, momentum)

@@ -11,7 +11,8 @@ from senadapt.losses import (
     senone_aware_domain_loss,
     senone_ce_loss,
 )
-from senadapt.nn import ShapeError
+from senadapt.models import marginal_domain_probs
+from senadapt.nn import PROB_FLOOR, ShapeError
 
 
 def naive_senone_aware_loss(disc_out, indicator, alpha):
@@ -221,3 +222,93 @@ class TestMultitaskObjective:
     def test_total_below_adult_rejected(self):
         with pytest.raises(ValueError):
             multitask_objective(1.0, 4, 1.0, 2)
+
+
+# The formulations below are the losses as first written: np.mean, and (N, K)
+# fancy indexing for the true-domain block. The losses now use sum() / n and
+# a (N, 2, K) reshape; both must give the same bits, not just close values.
+
+
+def ref_senone_ce(posteriors, labels, mask):
+    n = int(mask.sum())
+    rows = np.flatnonzero(mask)
+    lab = labels[rows].astype(np.intp)
+    p = np.maximum(posteriors[rows, lab], PROB_FLOOR)
+    grad = np.zeros_like(posteriors)
+    grad[rows, lab] = -1.0 / (n * p)
+    return float(-np.log(p).mean()), grad
+
+
+def ref_binary_domain(disc_out, indicator):
+    cols = indicator.astype(np.intp)
+    rows = np.arange(disc_out.shape[0])
+    p = np.maximum(disc_out[rows, cols], PROB_FLOOR)
+    per_frame = -np.log(p)
+    grad = np.zeros_like(disc_out)
+    grad[rows, cols] = -1.0 / (disc_out.shape[0] * p)
+    return per_frame, float(per_frame.mean()), grad
+
+
+def ref_senone_aware_domain(disc_out, indicator, alpha):
+    N, K = disc_out.shape[0], disc_out.shape[1] // 2
+    offsets = (indicator.astype(np.intp) * K)[:, None] + np.arange(K)[None, :]
+    rows = np.arange(N)[:, None]
+    p = np.maximum(disc_out[rows, offsets], PROB_FLOOR)
+    per_frame = -(alpha * np.log(p)).sum(axis=1)
+    grad = np.zeros_like(disc_out)
+    grad[rows, offsets] = -alpha / (N * p)
+    return per_frame, float(per_frame.mean()), grad
+
+
+def ref_marginal(joint):
+    K = joint.shape[1] // 2
+    return np.stack([joint[:, :K].sum(axis=1), joint[:, K:].sum(axis=1)], axis=1)
+
+
+def _exact(a, b):
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+CASES = [(N, K, domains, seed)
+         for seed, (N, K) in enumerate([(1, 1), (7, 1), (128, 1), (9, 2), (128, 10),
+                                        (300, 10), (1000, 37), (64, 129)])
+         for domains in ("mixed", "adult", "child")]
+
+
+@pytest.mark.parametrize("N, K, domains, seed", CASES)
+class TestBitExactAgainstFirstFormulation:
+
+    @staticmethod
+    def batch(N, K, domains, seed):
+        rng = np.random.default_rng(seed)
+        joint = rng.dirichlet(np.ones(2 * K), size=N)
+        joint[rng.random(joint.shape) < 0.05] = 1e-14  # some rows below the floor
+        ind = {"mixed": rng.integers(0, 2, N), "adult": np.zeros(N, int),
+               "child": np.ones(N, int)}[domains]
+        alpha = rng.dirichlet(np.ones(K), size=N)
+        return rng, joint, ind, alpha
+
+    def test_senone_ce(self, N, K, domains, seed):
+        rng, joint, ind, _ = self.batch(N, K, domains, seed)
+        labels = rng.integers(0, 2 * K, N)
+        mask = ind == 0 if domains != "child" else np.ones(N, bool)
+        got, want = senone_ce_loss(joint, labels, mask), ref_senone_ce(joint, labels, mask)
+        assert all(_exact(a, b) for a, b in zip(got, want))
+
+    def test_binary_domain(self, N, K, domains, seed):
+        _, joint, ind, _ = self.batch(N, K, domains, seed)
+        probs = ref_marginal(joint)
+        got, want = binary_domain_loss(probs, ind), ref_binary_domain(probs, ind)
+        assert all(_exact(a, b) for a, b in zip(got, want))
+
+    def test_senone_aware_domain(self, N, K, domains, seed):
+        _, joint, ind, alpha = self.batch(N, K, domains, seed)
+        got = senone_aware_domain_loss(joint, ind, alpha)
+        want = ref_senone_aware_domain(joint, ind, alpha)
+        assert all(_exact(a, b) for a, b in zip(got, want))
+
+    def test_marginal_domain_probs(self, N, K, domains, seed):
+        _, joint, _, _ = self.batch(N, K, domains, seed)
+        assert _exact(marginal_domain_probs(joint), ref_marginal(joint))

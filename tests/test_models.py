@@ -224,3 +224,34 @@ class TestAssessmentNetwork:
         g = net.backward(traces, np.ones((4, 5)), np.ones((4, 5)))
         assert g.shape == (4, 10)
         assert np.all(np.isfinite(g))
+
+
+def _stores(model):
+    if isinstance(model, AdaptationNetwork):
+        return [model.store]
+    return [model.trunk.store, model.head_pron.store, model.head_flu.store]
+
+
+@pytest.mark.parametrize("kind", ["adapter", "assessment"])
+def test_wrapper_backward_without_input_grad(kind):
+    # input_grad=False returns None and leaves every parameter gradient as
+    # the default call forms it
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 10))
+    if kind == "adapter":
+        model = AdaptationNetwork(10, [8], rng=rng)
+        model.store.value("layer1.W")[...] = rng.normal(size=(8, 10))
+        trace = model.forward(x)
+        upstreams = (rng.normal(size=(6, 10)),)
+    else:
+        model = AssessmentNetwork(input_dim=10, trunk_dims=(8, 8), levels=5, rng=rng)
+        trace = model.forward(x)
+        upstreams = (rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
+    grads = []
+    for input_grad in (True, False):
+        for store in _stores(model):
+            store.zero_grads()
+        g = model.backward(trace, *upstreams, input_grad=input_grad)
+        assert (g is None) == (not input_grad)
+        grads.append([s.grad(n).copy() for s in _stores(model) for n in s.names()])
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))

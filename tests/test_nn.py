@@ -155,6 +155,48 @@ class TestBackward:
             assert rel.max() <= 1e-4
 
 
+class TestBackwardContract:
+    """backward never writes into the caller's upstream, and input_grad=False
+    leaves the parameter gradients bit-for-bit unchanged."""
+
+    @staticmethod
+    def setup(top, dropout, frozen):
+        # the top layer carries the dropout when it may, so that both the
+        # mask and the activation meet the caller's upstream first
+        top_drop = 0.0 if top == "softmax" else dropout
+        net = make_net([LayerSpec(4, 6, "rectifier", dropout),
+                        LayerSpec(6, 3, top, top_drop)], seed=6)
+        net.store.frozen = frozen
+        rng = np.random.default_rng(7)
+        trace = net.forward(rng.normal(size=(9, 4)), train_mode=True, rng=rng)
+        return net, trace, rng.normal(size=(9, 3))
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
+    def test_upstream_never_written(self, top, dropout, frozen):
+        net, trace, upstream = self.setup(top, dropout, frozen)
+        kept = upstream.copy()
+        for input_grad in (True, False):
+            net.backward(trace, upstream, input_grad=input_grad)
+            npt.assert_array_equal(upstream, kept)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
+    def test_no_input_grad_same_parameter_grads(self, top, dropout, frozen):
+        net, trace, upstream = self.setup(top, dropout, frozen)
+        grads = []
+        for input_grad in (True, False):
+            net.store.zero_grads()
+            gx = net.backward(trace, upstream, input_grad=input_grad)
+            assert (gx is None) == (not input_grad)
+            grads.append([net.store.grad(n).copy() for n in net.store.names()])
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+        if not frozen:
+            assert any(np.any(g) for g in grads[1])
+
+
 class TestSgd:
     def test_zero_lr_no_change(self):
         store = ParameterStore()

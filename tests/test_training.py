@@ -20,6 +20,7 @@ from senadapt.training import (
     AdversarialConfig,
     TrainLog,
     TrainLogRecord,
+    _minibatches,
     _stratified_batches,
     adversarial_batch_grads,
     adversarial_train,
@@ -93,6 +94,41 @@ class TestPretraining:
             logs.append(pretrain_adult_am(am, corpus.training_view("train"),
                                           epochs=3, lr=0.1, seed=5))
         assert logs[0].trajectory_key() == logs[1].trajectory_key()
+
+    @staticmethod
+    def reference_pretrain(am, view, epochs, lr, seed, batch_size=128, momentum=0.9):
+        """pretrain_adult_am as written before its backward pass stopped
+        forming the input gradient it throws away."""
+        adult = np.flatnonzero(view.adult_mask)
+        x_all, y_all = view.frames[adult], view.adult_senone_labels[adult]
+        rng = np.random.default_rng(seed)
+        log = TrainLog()
+        for epoch in range(epochs):
+            ce_sum, correct, seen = 0.0, 0, 0
+            for idx in _minibatches(rng, adult.size, batch_size):
+                x, y = x_all[idx], y_all[idx]
+                trace = am.net.forward(x, train_mode=True, rng=rng)
+                ce, grad = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
+                assert am.net.backward(trace, grad).shape == x.shape
+                sgd_step(am.net.store, lr, momentum)
+                ce_sum += ce * len(y)
+                correct += int((trace.output.argmax(axis=1) == y).sum())
+                seen += len(y)
+            log.records.append(TrainLogRecord(epoch, ce_sum / seen, ce_sum / seen, 0.0,
+                                              correct / seen, 0.0))
+        am.freeze()
+        return log
+
+    def test_matches_reference_loop(self):
+        # momentum and dropout on: bit-identical trajectory and parameters
+        view = small_corpus(seed=6).training_view("train")
+        runs = []
+        for train in (pretrain_adult_am, self.reference_pretrain):
+            am = build_adult_am(8, [16, 12], 4, rng=np.random.default_rng(6),
+                                dropout_rate=0.2)
+            log = train(am, view, epochs=3, lr=0.1, seed=6, batch_size=64, momentum=0.9)
+            runs.append((log.trajectory_key(), am.net.store.serialize()))
+        assert runs[0] == runs[1]
 
 
 class TestLambdaSchedule:
@@ -519,6 +555,53 @@ class TestAssessmentTraining:
         p, f = net.predict_levels(feats)
         assert (p == pron).mean() >= 0.8
         assert (f == flu).mean() >= 0.6
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected(self, epochs):
+        # zero epochs would leave an untrained network for eval to report on
+        feats, pron, flu = generate_assessment_corpus(60, seed=11)
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,), levels=5)
+        with pytest.raises(ValueError):
+            train_assessment_network(net, feats, pron, flu, epochs=epochs, lr=0.05, seed=11)
+
+    @staticmethod
+    def reference_train(net, features, pron, flu, epochs, lr, seed, batch_size=64,
+                        momentum=0.9):
+        """train_assessment_network as written before its trunk backward
+        stopped forming the input gradient it throws away."""
+        rng = np.random.default_rng(seed)
+        n = len(features)
+        stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
+        log = TrainLog()
+        for epoch in range(epochs):
+            ce_sum, correct = 0.0, 0
+            for idx in _minibatches(rng, n, batch_size):
+                yp, yf = pron[idx] - 1, flu[idx] - 1
+                traces = net.forward(features[idx], train_mode=True, rng=rng)
+                _, p, f = traces
+                ce_p, g_p = losses.senone_ce_loss(p.output, yp, np.ones(len(idx), bool))
+                ce_f, g_f = losses.senone_ce_loss(f.output, yf, np.ones(len(idx), bool))
+                for store in stores:
+                    store.zero_grads()
+                assert net.backward(traces, g_p, g_f).shape == (len(idx), 30)
+                for store in stores:
+                    sgd_step(store, lr, momentum)
+                ce_sum += (ce_p + ce_f) * len(idx)
+                correct += int((p.output.argmax(axis=1) == yp).sum())
+            log.records.append(TrainLogRecord(epoch, ce_sum / (2 * n), ce_sum / (2 * n),
+                                              0.0, correct / n, 0.0))
+        return log
+
+    def test_matches_reference_loop(self):
+        feats, pron, flu = generate_assessment_corpus(300, seed=12)
+        runs = []
+        for train in (train_assessment_network, self.reference_train):
+            net = AssessmentNetwork(input_dim=30, trunk_dims=(16, 16), levels=5,
+                                    rng=np.random.default_rng(12))
+            log = train(net, feats, pron, flu, epochs=4, lr=0.05, seed=12)
+            runs.append((log.trajectory_key(), net.trunk.store.serialize(),
+                         net.head_pron.store.serialize(), net.head_flu.store.serialize()))
+        assert runs[0] == runs[1]
 
 
 class TestTrainLog:
