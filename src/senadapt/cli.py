@@ -107,11 +107,11 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
         _int_list(cfg[key])
     if not (cfg["pretrain_epochs"] >= 1 and cfg["pretrain_batch"] >= 1
             and cfg["assess_epochs"] >= 1
-            and cfg["pretrain_lr"] >= 0 and cfg["assess_lr"] >= 0
+            and cfg["pretrain_lr"] > 0 and cfg["assess_lr"] > 0
             and 0 <= cfg["pretrain_momentum"] < 1
             and cfg["assess_n"] >= synthdata.MIN_ASSESS_N):
         raise ConfigError("need pretrain_epochs, pretrain_batch and assess_epochs >= 1, "
-                          "pretrain_lr and assess_lr >= 0, pretrain_momentum in [0, 1), "
+                          "pretrain_lr and assess_lr > 0, pretrain_momentum in [0, 1), "
                           f"assess_n >= {synthdata.MIN_ASSESS_N}")
     _gen_config(cfg).validate()
     _adv_config(cfg).validate()

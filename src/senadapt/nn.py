@@ -5,16 +5,23 @@ of four activations (rectifier, sigmoid, identity, softmax); softmax is only
 legal as the final layer. Dropout uses the inverted convention: activations
 are scaled by 1/(1-p) at train time so inference is a pure pass-through.
 
-Parameters live in a ParameterStore that pairs every value matrix with a
-gradient buffer of identical shape. A frozen store still propagates input
-gradients through its network but discards parameter gradients, which is how
-the fixed adult acoustic model participates in adversarial training.
+Parameters live in a ParameterStore: all of a store's values sit in one
+contiguous float64 arena, all its gradients in a second of the same layout
+and its momentum velocity (allocated by the first optimizer step) in a
+third, and every parameter name maps to a view into them. An optimizer step
+is therefore a few whole-arena operations, the same element-wise arithmetic
+as a loop over the names. The layout is fixed once a view has been handed
+out. A frozen store still propagates input gradients through its network
+but discards parameter gradients, which is how the fixed adult acoustic
+model participates in adversarial training.
 
 Network.backward never writes into the caller's upstream gradient; it works
 in place only on arrays it allocated itself. With input_grad=False it stops
 after the first layer's parameter gradients and returns None, for callers
 that would discard dLoss/dInput; the parameter gradients are the same bits
-either way.
+either way. With param_grads=False it forms only dLoss/dInput, the same bits
+as a full backward, and leaves the store's gradients untouched, for callers
+that would discard the parameter gradients.
 """
 
 from __future__ import annotations
@@ -69,38 +76,59 @@ class LayerSpec:
 
 
 class ParameterStore:
-    """Named value matrices with paired gradient buffers and a freeze flag."""
+    """Named 2-D parameter matrices in one flat float64 arena, a gradient
+    arena of the same layout, and a freeze flag.
+
+    value(name) and grad(name) return views into the arenas. add() appends a
+    matrix to the layout by copying the arenas, so it raises RuntimeError
+    once value() or grad() has handed out a view: a Network holds views of
+    its store from construction on, and none of them can go stale.
+    """
 
     def __init__(self):
-        self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-        self._velocity: dict[str, np.ndarray] = {}
+        self.flat_values = np.zeros(0)
+        self.flat_grads = np.zeros(0)
+        self._velocity: np.ndarray | None = None  # allocated by the first sgd_step
+        self._layout: dict[str, tuple[slice, tuple[int, int]]] = {}
+        self._layout_fixed = False
         self.frozen = False
 
     def add(self, name: str, value: np.ndarray) -> None:
-        if name in self._values:
+        if self._layout_fixed:
+            raise RuntimeError(f"cannot add {name!r}: the layout is fixed once a "
+                               "view of the store has been handed out")
+        if name in self._layout:
             raise ValueError(f"duplicate parameter {name!r}")
-        value = np.ascontiguousarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be a 2-D matrix")
-        self._values[name] = value
-        self._grads[name] = np.zeros_like(value)
+        start = self.flat_values.size
+        self._layout[name] = (slice(start, start + value.size), value.shape)
+        self.flat_values = np.concatenate([self.flat_values, value.ravel()])
+        self.flat_grads = np.concatenate([self.flat_grads, np.zeros(value.size)])
+        if self._velocity is not None:
+            self._velocity = np.concatenate([self._velocity, np.zeros(value.size)])
 
     def names(self):
-        return list(self._values)
+        return list(self._layout)
+
+    def _view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        span, shape = self._layout[name]
+        return flat[span].reshape(shape)
 
     def value(self, name: str) -> np.ndarray:
-        return self._values[name]
+        self._layout_fixed = True
+        return self._view(self.flat_values, name)
 
     def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
+        self._layout_fixed = True
+        return self._view(self.flat_grads, name)
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def num_params(self) -> int:
-        return sum(v.size for v in self._values.values())
+        return self.flat_values.size
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParameterStore":
@@ -112,7 +140,8 @@ class ParameterStore:
         return store
 
     def serialize(self) -> bytes:
-        return pack_container("params", {}, self._values)
+        return pack_container("params", {}, {n: self._view(self.flat_values, n)
+                                             for n in self._layout})
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "ParameterStore":
@@ -302,22 +331,24 @@ class Network:
         return ForwardTrace(caches=caches, output=h_out)
 
     def backward(self, trace: ForwardTrace, upstream: np.ndarray, *,
-                 input_grad: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True, param_grads: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients (+=) and return dLoss/dInput, or
         None with input_grad=False. upstream is never written to.
 
-        Frozen stores receive the input gradient but their parameter
-        gradients are discarded.
+        With param_grads=False, or on a frozen store, no parameter gradient
+        is formed and the store's gradients are left as they are.
         """
         if trace is None or not trace.caches:
             raise RuntimeError("backward called before forward")
+        if not (input_grad or param_grads):
+            raise ValueError("backward must form the input or the parameter gradients")
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != trace.output.shape:
             raise ShapeError(
                 f"upstream grad shape {upstream.shape} != output shape {trace.output.shape}")
         g = upstream
         owned = False  # whether g was allocated here and may be overwritten
-        frozen = self.store.frozen
+        accumulate = param_grads and not self.store.frozen
         for i in range(len(self.layers) - 1, -1, -1):
             spec, cache, (W, _, gW, gb) = self.layers[i], trace.caches[i], self._params[i]
             if cache.mask is not None:
@@ -333,7 +364,7 @@ class Network:
                 gz = g * y
                 np.subtract(g, gz.sum(axis=1, keepdims=True), out=gz)
                 gz *= y
-            if not frozen:
+            if accumulate:
                 gW += cache.x.T @ gz
                 gb += gz.sum(axis=0, keepdims=True)
             if i == 0 and not input_grad:
@@ -350,15 +381,13 @@ def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0)
         raise ValueError("learning rate must be nonnegative")
     if not (0.0 <= momentum < 1.0):
         raise ValueError("momentum must be in [0, 1)")
-    for name in store.names():
-        v = store._velocity.get(name)
-        if v is None:
-            v = np.zeros_like(store.value(name))
-            store._velocity[name] = v
-        v *= momentum
-        v += store.grad(name)
-        store.value(name)[...] -= learning_rate * v
-    store.zero_grads()
+    v = store._velocity
+    if v is None:
+        v = store._velocity = np.zeros_like(store.flat_values)
+    v *= momentum
+    v += store.flat_grads
+    store.flat_values -= learning_rate * v
+    store.flat_grads.fill(0.0)
 
 
 def finite_diff_gradient(net: Network, x: np.ndarray, loss_fn, h: float = 1e-5) -> dict:

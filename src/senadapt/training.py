@@ -8,8 +8,12 @@ The min-max objective is realized two ways, selectable per config:
   gradient flows into the adapter negated and scaled by lambda.
 * alternating: a discriminator descent step on the domain loss, then an
   adapter descent step on [CE - lambda * domain loss] against the updated
-  discriminator. The discriminator phase forms only the discriminator's
-  gradients: no senone CE and no acoustic-model or adapter backward pass.
+  discriminator. Both phases share one adapter forward, one acoustic-model
+  forward and one alpha per batch (a BatchForward): the adapter does not
+  move between them. The discriminator phase forms only the discriminator's
+  gradients: no senone CE, no alpha checksum or domain accuracy, and no
+  acoustic-model or adapter backward pass. The adapter phase forms no
+  discriminator weight gradients, only the input gradient the adapter needs.
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
@@ -17,6 +21,7 @@ input gradients from the senone loss to the adapter.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -24,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .models import (AdaptationNetwork, AdultAcousticModel,
+from .models import (AdaptationNetwork, AdapterTrace, AdultAcousticModel,
                      DomainDiscriminator, marginal_domain_probs)
-from .nn import sgd_step
+from .nn import ForwardTrace, sgd_step
 from .synthdata import TrainingView
 
 
@@ -53,14 +58,14 @@ class AdversarialConfig:
             raise ValueError(f"unknown alpha_source {self.alpha_source!r}")
         if self.lambda_shape not in ("ramp", "constant"):
             raise ValueError(f"unknown lambda shape {self.lambda_shape!r}")
-        if self.reversal_coefficient < 0:
-            raise ValueError("reversal coefficient must be nonnegative")
+        if not (0 <= self.reversal_coefficient < math.inf):
+            raise ValueError("reversal coefficient must be finite and nonnegative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not (self.lr_adapter > 0 and self.lr_discriminator > 0):
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.lr_adapter < math.inf and 0 < self.lr_discriminator < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
 
@@ -149,6 +154,8 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
         raise RuntimeError("acoustic model is already pretrained and frozen")
     if epochs < 1:
         raise ValueError("pretraining needs at least one epoch")
+    if not lr > 0:
+        raise ValueError(f"pretraining learning rate must be positive, got {lr}")
     adult = np.flatnonzero(view.adult_mask)
     if adult.size == 0:
         raise ValueError("pretraining corpus has no adult frames")
@@ -209,22 +216,39 @@ class _BatchStats:
     alpha_checksum: int
 
 
+@dataclass
+class BatchForward:
+    """One batch's adapter pass, acoustic-model pass and sat alpha, each
+    filled in by adversarial_batch_grads where first needed. The alternating
+    scheme hands one to both of its phases: the adapter is not stepped
+    between them and its layers draw no dropout masks, so the adapter phase
+    reuses what the discriminator phase computed, bit for bit the values it
+    would recompute."""
+    adapter: AdapterTrace | None = None
+    am: ForwardTrace | None = None
+    alpha: np.ndarray | None = None
+
+
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
                             cfg: AdversarialConfig, lam: float,
                             rng: np.random.Generator, *,
-                            disc_only: bool = False) -> _BatchStats | None:
+                            disc_only: bool = False, adapter_only: bool = False,
+                            shared: BatchForward | None = None) -> _BatchStats | None:
     """Accumulate one batch's gradients into the adapter and discriminator
     stores per the gradient-reversal sign convention, without stepping.
 
     Adapter gradients are those of [CE mean - lam * domain loss mean];
-    discriminator gradients descend the domain loss mean. With disc_only,
-    only the discriminator's gradients are accumulated (the adapter store
-    is not touched) and None is returned: the alternating scheme's
-    discriminator phase. Either way the discriminator's gradients are the
-    same, and the caller steps the stores.
+    discriminator gradients descend the domain loss mean. The caller steps
+    the stores. The alternating scheme runs two phases over one `shared`
+    forward: disc_only accumulates only the discriminator's gradients (the
+    adapter store is not touched) and returns None; adapter_only accumulates
+    only the adapter's (the discriminator store is not touched). The
+    gradients a phase forms are the bits a full call forms.
     """
+    if disc_only and adapter_only:
+        raise ValueError("disc_only and adapter_only exclude each other")
     adult_mask = domain == 0
     n_adult = int(adult_mask.sum())
     if n_adult == 0:
@@ -232,33 +256,35 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     if not am.frozen:
         raise RuntimeError("adversarial training requires a frozen acoustic model")
 
-    at = adapter.forward(x, train_mode=True, rng=rng)
+    fwd = BatchForward() if shared is None else shared
+    if fwd.adapter is None:
+        fwd.adapter = adapter.forward(x, train_mode=True, rng=rng)
     alpha_from_adapted = cfg.mode == "sat" and cfg.alpha_source == "adapted"
-    if not disc_only or alpha_from_adapted:
-        am_trace = am.net.forward(at.output, train_mode=False)
-    disc_trace = disc.net.forward(at.output, train_mode=False)
-    alpha_evals, alpha_crc = 0, 0
+    if fwd.am is None and (not disc_only or alpha_from_adapted):
+        fwd.am = am.net.forward(fwd.adapter.output, train_mode=False)
+    if cfg.mode == "sat" and fwd.alpha is None:
+        # constants: computed once per batch, no grad
+        fwd.alpha = fwd.am.output if alpha_from_adapted else am.posteriors(x)
+    disc_trace = disc.net.forward(fwd.adapter.output, train_mode=False)
     if cfg.mode == "sat":
-        # constants: recomputed per batch, no grad
-        alpha = am_trace.output if alpha_from_adapted else am.posteriors(x)
-        alpha_evals = alpha.shape[0]
-        alpha_crc = _alpha_checksum(alpha)
         _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
-            disc_trace.output, domain, alpha)
-        dom_probs = marginal_domain_probs(disc_trace.output)
+            disc_trace.output, domain, fwd.alpha)
     else:
         _, dom_mean, dom_grad = losses.binary_domain_loss(disc_trace.output, domain)
-        dom_probs = disc_trace.output
-
-    feat_grad_dom = disc.net.backward(disc_trace, dom_grad, input_grad=not disc_only)
+    feat_grad_dom = disc.net.backward(disc_trace, dom_grad, input_grad=not disc_only,
+                                      param_grads=not adapter_only)
     if disc_only:
         return None
-    ce, ce_grad = losses.senone_ce_loss(am_trace.output, senone_labels, adult_mask)
-    feat_grad = am.net.backward(am_trace, ce_grad)
-    adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
+    ce, ce_grad = losses.senone_ce_loss(fwd.am.output, senone_labels, adult_mask)
+    feat_grad = am.net.backward(fwd.am, ce_grad)
+    adapter.backward(fwd.adapter, feat_grad - lam * feat_grad_dom, input_grad=False)
 
     terms = losses.multitask_objective(ce * n_adult, n_adult,
                                        dom_mean * len(x), len(x))
+    alpha_evals, alpha_crc, dom_probs = 0, 0, disc_trace.output
+    if cfg.mode == "sat":
+        alpha_evals, alpha_crc = len(fwd.alpha), _alpha_checksum(fwd.alpha)
+        dom_probs = marginal_domain_probs(disc_trace.output)
     disc_correct = int((dom_probs.argmax(axis=1) == domain).sum())
     return _BatchStats(terms=terms, disc_correct=disc_correct,
                        alpha_evals=alpha_evals, alpha_checksum=alpha_crc)
@@ -295,14 +321,13 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
             adapter.store.zero_grads()
             disc.store.zero_grads()
             if cfg.update_scheme == "alternating":
+                fwd = BatchForward()
                 adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam, rng,
-                                        disc_only=True)
+                                        disc_only=True, shared=fwd)
                 sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-                # adapter phase against the updated discriminator, whose
-                # gradients from this phase are discarded
-                stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
-                                                cfg, lam, rng)
-                disc.store.zero_grads()
+                # adapter phase against the updated discriminator
+                stats = adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam,
+                                                rng, adapter_only=True, shared=fwd)
                 sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
             else:
                 stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
@@ -373,6 +398,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
     softmax cross-entropy against their 1..5 level labels."""
     if epochs < 1:
         raise ValueError("assessment training needs at least one epoch")
+    if not lr > 0:
+        raise ValueError(f"assessment learning rate must be positive, got {lr}")
     rng = np.random.default_rng(seed)
     n = len(features)
     ones = np.ones(batch_size, bool)

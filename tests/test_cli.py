@@ -185,6 +185,8 @@ PROBES = {
     "zero_adversarial_epochs": ("epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_pretrain_batch": ("pretrain_batch = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "negative_assessment_lr": ("assess_lr = -1\n", None, ALL_STAGES, EXIT_CONFIG),
+    "zero_pretrain_lr": ("pretrain_lr = 0\n", None, ALL_STAGES, EXIT_CONFIG),
+    "zero_assessment_lr": ("assess_lr = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_pretrain_epochs": ("pretrain_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_assessment_epochs": ("assess_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "assessment_corpus_too_small": ("assess_n = 10\n", None, ALL_STAGES, EXIT_CONFIG),

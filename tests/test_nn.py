@@ -156,8 +156,9 @@ class TestBackward:
 
 
 class TestBackwardContract:
-    """backward never writes into the caller's upstream, and input_grad=False
-    leaves the parameter gradients bit-for-bit unchanged."""
+    """backward never writes into the caller's upstream, input_grad=False
+    leaves the parameter gradients bit-for-bit unchanged, and
+    param_grads=False leaves the input gradient bit-for-bit unchanged."""
 
     @staticmethod
     def setup(top, dropout, frozen):
@@ -196,6 +197,27 @@ class TestBackwardContract:
         if not frozen:
             assert any(np.any(g) for g in grads[1])
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
+    def test_no_param_grads_same_input_grad(self, top, dropout, frozen):
+        net, trace, upstream = self.setup(top, dropout, frozen)
+        kept = upstream.copy()
+        full = net.backward(trace, upstream)
+        # whatever the store holds, param_grads=False leaves it as it is
+        net.store.flat_grads[...] = np.random.default_rng(8).normal(
+            size=net.store.flat_grads.size)
+        grads = net.store.flat_grads.copy()
+        gx = net.backward(trace, upstream, param_grads=False)
+        assert np.array_equal(gx, full)
+        assert np.array_equal(net.store.flat_grads, grads)
+        npt.assert_array_equal(upstream, kept)
+
+    def test_neither_gradient_rejected(self):
+        net, trace, upstream = self.setup("identity", 0.0, False)
+        with pytest.raises(ValueError):
+            net.backward(trace, upstream, input_grad=False, param_grads=False)
+
 
 class TestSgd:
     def test_zero_lr_no_change(self):
@@ -230,12 +252,84 @@ class TestSgd:
         with pytest.raises(FrozenStoreError):
             sgd_step(store, 0.1)
 
+    @staticmethod
+    def reference_step(values, grads, velocity, lr, momentum):
+        """sgd_step as a loop over the parameters, each with its own arrays."""
+        for name in values:
+            v = velocity.setdefault(name, np.zeros_like(values[name]))
+            v *= momentum
+            v += grads[name]
+            values[name][...] -= lr * v
+            grads[name][...] = 0.0
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_flat_step_matches_per_parameter_loop(self, momentum):
+        net = make_net([LayerSpec(4, 6, "rectifier"), LayerSpec(6, 3, "softmax")], seed=9)
+        store = net.store
+        values = {n: store.value(n).copy() for n in store.names()}
+        grads, velocity = {}, {}
+        rng = np.random.default_rng(10)
+        for _ in range(4):
+            for n in store.names():
+                grads[n] = rng.normal(size=values[n].shape)
+                store.grad(n)[...] = grads[n]
+            sgd_step(store, 0.3, momentum)
+            self.reference_step(values, grads, velocity, 0.3, momentum)
+            for n in store.names():
+                assert np.array_equal(store.value(n), values[n])
+                assert np.array_equal(store.grad(n), grads[n])
+
     @pytest.mark.parametrize("lr", [-0.1, math.nan])
     def test_bad_learning_rate_rejected(self, lr):
         store = ParameterStore()
         store.add("w", np.zeros((1, 1)))
         with pytest.raises(ValueError):
             sgd_step(store, lr)
+
+
+class TestFlatArena:
+    def test_views_share_the_flat_buffers(self):
+        store = make_net([LayerSpec(3, 4, "rectifier"), LayerSpec(4, 2, "softmax")]).store
+        assert store.flat_values.size == store.num_params() == 3 * 4 + 4 + 4 * 2 + 2
+        for n in store.names():
+            assert np.shares_memory(store.value(n), store.flat_values)
+            assert np.shares_memory(store.grad(n), store.flat_grads)
+        store.value("layer1.b")[...] = 7.0
+        assert (store.flat_values[-2:] == 7.0).all()
+
+    def test_add_keeps_earlier_parameters(self):
+        store = ParameterStore()
+        a, b = np.arange(6.0).reshape(2, 3), np.array([[9.0]])
+        store.add("a", a)
+        store.add("b", b)
+        assert store.names() == ["a", "b"]
+        npt.assert_array_equal(store.value("a"), a)
+        npt.assert_array_equal(store.value("b"), b)
+        npt.assert_array_equal(store.flat_grads, 0.0)
+
+    def test_add_after_a_view_raises(self):
+        # a Network holds views from construction on: adding would copy the
+        # arenas and leave them stale, so the layout is fixed instead
+        net = make_net([LayerSpec(2, 2, "identity")])
+        with pytest.raises(RuntimeError, match="fixed"):
+            net.store.add("extra", np.zeros((1, 1)))
+        assert net.store.names() == ["layer0.W", "layer0.b"]
+        store = ParameterStore()
+        store.add("w", np.ones((1, 2)))
+        store.grad("w")
+        with pytest.raises(RuntimeError, match="fixed"):
+            store.add("v", np.ones((1, 1)))
+
+    def test_add_after_a_step_starts_at_zero_velocity(self):
+        store = ParameterStore()
+        store.add("a", np.zeros((1, 2)))
+        store.flat_grads[...] = 1.0
+        sgd_step(store, 1.0, momentum=0.5)
+        store.add("b", np.zeros((1, 1)))
+        store.flat_grads[...] = 1.0
+        sgd_step(store, 1.0, momentum=0.5)
+        npt.assert_array_equal(store.value("a"), [[-2.5, -2.5]])
+        npt.assert_array_equal(store.value("b"), [[-1.0]])
 
 
 class TestFiniteDiff:
@@ -286,6 +380,14 @@ class TestSerialization:
         again = ParameterStore.deserialize(blob)
         assert again.serialize() == blob
         assert again.names() == store.names()
+
+    def test_bytes_are_the_container_of_the_values(self):
+        rng = np.random.default_rng(8)
+        arrays = {"a.W": rng.normal(size=(3, 4)), "a.b": rng.normal(size=(1, 4))}
+        store = ParameterStore()
+        for name, a in arrays.items():
+            store.add(name, a)
+        assert store.serialize() == pack_container("params", {}, arrays)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FormatError, match="magic"):

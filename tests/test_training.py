@@ -18,6 +18,7 @@ from senadapt.nn import sgd_step
 from senadapt.synthdata import GeneratorConfig, generate_assessment_corpus, generate_corpus
 from senadapt.training import (
     AdversarialConfig,
+    BatchForward,
     TrainLog,
     TrainLogRecord,
     _minibatches,
@@ -69,6 +70,15 @@ class TestPretraining:
         with pytest.raises(ValueError):
             pretrain_adult_am(am, corpus.training_view("train"), epochs=0,
                               lr=0.1, seed=2)
+        assert not am.frozen
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        # a zero rate would freeze the untrained model as if pretrained
+        corpus = small_corpus(seed=2)
+        am = build_adult_am(8, [32], 4, rng=np.random.default_rng(2))
+        with pytest.raises(ValueError):
+            pretrain_adult_am(am, corpus.training_view("train"), epochs=1, lr=lr, seed=2)
         assert not am.frozen
 
     def test_pretrain_twice_rejected(self):
@@ -340,6 +350,63 @@ class TestBatchGradients:
         for full, only in zip(disc_grads[False], disc_grads[True]):
             assert full.any() and np.array_equal(full, only)
 
+    @pytest.mark.parametrize("alpha_source, mode, am_forwards", [
+        ("adapted", "bat", 1), ("adapted", "sat", 1), ("raw", "sat", 2)])
+    def test_alternating_batch_shares_one_forward(self, alpha_source, mode, am_forwards):
+        # one alternating batch (the whole view in one batch, one epoch):
+        # one adapter forward for both phases, and the frozen model run once
+        # for the senone CE plus, for raw alpha, once on the raw frames
+        adapter, disc = self.make_arms(mode)
+        cfg = AdversarialConfig(mode=mode, alpha_source=alpha_source, epochs=1,
+                                update_scheme="alternating",
+                                batch_size=len(self.view.frames))
+        calls = {"adapter": 0, "am": 0}
+
+        def counted(role, forward):
+            def wrapped(*a, **k):
+                calls[role] += 1
+                return forward(*a, **k)
+            return wrapped
+
+        adapter.forward = counted("adapter", adapter.forward)
+        self.am.net.forward = counted("am", self.am.net.forward)
+        adversarial_train(adapter, self.am, disc, self.view, cfg)
+        assert calls == {"adapter": 1, "am": am_forwards}
+
+    @pytest.mark.parametrize("alpha_source, mode", [("adapted", "bat"), ("adapted", "sat"),
+                                                    ("raw", "sat")])
+    def test_adapter_phase(self, alpha_source, mode):
+        # over the discriminator phase's forward, the adapter phase forms the
+        # adapter gradients and statistics of a full call and no
+        # discriminator gradient
+        cfg = AdversarialConfig(mode=mode, alpha_source=alpha_source)
+        adapter, disc = self.make_arms(mode)
+        fwd = BatchForward()
+        assert adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                       cfg, 0.7, np.random.default_rng(0),
+                                       disc_only=True, shared=fwd) is None
+        sgd_step(disc.store, 0.2)
+        stats = adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                        cfg, 0.7, np.random.default_rng(0),
+                                        adapter_only=True, shared=fwd)
+        assert not disc.store.flat_grads.any()
+        assert adapter.store.flat_grads.any()
+
+        full_adapter, _ = self.make_arms(mode)
+        full = adversarial_batch_grads(full_adapter, self.am, disc, self.x, self.y,
+                                       self.dom, cfg, 0.7, np.random.default_rng(0))
+        assert disc.store.flat_grads.any()
+        assert np.array_equal(adapter.store.flat_grads, full_adapter.store.flat_grads)
+        assert stats == full
+
+    def test_phases_exclude_each_other(self):
+        adapter, disc = self.make_arms("bat")
+        with pytest.raises(ValueError):
+            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                    AdversarialConfig(mode="bat"), 0.7,
+                                    np.random.default_rng(0), disc_only=True,
+                                    adapter_only=True)
+
     def test_alpha_counters_track_mode(self):
         for mode in ("bat", "sat"):
             adapter, disc = self.make_arms(mode)
@@ -508,6 +575,9 @@ class TestAdversarialTrain:
         for bad in (AdversarialConfig(mode="dnn"),
                     AdversarialConfig(update_scheme="joint"),
                     AdversarialConfig(reversal_coefficient=-1.0),
+                    AdversarialConfig(reversal_coefficient=float("nan")),
+                    AdversarialConfig(reversal_coefficient=float("inf")),
+                    AdversarialConfig(lr_adapter=float("inf")),
                     AdversarialConfig(batch_size=1),
                     AdversarialConfig(epochs=0),
                     AdversarialConfig(lr_adapter=0.0),
@@ -563,6 +633,13 @@ class TestAssessmentTraining:
         net = AssessmentNetwork(input_dim=30, trunk_dims=(8,), levels=5)
         with pytest.raises(ValueError):
             train_assessment_network(net, feats, pron, flu, epochs=epochs, lr=0.05, seed=11)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.05, math.nan])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        feats, pron, flu = generate_assessment_corpus(60, seed=11)
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,), levels=5)
+        with pytest.raises(ValueError):
+            train_assessment_network(net, feats, pron, flu, epochs=1, lr=lr, seed=11)
 
     @staticmethod
     def reference_train(net, features, pron, flu, epochs, lr, seed, batch_size=64,
