@@ -10,6 +10,14 @@ stable code on failure:
     4  required corpus file missing or malformed
     5  acoustic-model bundle is not frozen
     6  required model bundle missing or malformed
+    7  pretrain or adapt diverged or saturated: training met a NaN or Inf,
+       or its final epoch's mean senone CE on adult frames is at least ln K,
+       no better than a uniform guess; the log of a finished run is
+       written, no bundle is
+
+Files are checked for their values as well as their layout: finite floats,
+senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
+domains in every split, assessment levels in 1..5.
 
 The three evaluation arms (DNN baseline, BAT, SAT) share the one pretrained
 acoustic-model bundle, so reported differences come from adaptation alone.
@@ -26,9 +34,12 @@ import numpy as np
 
 from . import evaluate, models, synthdata, training
 from .models import AssessmentNetwork
-from .nn import FormatError, pack_container, unpack_container
+from .nn import FormatError, NonFiniteError, pack_container, unpack_container
 
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
+EXIT_DIVERGED = 7
+
+ASSESS_LEVELS = 5  # the level scale of generate_assessment_corpus and AssessmentNetwork
 
 # key -> (caster, default)
 CONFIG_SCHEMA = {
@@ -167,6 +178,11 @@ def load_assessment_corpus(path):
     layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
     if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
         raise FormatError("assessment corpus arrays disagree in dtype or length")
+    if not np.isfinite(a["features"]).all():
+        raise FormatError("assessment features hold NaN or Inf")
+    for levels in (a["pron"], a["flu"]):
+        if ((levels < 1) | (levels > ASSESS_LEVELS)).any():
+            raise FormatError(f"assessment level outside 1..{ASSESS_LEVELS}")
     return a["features"], a["pron"].astype(np.int64), a["flu"].astype(np.int64)
 
 
@@ -186,6 +202,23 @@ def _check_dims(cfg: dict, corpus, am=None) -> None:
     if found != {(cfg["dim"], cfg["K"])}:
         raise StageError(EXIT_CONFIG, f"config (dim, K) = ({cfg['dim']}, {cfg['K']}) disagrees "
                                       f"with the corpus or acoustic model: {sorted(found)}")
+
+
+def _train(what: str, train, *args, **kwargs) -> training.TrainLog:
+    """train(*args, **kwargs), with a NaN or Inf met in training as exit 7."""
+    try:
+        return train(*args, **kwargs)
+    except NonFiniteError as e:
+        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no bundle written") from None
+
+
+def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
+    """Exit 7 unless the final epoch's mean senone CE beats a uniform guess."""
+    ce = log.records[-1].senone_ce
+    if not ce < math.log(K):
+        raise StageError(EXIT_DIVERGED, f"{what} diverged or saturated: final-epoch senone "
+                                        f"CE {ce:.4g} >= ln K = {math.log(K):.4g}; "
+                                        "no bundle written")
 
 
 def _outdir(cfg: dict) -> Path:
@@ -220,13 +253,14 @@ def cmd_pretrain(cfg: dict) -> int:
     _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
-    log = training.pretrain_adult_am(
-        am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
-        lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
-        momentum=cfg["pretrain_momentum"])
-    models.save_adult_am(out / "am.bundle", am)
+    log = _train("pretraining", training.pretrain_adult_am,
+                 am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
+                 lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
+                 momentum=cfg["pretrain_momentum"])
     log.write(out / "pretrain.log")
     _write_resolved(cfg, out, "pretrain")
+    _check_converged("pretraining", log, cfg["K"])
+    models.save_adult_am(out / "am.bundle", am)
     dev = corpus.subset("dev", "adult")
     acc = float((am.posteriors(dev.frames).argmax(axis=1) == dev.senone_labels).mean())
     print(f"pretrained AM frozen; adult dev senone accuracy {acc:.3f}")
@@ -248,12 +282,13 @@ def cmd_adapt(cfg: dict) -> int:
         cfg["dim"], _int_list(cfg["disc_hidden"]),
         mode="senone_aware" if acfg.mode == "sat" else "binary",
         K=cfg["K"] if acfg.mode == "sat" else None, rng=rng)
-    log = training.adversarial_train(adapter, am, disc,
-                                     corpus.training_view("train"), acfg)
-    models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
-    models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
+    log = _train(f"adaptation ({acfg.mode})", training.adversarial_train,
+                 adapter, am, disc, corpus.training_view("train"), acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
+    _check_converged(f"adaptation ({acfg.mode})", log, cfg["K"])
+    models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
+    models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
     print(f"adversarial training ({acfg.mode}) done; "
           f"final discriminator accuracy {log.records[-1].disc_acc:.3f}")
     return 0

@@ -1,4 +1,4 @@
-"""Multi-task and domain-adversarial losses and their output-space gradients.
+"""Multi-task and domain-adversarial losses and their gradients.
 
 Three losses drive training:
 
@@ -14,8 +14,22 @@ Three losses drive training:
 The combined objective is E = ce_sum/n - dom_sum/N: the adapter minimizes E
 (so it maximizes the domain loss) while the discriminator maximizes E.
 
-Each loss returns the gradient with respect to the probability rows it was
-fed; chaining through Network.backward converts that to logit gradients.
+Each loss comes in two forms with the same arithmetic for the loss:
+
+* the public senone_ce_loss, binary_domain_loss and senone_aware_domain_loss
+  check their arguments (shapes, labels in range, a 0/1 domain indicator)
+  and return the gradient with respect to the probability rows they were
+  fed; chaining it through Network.backward's softmax Jacobian gives the
+  logit gradient.
+* the kernels the training loops call once per batch check nothing: the
+  loops check their whole input once per run and form integer rows, labels
+  and domain columns once per batch. senone_ce_kernel and
+  binary_domain_kernel, whose rows have one target each, return the logit
+  gradient directly, for Network.backward(..., from_logits=True): per row
+  s = g*y_l, y*(0.0 - s) off the target and y_l*(g - s) on it, bit for bit
+  the chained result. senone_aware_domain_kernel has K targets per row, so
+  its chained row sum fixes the bits; it returns the probability gradient.
+
 Log arguments are clamped at 1e-12.
 
 Column convention for joint discriminator outputs: columns [0, K) are
@@ -33,10 +47,11 @@ from .nn import PROB_FLOOR, ShapeError
 
 
 def _check_indicator(indicator: np.ndarray) -> np.ndarray:
+    """Domain column per row (0 adult, 1 child) of a 0/1 indicator."""
     indicator = np.asarray(indicator)
     if not ((indicator == 0) | (indicator == 1)).all():
         raise ValueError("domain indicator values must be 0 (adult) or 1 (child)")
-    return indicator.astype(np.float64)
+    return indicator.astype(np.intp)
 
 
 @dataclass
@@ -59,6 +74,67 @@ class BatchLossTerms:
         return self.domain_loss_sum / self.n_total
 
 
+def _target_terms(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each target probability p = y[rows, cols], floored at PROB_FLOOR, and
+    d(-sum log p / n)/dp."""
+    p = np.maximum(y[rows, cols], PROB_FLOOR)
+    return p, -1.0 / (n * p)
+
+
+def _one_target_logit_grad(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                           g: np.ndarray) -> np.ndarray:
+    """dLoss/dz of the softmax layer y = softmax(z) when dLoss/dy is g at
+    (rows, cols) and 0 elsewhere: per row s = g*y_l, y*(0.0 - s) off the
+    target, y_l*(g - s) on it. These are the bits of the chained path
+    (the probability gradient through Network.backward's softmax
+    Jacobian): its row sum adds only zeros to g*y_l, and 0.0 - s, unlike
+    -s, gives +0.0 on a row without a target, as 0.0 - 0.0 does there."""
+    yl = y[rows, cols]
+    s = np.zeros(len(y))
+    s[rows] = g * yl
+    gz = y * (0.0 - s)[:, None]
+    gz[rows, cols] = yl * (g - s[rows])
+    return gz
+
+
+def senone_ce_kernel(y: np.ndarray, rows: np.ndarray,
+                     labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unchecked senone CE over the given rows of a softmax output y: the
+    mean -log y[rows, labels] and its gradient with respect to the softmax
+    logits (for Network.backward(..., from_logits=True)). rows are distinct
+    and non-empty, labels in [0, K)."""
+    n = len(rows)
+    p, g = _target_terms(y, rows, labels, n)
+    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, labels, g)
+
+
+def binary_domain_kernel(y: np.ndarray, cols: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unchecked binary domain loss of a 2-column softmax output y against
+    each row's domain column (0 adult, 1 child): the mean -log
+    P(true domain) and its gradient with respect to the softmax logits."""
+    N = len(y)
+    rows = np.arange(N)
+    p, g = _target_terms(y, rows, cols, N)
+    per_frame = -np.log(p)
+    return float(per_frame.sum() / N), _one_target_logit_grad(y, rows, cols, g)
+
+
+def senone_aware_domain_kernel(y: np.ndarray, cols: np.ndarray,
+                               alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Unchecked senone-aware domain loss of a 2K-column joint output y
+    against each row's domain column: (per-frame loss, mean, d(mean)/dy).
+    The gradient stays in probability space: it has K targets per row."""
+    N, K = y.shape[0], y.shape[1] // 2
+    # each frame's true-domain block of K columns, as (N, 2, K)[row, domain]
+    rows = np.arange(N)
+    p = np.maximum(y.reshape(N, 2, K)[rows, cols], PROB_FLOOR)
+    per_frame = -(alpha * np.log(p)).sum(axis=1)
+    grad = np.zeros_like(y)
+    grad.reshape(N, 2, K)[rows, cols] = -alpha / (N * p)
+    return per_frame, float(per_frame.sum() / N), grad
+
+
 def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
                    mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean -log p[label] over masked (adult) frames, plus gradient rows.
@@ -76,11 +152,10 @@ def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
     lab = labels[rows].astype(np.intp)
     if (lab < 0).any() or (lab >= posteriors.shape[1]).any():
         raise ValueError("senone label out of range")
-    p = np.maximum(posteriors[rows, lab], PROB_FLOOR)
-    loss = float(-np.log(p).sum() / n)
+    p, g = _target_terms(posteriors, rows, lab, n)
     grad = np.zeros_like(posteriors)
-    grad[rows, lab] = -1.0 / (n * p)
-    return loss, grad
+    grad[rows, lab] = g
+    return float(-np.log(p).sum() / n), grad
 
 
 def binary_domain_loss(disc_out: np.ndarray,
@@ -89,14 +164,14 @@ def binary_domain_loss(disc_out: np.ndarray,
     disc_out = np.asarray(disc_out, dtype=np.float64)
     if disc_out.ndim != 2 or disc_out.shape[1] != 2:
         raise ShapeError("binary domain loss expects a 2-column posterior matrix")
-    ind = _check_indicator(indicator)
-    cols = ind.astype(np.intp)  # 0 = adult column, 1 = child column
-    rows = np.arange(disc_out.shape[0])
-    p = np.maximum(disc_out[rows, cols], PROB_FLOOR)
+    cols = _check_indicator(indicator)  # 0 = adult column, 1 = child column
+    N = disc_out.shape[0]
+    rows = np.arange(N)
+    p, g = _target_terms(disc_out, rows, cols, N)
     per_frame = -np.log(p)
     grad = np.zeros_like(disc_out)
-    grad[rows, cols] = -1.0 / (disc_out.shape[0] * p)
-    return per_frame, float(per_frame.sum() / disc_out.shape[0]), grad
+    grad[rows, cols] = g
+    return per_frame, float(per_frame.sum() / N), grad
 
 
 def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
@@ -114,15 +189,7 @@ def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
     if alpha.shape != (disc_out.shape[0], K):
         raise ShapeError(
             f"alpha shape {alpha.shape} incompatible with 2K={disc_out.shape[1]} output")
-    ind = _check_indicator(indicator)
-    N = disc_out.shape[0]
-    # each frame's true-domain block of K columns, as (N, 2, K)[row, domain]
-    rows, cols = np.arange(N), ind.astype(np.intp)
-    p = np.maximum(disc_out.reshape(N, 2, K)[rows, cols], PROB_FLOOR)
-    per_frame = -(alpha * np.log(p)).sum(axis=1)
-    grad = np.zeros_like(disc_out)
-    grad.reshape(N, 2, K)[rows, cols] = -alpha / (N * p)
-    return per_frame, float(per_frame.sum() / N), grad
+    return senone_aware_domain_kernel(disc_out, _check_indicator(indicator), alpha)
 
 
 def multitask_objective(senone_ce_sum: float, n_adult: int,

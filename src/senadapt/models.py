@@ -84,8 +84,9 @@ class AdaptationNetwork:
         return self.g.store
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> AdapterTrace:
-        inner = self.g.forward(x, train_mode=train_mode, rng=rng)
+                rng: np.random.Generator | None = None, *,
+                check_input: bool = True) -> AdapterTrace:
+        inner = self.g.forward(x, train_mode=train_mode, rng=rng, check_input=check_input)
         return AdapterTrace(inner=inner, output=np.asarray(x, dtype=np.float64) + inner.output)
 
     def backward(self, trace: AdapterTrace, upstream: np.ndarray, *,
@@ -141,16 +142,22 @@ class AssessmentNetwork:
         self.levels = levels
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None):
-        t = self.trunk.forward(x, train_mode=train_mode, rng=rng)
-        p = self.head_pron.forward(t.output, train_mode=train_mode, rng=rng)
-        f = self.head_flu.forward(t.output, train_mode=train_mode, rng=rng)
+                rng: np.random.Generator | None = None, *, check_input: bool = True):
+        t = self.trunk.forward(x, train_mode=train_mode, rng=rng, check_input=check_input)
+        # the trunk's output is checked: the heads skip their input check
+        p = self.head_pron.forward(t.output, train_mode=train_mode, rng=rng,
+                                   check_input=False)
+        f = self.head_flu.forward(t.output, train_mode=train_mode, rng=rng,
+                                  check_input=False)
         return t, p, f
 
     def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray, *,
-                 input_grad: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True, from_logits: bool = False) -> np.ndarray | None:
+        """grad_pron and grad_flu are taken as Network.backward takes them:
+        softmax-output gradients, or logit gradients with from_logits=True."""
         t, p, f = traces
-        gt = self.head_pron.backward(p, grad_pron) + self.head_flu.backward(f, grad_flu)
+        gt = (self.head_pron.backward(p, grad_pron, from_logits=from_logits)
+              + self.head_flu.backward(f, grad_flu, from_logits=from_logits))
         return self.trunk.backward(t, gt, input_grad=input_grad)
 
     def predict_levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +208,8 @@ def save_bundle(path, store: ParameterStore, manifest: dict) -> None:
 def load_bundle(path) -> tuple[ParameterStore, dict]:
     manifest, arrays = unpack_container(Path(path).read_bytes(), "bundle")
     store = ParameterStore.from_arrays(arrays)
+    if not np.isfinite(store.flat_values).all():
+        raise FormatError("bundle parameters hold NaN or Inf")
     store.frozen = manifest.get("frozen", "false") == "true"
     return store, manifest
 

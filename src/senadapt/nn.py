@@ -15,8 +15,16 @@ out. A frozen store still propagates input gradients through its network
 but discards parameter gradients, which is how the fixed adult acoustic
 model participates in adversarial training.
 
+Network.forward checks its output for NaN and Inf, and its input unless the
+caller passes check_input=False: the training loops do for frames they
+checked once per run and for a network's (checked) output. NonFiniteError
+stays the default for every other caller.
+
 Network.backward never writes into the caller's upstream gradient; it works
-in place only on arrays it allocated itself. With input_grad=False it stops
+in place only on arrays it allocated itself. With from_logits=True the
+upstream is the gradient with respect to the top layer's pre-activation,
+for the losses' fused softmax kernels, and that layer's activation backward
+is skipped. With input_grad=False it stops
 after the first layer's parameter gradients and returns None, for callers
 that would discard dLoss/dInput; the parameter gradients are the same bits
 either way. With param_grads=False it forms only dLoss/dInput, the same bits
@@ -227,6 +235,23 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
+def _activation_backward(activation: str, h: np.ndarray, g: np.ndarray,
+                         owned: bool) -> np.ndarray:
+    """dLoss/dz from dLoss/dh for h = activation(z); writes into g only if
+    owned (allocated by the caller's backward pass)."""
+    if activation == "rectifier":  # h > 0 exactly where z > 0
+        return np.multiply(g, h > 0, out=g if owned else None)
+    if activation == "sigmoid":
+        return g * h * (1.0 - h)
+    if activation == "identity":
+        return g
+    # softmax: h * (g - rowsum(g * h)) in one temporary
+    gz = g * h
+    np.subtract(g, gz.sum(axis=1, keepdims=True), out=gz)
+    gz *= h
+    return gz
+
+
 def glorot_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(in_dim, out_dim))
@@ -290,13 +315,17 @@ class Network:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardTrace:
+                rng: np.random.Generator | None = None, *,
+                check_input: bool = True) -> ForwardTrace:
+        """Run the stack on x. The output is always checked for NaN and Inf;
+        check_input=False skips the same check on x, for callers whose x
+        was already checked (a training run's frames, a network's output)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"input has {x.shape[1] if x.ndim == 2 else '?'} cols, "
                 f"layer 0 expects {self.in_dim}")
-        if not np.isfinite(x).all():
+        if check_input and not np.isfinite(x).all():
             raise NonFiniteError("non-finite values in network input")
         needs_rng = train_mode and any(s.dropout_rate > 0 for s in self.layers)
         if needs_rng and rng is None:
@@ -331,10 +360,14 @@ class Network:
         return ForwardTrace(caches=caches, output=h_out)
 
     def backward(self, trace: ForwardTrace, upstream: np.ndarray, *,
-                 input_grad: bool = True, param_grads: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True, param_grads: bool = True,
+                 from_logits: bool = False) -> np.ndarray | None:
         """Accumulate parameter gradients (+=) and return dLoss/dInput, or
         None with input_grad=False. upstream is never written to.
 
+        upstream is dLoss/dOutput, or with from_logits=True dLoss/dz of the
+        top layer's pre-activation z, so that layer's activation backward is
+        skipped (the losses' fused softmax kernels hand that gradient over).
         With param_grads=False, or on a frozen store, no parameter gradient
         is formed and the store's gradients are left as they are.
         """
@@ -349,21 +382,15 @@ class Network:
         g = upstream
         owned = False  # whether g was allocated here and may be overwritten
         accumulate = param_grads and not self.store.frozen
-        for i in range(len(self.layers) - 1, -1, -1):
+        top = len(self.layers) - 1
+        for i in range(top, -1, -1):
             spec, cache, (W, _, gW, gb) = self.layers[i], trace.caches[i], self._params[i]
-            if cache.mask is not None:
-                g, owned = np.multiply(g, cache.mask, out=g if owned else None), True
-            if spec.activation == "rectifier":  # h > 0 exactly where z > 0
-                gz = np.multiply(g, cache.h > 0, out=g if owned else None)
-            elif spec.activation == "sigmoid":
-                gz = g * cache.h * (1.0 - cache.h)
-            elif spec.activation == "identity":
+            if i == top and from_logits:
                 gz = g
-            else:  # softmax: y * (g - rowsum(g * y)) in one temporary
-                y = cache.h
-                gz = g * y
-                np.subtract(g, gz.sum(axis=1, keepdims=True), out=gz)
-                gz *= y
+            else:
+                if cache.mask is not None:
+                    g, owned = np.multiply(g, cache.mask, out=g if owned else None), True
+                gz = _activation_backward(spec.activation, cache.h, g, owned)
             if accumulate:
                 gW += cache.x.T @ gz
                 gb += gz.sum(axis=0, keepdims=True)

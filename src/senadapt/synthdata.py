@@ -193,7 +193,7 @@ def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
 
 # ---------------------------------------------------------------------------
 # corpus file: K and dim in the manifest, then frames f64, senone labels u32,
-# domain labels u8 and split tags u8
+# domain labels u8 and split tags u8; load_corpus checks the values too
 
 
 def save_corpus(corpus: SyntheticCorpus, path) -> None:
@@ -214,8 +214,17 @@ def load_corpus(path) -> SyntheticCorpus:
               "domain_labels": ("|u1", (n,)), "split_tags": ("|u1", (n,))}
     if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
         raise FormatError("corpus arrays disagree with the manifest")
-    return SyntheticCorpus(K, dim, a["frames"], a["senone_labels"].astype(np.int32),
-                           a["domain_labels"], a["split_tags"])
+    frames, senones, domains, splits = (a["frames"], a["senone_labels"],
+                                        a["domain_labels"], a["split_tags"])
+    if not np.isfinite(frames).all():
+        raise FormatError("corpus frames hold NaN or Inf")
+    if (senones >= K).any():
+        raise FormatError(f"corpus senone label outside [0, {K})")
+    if (domains > 1).any() or (splits > SPLIT_TEST).any():
+        raise FormatError("corpus domain label outside {0, 1} or split tag outside {0, 1, 2}")
+    if not np.bincount(2 * splits + domains, minlength=6).all():
+        raise FormatError("a corpus split lacks adult or child frames")
+    return SyntheticCorpus(K, dim, frames, senones.astype(np.int32), domains, splits)
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

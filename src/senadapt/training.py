@@ -17,6 +17,12 @@ The min-max objective is realized two ways, selectable per config:
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
+
+Every loop checks its whole input once, before its first step (finite
+frames or features, domains in {0, 1}, senone labels in [0, K) on adult
+rows, assessment levels in range), and then runs the losses' unchecked
+kernels and skips Network.forward's input check. Gradients are zeroed once
+per run: every sgd_step leaves its store's gradients at zero.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from . import losses
 from .models import (AdaptationNetwork, AdapterTrace, AdultAcousticModel,
                      DomainDiscriminator, marginal_domain_probs)
-from .nn import ForwardTrace, sgd_step
+from .nn import ForwardTrace, NonFiniteError, sgd_step
 from .synthdata import TrainingView
 
 
@@ -146,6 +152,23 @@ def _minibatches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _check_labels(senone_labels: np.ndarray, domain: np.ndarray, K: int) -> None:
+    if not ((domain == 0) | (domain == 1)).all():
+        raise ValueError("domain labels must be 0 (adult) or 1 (child)")
+    adult = senone_labels[domain == 0]
+    if ((adult < 0) | (adult >= K)).any():
+        raise ValueError("senone label out of range")
+
+
+def _check_view(view: TrainingView, K: int) -> None:
+    """A training run's whole input, checked once before its first step:
+    finite frames, domains in {0, 1} and senone labels in [0, K) on adult
+    rows. The run then skips these checks on every batch."""
+    if not np.isfinite(view.frames).all():
+        raise NonFiniteError("non-finite values in the training frames")
+    _check_labels(view.adult_senone_labels, view.domain_labels, K)
+
+
 def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
                       lr: float, seed: int, batch_size: int = 128,
                       momentum: float = 0.9) -> TrainLog:
@@ -156,14 +179,12 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
         raise ValueError("pretraining needs at least one epoch")
     if not lr > 0:
         raise ValueError(f"pretraining learning rate must be positive, got {lr}")
+    _check_view(view, am.K)
     adult = np.flatnonzero(view.adult_mask)
     if adult.size == 0:
         raise ValueError("pretraining corpus has no adult frames")
-    labels = view.adult_senone_labels
-    if (labels[adult] < 0).any():
-        raise ValueError("pretraining corpus is missing senone labels")
     x_all = view.frames[adult]
-    y_all = labels[adult]
+    y_all = view.adult_senone_labels[adult]
     rng = np.random.default_rng(seed)
     log = TrainLog()
     for epoch in range(epochs):
@@ -171,9 +192,9 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
         ce_sum, correct, seen = 0.0, 0, 0
         for idx in _minibatches(rng, adult.size, batch_size):
             x, y = x_all[idx], y_all[idx]
-            trace = am.net.forward(x, train_mode=True, rng=rng)
-            ce, grad = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
-            am.net.backward(trace, grad, input_grad=False)
+            trace = am.net.forward(x, train_mode=True, rng=rng, check_input=False)
+            ce, grad = losses.senone_ce_kernel(trace.output, np.arange(len(y)), y)
+            am.net.backward(trace, grad, input_grad=False, from_logits=True)
             sgd_step(am.net.store, lr, momentum)
             ce_sum += ce * len(y)
             correct += int((trace.output.argmax(axis=1) == y).sum())
@@ -217,13 +238,35 @@ class _BatchStats:
 
 
 @dataclass
+class BatchTargets:
+    """One batch's targets as integer indices: the adult rows, their senone
+    labels and every row's domain column (0 adult, 1 child)."""
+    adult_rows: np.ndarray
+    senone_labels: np.ndarray
+    domain_cols: np.ndarray
+
+    @classmethod
+    def checked(cls, senone_labels: np.ndarray, domain: np.ndarray,
+                K: int) -> "BatchTargets":
+        """The targets of a batch no training run has checked."""
+        senone_labels, domain = np.asarray(senone_labels), np.asarray(domain)
+        _check_labels(senone_labels, domain, K)
+        rows = np.flatnonzero(domain == 0)
+        if rows.size == 0:
+            raise ValueError("batch has no adult frames; the objective divides by n")
+        return cls(rows, senone_labels[rows].astype(np.intp), domain.astype(np.intp))
+
+
+@dataclass
 class BatchForward:
-    """One batch's adapter pass, acoustic-model pass and sat alpha, each
-    filled in by adversarial_batch_grads where first needed. The alternating
-    scheme hands one to both of its phases: the adapter is not stepped
-    between them and its layers draw no dropout masks, so the adapter phase
-    reuses what the discriminator phase computed, bit for bit the values it
-    would recompute."""
+    """One batch's targets, adapter pass, acoustic-model pass and sat alpha,
+    each filled in by adversarial_batch_grads where first needed. The
+    alternating scheme hands one to both of its phases: the adapter is not
+    stepped between them and its layers draw no dropout masks, so the
+    adapter phase reuses what the discriminator phase computed, bit for bit
+    the values it would recompute. Targets handed in with it mark the batch
+    as checked by the training run: its frames skip the input check."""
+    targets: BatchTargets | None = None
     adapter: AdapterTrace | None = None
     am: ForwardTrace | None = None
     alpha: np.ndarray | None = None
@@ -249,36 +292,39 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     """
     if disc_only and adapter_only:
         raise ValueError("disc_only and adapter_only exclude each other")
-    adult_mask = domain == 0
-    n_adult = int(adult_mask.sum())
-    if n_adult == 0:
-        raise ValueError("batch has no adult frames; the objective divides by n")
+    fwd = BatchForward() if shared is None else shared
+    check = fwd.targets is None
+    if check:
+        fwd.targets = BatchTargets.checked(senone_labels, domain, am.K)
+    t = fwd.targets
     if not am.frozen:
         raise RuntimeError("adversarial training requires a frozen acoustic model")
 
-    fwd = BatchForward() if shared is None else shared
     if fwd.adapter is None:
-        fwd.adapter = adapter.forward(x, train_mode=True, rng=rng)
+        fwd.adapter = adapter.forward(x, train_mode=True, rng=rng, check_input=check)
     alpha_from_adapted = cfg.mode == "sat" and cfg.alpha_source == "adapted"
     if fwd.am is None and (not disc_only or alpha_from_adapted):
-        fwd.am = am.net.forward(fwd.adapter.output, train_mode=False)
+        fwd.am = am.net.forward(fwd.adapter.output, train_mode=False, check_input=False)
     if cfg.mode == "sat" and fwd.alpha is None:
         # constants: computed once per batch, no grad
-        fwd.alpha = fwd.am.output if alpha_from_adapted else am.posteriors(x)
-    disc_trace = disc.net.forward(fwd.adapter.output, train_mode=False)
+        fwd.alpha = (fwd.am.output if alpha_from_adapted else
+                     am.net.forward(x, train_mode=False, check_input=check).output)
+    disc_trace = disc.net.forward(fwd.adapter.output, train_mode=False, check_input=False)
     if cfg.mode == "sat":
-        _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
-            disc_trace.output, domain, fwd.alpha)
+        _, dom_mean, dom_grad = losses.senone_aware_domain_kernel(
+            disc_trace.output, t.domain_cols, fwd.alpha)
     else:
-        _, dom_mean, dom_grad = losses.binary_domain_loss(disc_trace.output, domain)
+        dom_mean, dom_grad = losses.binary_domain_kernel(disc_trace.output, t.domain_cols)
     feat_grad_dom = disc.net.backward(disc_trace, dom_grad, input_grad=not disc_only,
-                                      param_grads=not adapter_only)
+                                      param_grads=not adapter_only,
+                                      from_logits=cfg.mode == "bat")
     if disc_only:
         return None
-    ce, ce_grad = losses.senone_ce_loss(fwd.am.output, senone_labels, adult_mask)
-    feat_grad = am.net.backward(fwd.am, ce_grad)
+    ce, ce_grad = losses.senone_ce_kernel(fwd.am.output, t.adult_rows, t.senone_labels)
+    feat_grad = am.net.backward(fwd.am, ce_grad, from_logits=True)
     adapter.backward(fwd.adapter, feat_grad - lam * feat_grad_dom, input_grad=False)
 
+    n_adult = len(t.adult_rows)
     terms = losses.multitask_objective(ce * n_adult, n_adult,
                                        dom_mean * len(x), len(x))
     alpha_evals, alpha_crc, dom_probs = 0, 0, disc_trace.output
@@ -301,12 +347,16 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     if disc.mode != expected_mode:
         raise ValueError(f"discriminator mode {disc.mode!r} does not match "
                          f"config mode {cfg.mode!r}")
+    _check_view(view, am.K)
     adult_idx = np.flatnonzero(view.adult_mask)
     child_idx = np.flatnonzero(~view.adult_mask)
     if adult_idx.size == 0 or child_idx.size == 0:
         raise ValueError("adversarial training needs frames from both domains")
 
     rng = np.random.default_rng(cfg.seed)
+    # every sgd_step leaves its store's gradients at zero
+    adapter.store.zero_grads()
+    disc.store.zero_grads()
     log = TrainLog()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -314,14 +364,14 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
                                                          cfg.lambda_shape)
         ce_sum, dom_sum, n_a, n_t = 0.0, 0.0, 0, 0
         disc_correct, alpha_evals, alpha_crc = 0, 0, 0
-        for idx, _ in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
+        for idx, n_adult in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
             x = view.frames[idx]
             y = view.adult_senone_labels[idx]
             dom = view.domain_labels[idx]
-            adapter.store.zero_grads()
-            disc.store.zero_grads()
+            # the batch's adult frames come first
+            fwd = BatchForward(targets=BatchTargets(
+                np.arange(n_adult), y[:n_adult], dom.astype(np.intp)))
             if cfg.update_scheme == "alternating":
-                fwd = BatchForward()
                 adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam, rng,
                                         disc_only=True, shared=fwd)
                 sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
@@ -331,7 +381,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
                 sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
             else:
                 stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
-                                                cfg, lam, rng)
+                                                cfg, lam, rng, shared=fwd)
                 sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
                 sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
             ce_sum += stats.terms.senone_ce_sum
@@ -360,26 +410,30 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                              momentum: float = 0.0) -> TrainLog:
     """Train a discriminator on un-adapted features (adapter fixed at
     identity); the reference point for domain-confusion measurements."""
+    _check_view(view, am.K)
     rng = np.random.default_rng(seed)
     log = TrainLog()
     n = len(view.frames)
+    # every sgd_step leaves the store's gradients at zero
+    disc.store.zero_grads()
     for epoch in range(epochs):
         t0 = time.perf_counter()
         dom_sum, correct = 0.0, 0
         for idx in _minibatches(rng, n, batch_size):
             x = view.frames[idx]
             dom = view.domain_labels[idx]
-            trace = disc.net.forward(x, train_mode=False)
+            cols = dom.astype(np.intp)
+            trace = disc.net.forward(x, train_mode=False, check_input=False)
             if disc.mode == "senone_aware":
-                alpha = am.posteriors(x)
-                _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
-                    trace.output, dom, alpha)
+                alpha = am.net.forward(x, train_mode=False, check_input=False).output
+                _, dom_mean, dom_grad = losses.senone_aware_domain_kernel(
+                    trace.output, cols, alpha)
+                disc.net.backward(trace, dom_grad, input_grad=False)
                 probs = marginal_domain_probs(trace.output)
             else:
-                _, dom_mean, dom_grad = losses.binary_domain_loss(trace.output, dom)
+                dom_mean, dom_grad = losses.binary_domain_kernel(trace.output, cols)
+                disc.net.backward(trace, dom_grad, input_grad=False, from_logits=True)
                 probs = trace.output
-            disc.store.zero_grads()
-            disc.net.backward(trace, dom_grad, input_grad=False)
             sgd_step(disc.store, lr, momentum)
             dom_sum += dom_mean * len(idx)
             correct += int((probs.argmax(axis=1) == dom).sum())
@@ -400,9 +454,17 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         raise ValueError("assessment training needs at least one epoch")
     if not lr > 0:
         raise ValueError(f"assessment learning rate must be positive, got {lr}")
+    if not np.isfinite(features).all():
+        raise NonFiniteError("non-finite values in the assessment features")
+    for levels in (pron, flu):
+        if ((levels < 1) | (levels > net.levels)).any():
+            raise ValueError(f"assessment levels must be in 1..{net.levels}")
     rng = np.random.default_rng(seed)
     n = len(features)
-    ones = np.ones(batch_size, bool)
+    stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
+    # every sgd_step leaves its store's gradients at zero
+    for store in stores:
+        store.zero_grads()
     log = TrainLog()
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -410,17 +472,14 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         for idx in _minibatches(rng, n, batch_size):
             x = features[idx]
             yp, yf = pron[idx] - 1, flu[idx] - 1
-            traces = net.forward(x, train_mode=True, rng=rng)
+            rows = np.arange(len(idx))
+            traces = net.forward(x, train_mode=True, rng=rng, check_input=False)
             _, p, f = traces
-            ce_p, g_p = losses.senone_ce_loss(p.output, yp, ones[: len(idx)])
-            ce_f, g_f = losses.senone_ce_loss(f.output, yf, ones[: len(idx)])
-            net.trunk.store.zero_grads()
-            net.head_pron.store.zero_grads()
-            net.head_flu.store.zero_grads()
-            net.backward(traces, g_p, g_f, input_grad=False)
-            sgd_step(net.trunk.store, lr, momentum)
-            sgd_step(net.head_pron.store, lr, momentum)
-            sgd_step(net.head_flu.store, lr, momentum)
+            ce_p, g_p = losses.senone_ce_kernel(p.output, rows, yp)
+            ce_f, g_f = losses.senone_ce_kernel(f.output, rows, yf)
+            net.backward(traces, g_p, g_f, input_grad=False, from_logits=True)
+            for store in stores:
+                sgd_step(store, lr, momentum)
             ce_sum += (ce_p + ce_f) * len(idx)
             correct += int((p.output.argmax(axis=1) == yp).sum())
         log.records.append(TrainLogRecord(

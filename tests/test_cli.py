@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline tests on a miniature configuration."""
 
 import filecmp
+import math
 import shutil
 
+import numpy as np
 import pytest
 
 from senadapt.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_NO_BUNDLE,
     EXIT_NO_CORPUS,
     EXIT_UNFROZEN,
@@ -14,10 +17,19 @@ from senadapt.cli import (
     load_run_config,
     main,
     resolved_config_text,
+    save_assessment_corpus,
 )
 from senadapt.evaluate import read_report
-from senadapt.models import build_adult_am, load_bundle, save_adult_am, save_bundle
-from senadapt.synthdata import load_corpus
+from senadapt.models import (
+    AdaptationNetwork,
+    build_adult_am,
+    load_bundle,
+    save_adapter,
+    save_adult_am,
+    save_bundle,
+)
+from senadapt.synthdata import SPLIT_TRAIN, load_corpus, save_corpus
+from senadapt.training import TrainLog
 
 SMALL = """\
 K = 4
@@ -174,6 +186,41 @@ def _regenerate_corpus(out, cfg):
     assert run("gen", "--config", cfg, "--out", str(out)) == 0
 
 
+def _nan_adapter_weight(out, cfg):
+    adapter = AdaptationNetwork(8, [12])
+    adapter.store.flat_values[3] = np.nan
+    save_adapter(out / "adapter_sat.bundle", adapter)
+
+
+def _edit_corpus(edit):
+    """A damage that rewrites corpus.saco after edit(corpus), a well-formed
+    container holding bad values."""
+    def damage(out, cfg):
+        corpus = load_corpus(out / "corpus.saco")
+        edit(corpus)
+        save_corpus(corpus, out / "corpus.saco")
+    return damage
+
+
+def _nan_adult_training_frame(corpus):
+    adult_train = (corpus.split_tags == SPLIT_TRAIN) & (corpus.domain_labels == 0)
+    corpus.frames[np.flatnonzero(adult_train)[0], 2] = np.nan
+
+
+def _edit_assessment_corpus(edit):
+    def damage(out, cfg):
+        feats, pron, flu = load_assessment_corpus(out / "assess.saac")
+        edit(feats, pron, flu)
+        save_assessment_corpus(out / "assess.saac", feats, pron, flu)
+    return damage
+
+
+def _set(array_name, index, value):
+    def edit(corpus):
+        getattr(corpus, array_name)[index] = value
+    return edit
+
+
 ALL_STAGES = ("gen", "pretrain", "adapt", "eval")
 
 # name -> (config lines appended to SMALL, damage to a gen+pretrain run, stages, code)
@@ -200,6 +247,24 @@ PROBES = {
                                                ("adapt", "eval"), EXIT_NO_BUNDLE),
     "dim_changed_and_corpus_regenerated": ("dim = 6\n", _regenerate_corpus,
                                            ("adapt", "eval"), EXIT_CONFIG),
+    # well-formed files holding bad values
+    "nan_adapter_weight": ("", _nan_adapter_weight, ("eval",), EXIT_NO_BUNDLE),
+    "nan_adult_training_frame": ("", _edit_corpus(_nan_adult_training_frame),
+                                 ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
+    "senone_label_99": ("", _edit_corpus(_set("senone_labels", 5, 99)),
+                        ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
+    "every_split_tag_2": ("", _edit_corpus(_set("split_tags", slice(None), 2)),
+                          ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
+    "domain_label_7": ("", _edit_corpus(_set("domain_labels", 5, 7)),
+                       ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
+    "nan_assessment_feature": ("", _edit_assessment_corpus(
+        lambda feats, pron, flu: feats.__setitem__((0, 0), np.nan)), ("eval",), EXIT_NO_CORPUS),
+    "assessment_level_6": ("", _edit_assessment_corpus(
+        lambda feats, pron, flu: flu.__setitem__(0, 6)), ("eval",), EXIT_NO_CORPUS),
+    # training that saturates or overflows
+    "saturating_pretrain_lr": ("pretrain_lr = 50\n", None, ("pretrain",), EXIT_DIVERGED),
+    "saturating_adapter_lr": ("lr_adapter = 50\n", None, ("adapt",), EXIT_DIVERGED),
+    "overflowing_pretrain_lr": ("pretrain_lr = 1e300\n", None, ("pretrain",), EXIT_DIVERGED),
 }
 
 

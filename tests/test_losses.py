@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from senadapt.losses import (
+    binary_domain_kernel,
     binary_domain_loss,
     multitask_objective,
+    senone_aware_domain_kernel,
     senone_aware_domain_loss,
+    senone_ce_kernel,
     senone_ce_loss,
 )
 from senadapt.models import marginal_domain_probs
-from senadapt.nn import PROB_FLOOR, ShapeError
+from senadapt.nn import PROB_FLOOR, ShapeError, _activation_backward
 
 
 def naive_senone_aware_loss(disc_out, indicator, alpha):
@@ -312,3 +315,73 @@ class TestBitExactAgainstFirstFormulation:
     def test_marginal_domain_probs(self, N, K, domains, seed):
         _, joint, _, _ = self.batch(N, K, domains, seed)
         assert _exact(marginal_domain_probs(joint), ref_marginal(joint))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _chained(y, prob_grad):
+    """The probability gradient through the softmax Jacobian, as
+    Network.backward forms it."""
+    return _activation_backward("softmax", y, prob_grad, False)
+
+
+FUSED_CASES = [(N, K, domains) for N in (1, 2, 3, 17, 64, 128) for K in (2, 10)
+               for domains in ("mixed", "adult", "child")]
+
+
+@pytest.mark.parametrize("N, K, domains", FUSED_CASES)
+class TestFusedKernels:
+    """The kernels' logit gradients are the chained path's bits, signs of
+    zero included, with target probabilities of exactly 0 and below the
+    floor."""
+
+    @staticmethod
+    def batch(N, K, domains, width):
+        rng = np.random.default_rng(1000 * N + K)
+        y = rng.dirichlet(np.full(width, 0.3), size=N)
+        r = rng.random(y.shape)
+        y[r < 0.1] = 0.0
+        y[(r >= 0.1) & (r < 0.2)] = 1e-14
+        dom = {"mixed": rng.integers(0, 2, N), "adult": np.zeros(N, int),
+               "child": np.ones(N, int)}[domains]
+        if domains == "mixed":
+            dom[0] = 0  # at least one adult row
+        return rng, y, dom
+
+    def test_senone_ce(self, N, K, domains):
+        rng, y, dom = self.batch(N, K, domains, K)
+        labels = rng.integers(0, K, N)
+        mask = dom == 0
+        if not mask.any():
+            with pytest.raises(ValueError):
+                senone_ce_loss(y, labels, mask)
+            return
+        loss, prob_grad = senone_ce_loss(y, labels, mask)
+        rows = np.flatnonzero(mask)
+        got_loss, logit_grad = senone_ce_kernel(y, rows, labels[rows])
+        assert got_loss == loss
+        assert _same_bits(logit_grad, _chained(y, prob_grad))
+
+    def test_binary_domain(self, N, K, domains):
+        _, y, dom = self.batch(N, K, domains, 2)
+        _, mean, prob_grad = binary_domain_loss(y, dom)
+        got_mean, logit_grad = binary_domain_kernel(y, dom.astype(np.intp))
+        assert got_mean == mean
+        assert _same_bits(logit_grad, _chained(y, prob_grad))
+
+    def test_senone_aware_domain(self, N, K, domains):
+        rng, y, dom = self.batch(N, K, domains, 2 * K)
+        alpha = rng.dirichlet(np.ones(K), size=N)
+        got = senone_aware_domain_kernel(y, dom.astype(np.intp), alpha)
+        want = senone_aware_domain_loss(y, dom, alpha)
+        assert _same_bits(got[0], want[0]) and got[1] == want[1]
+        assert _same_bits(got[2], want[2])
+
+
+def test_masked_rows_are_positive_zero():
+    # writing -s for 0.0 - s would give -0.0 on every row without a target
+    y = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+    _, gz = senone_ce_kernel(y, np.array([1]), np.array([0]))
+    assert not np.signbit(gz[[0, 2]]).any() and not gz[[0, 2]].any()

@@ -65,6 +65,14 @@ class TestForward:
         with pytest.raises(NonFiniteError):
             net.forward(np.array([[1.0, np.nan]]))
 
+    def test_unchecked_input_still_has_its_output_checked(self):
+        net = make_net([LayerSpec(2, 2, "identity")])
+        x = np.array([[1.0, 2.0]])
+        assert np.array_equal(net.forward(x, check_input=False).output,
+                              net.forward(x).output)
+        with pytest.raises(NonFiniteError, match="output"):
+            net.forward(np.array([[1.0, np.nan]]), check_input=False)
+
     def test_dropout_identity_at_eval_and_scaled_at_train(self):
         net = make_net([LayerSpec(5, 5, "identity", dropout_rate=0.4)])
         x = np.random.default_rng(3).normal(size=(20, 5))
@@ -212,6 +220,23 @@ class TestBackwardContract:
         assert np.array_equal(gx, full)
         assert np.array_equal(net.store.flat_grads, grads)
         npt.assert_array_equal(upstream, kept)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_from_logits_skips_the_softmax_backward(self, dropout, frozen):
+        # handing over dLoss/dz gives the bits of handing over dLoss/dy
+        net, trace, upstream = self.setup("softmax", dropout, frozen)
+        y = trace.output
+        gz = y * (upstream - (upstream * y).sum(axis=1, keepdims=True))
+        kept = gz.copy()
+        runs = []
+        for grad, from_logits in ((upstream, False), (gz, True)):
+            net.store.zero_grads()
+            gx = net.backward(trace, grad, from_logits=from_logits)
+            runs.append((gx, net.store.flat_grads.copy()))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        npt.assert_array_equal(gz, kept)
 
     def test_neither_gradient_rejected(self):
         net, trace, upstream = self.setup("identity", 0.0, False)

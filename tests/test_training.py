@@ -14,8 +14,13 @@ from senadapt.models import (
     build_adult_am,
     marginal_domain_probs,
 )
-from senadapt.nn import sgd_step
-from senadapt.synthdata import GeneratorConfig, generate_assessment_corpus, generate_corpus
+from senadapt.nn import NonFiniteError, sgd_step
+from senadapt.synthdata import (
+    GeneratorConfig,
+    TrainingView,
+    generate_assessment_corpus,
+    generate_corpus,
+)
 from senadapt.training import (
     AdversarialConfig,
     BatchForward,
@@ -612,6 +617,131 @@ class TestDiscriminatorOnly:
         log = train_discriminator_only(disc, am, view, epochs=3, lr=0.2, seed=10)
         assert len(log.records) == 3
         assert log.records[-1].disc_acc > 0.5
+
+
+    @staticmethod
+    def reference_train(disc, am, view, epochs, lr, seed, batch_size=128, momentum=0.0):
+        """train_discriminator_only as written before it checked its input
+        once per run and handed the binary discriminator its logit gradient:
+        the public losses on every batch and a zero_grads per batch."""
+        rng = np.random.default_rng(seed)
+        log = TrainLog()
+        n = len(view.frames)
+        for epoch in range(epochs):
+            dom_sum, correct = 0.0, 0
+            for idx in _minibatches(rng, n, batch_size):
+                x, dom = view.frames[idx], view.domain_labels[idx]
+                trace = disc.net.forward(x, train_mode=False)
+                if disc.mode == "senone_aware":
+                    _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
+                        trace.output, dom, am.posteriors(x))
+                    probs = marginal_domain_probs(trace.output)
+                else:
+                    _, dom_mean, dom_grad = losses.binary_domain_loss(trace.output, dom)
+                    probs = trace.output
+                disc.store.zero_grads()
+                assert disc.net.backward(trace, dom_grad).shape == x.shape
+                sgd_step(disc.store, lr, momentum)
+                dom_sum += dom_mean * len(idx)
+                correct += int((probs.argmax(axis=1) == dom).sum())
+            log.records.append(TrainLogRecord(epoch, -dom_sum / n, 0.0, dom_sum / n,
+                                              correct / n, 0.0))
+        return log
+
+    @pytest.mark.parametrize("mode", ["binary", "senone_aware"])
+    def test_matches_reference_loop(self, mode):
+        # momentum on, a batch size that leaves a short last batch:
+        # bit-identical trajectory and parameters
+        view = small_corpus(seed=11).training_view("train")
+        am = build_adult_am(8, [16], 4, rng=np.random.default_rng(11))
+        pretrain_adult_am(am, view, epochs=3, lr=0.1, seed=11)
+        runs = []
+        for train in (train_discriminator_only, self.reference_train):
+            disc = DomainDiscriminator(8, [12], mode, K=4 if mode == "senone_aware" else None,
+                                       rng=np.random.default_rng(11))
+            log = train(disc, am, view, epochs=3, lr=0.2, seed=11, batch_size=100,
+                        momentum=0.5)
+            runs.append((log.trajectory_key(), disc.store.serialize()))
+        assert runs[0] == runs[1]
+
+
+def _bad_view(view, what):
+    """A copy of view with one NaN adult frame, one adult senone label equal
+    to K = 4, or one domain label 2, placed in the last adult row so that
+    a loop checking per batch would step first."""
+    frames, dom, labels = (view.frames.copy(), view.domain_labels.copy(),
+                           view.adult_senone_labels.copy())
+    last_adult = np.flatnonzero(dom == 0)[-1]
+    if what == "nan_frame":
+        frames[last_adult, 0] = np.nan
+    elif what == "label_K":
+        labels[last_adult] = 4
+    else:
+        dom[last_adult] = 2
+    return TrainingView(frames, dom, labels)
+
+
+BAD_INPUTS = [("nan_frame", NonFiniteError), ("label_K", ValueError), ("domain_2", ValueError)]
+
+
+class TestInputCheckedBeforeFirstStep:
+    """Every loop rejects bad input before its first step and leaves its
+    parameter stores byte-unchanged."""
+
+    def setup_method(self):
+        self.view = small_corpus(seed=13).training_view("train")
+        self.am = build_adult_am(8, [16], 4, rng=np.random.default_rng(13))
+
+    @pytest.mark.parametrize("what, error", BAD_INPUTS)
+    def test_pretraining(self, what, error):
+        before = self.am.net.store.serialize()
+        with pytest.raises(error):
+            pretrain_adult_am(self.am, _bad_view(self.view, what), epochs=2, lr=0.1, seed=0)
+        assert self.am.net.store.serialize() == before and not self.am.frozen
+
+    @pytest.mark.parametrize("what, error", BAD_INPUTS)
+    @pytest.mark.parametrize("mode", ["bat", "sat"])
+    def test_adversarial(self, mode, what, error):
+        self.am.freeze()
+        rng = np.random.default_rng(0)
+        adapter = AdaptationNetwork(8, [12], rng=rng)
+        disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
+                                   K=4 if mode == "sat" else None, rng=rng)
+        before = (adapter.store.serialize(), disc.store.serialize())
+        for scheme in ("gradient_reversal", "alternating"):
+            with pytest.raises(error):
+                adversarial_train(adapter, self.am, disc, _bad_view(self.view, what),
+                                  AdversarialConfig(mode=mode, update_scheme=scheme,
+                                                    epochs=2))
+            assert (adapter.store.serialize(), disc.store.serialize()) == before
+
+    @pytest.mark.parametrize("what, error", BAD_INPUTS)
+    @pytest.mark.parametrize("mode", ["binary", "senone_aware"])
+    def test_discriminator_only(self, mode, what, error):
+        self.am.freeze()
+        disc = DomainDiscriminator(8, [12], mode, K=4 if mode == "senone_aware" else None)
+        before = disc.store.serialize()
+        with pytest.raises(error):
+            train_discriminator_only(disc, self.am, _bad_view(self.view, what),
+                                     epochs=2, lr=0.2, seed=0)
+        assert disc.store.serialize() == before
+
+    @pytest.mark.parametrize("what, error", [("nan_feature", NonFiniteError),
+                                             ("pron_0", ValueError), ("flu_6", ValueError)])
+    def test_assessment(self, what, error):
+        feats, pron, flu = generate_assessment_corpus(300, seed=13)
+        if what == "nan_feature":
+            feats[-1, 0] = np.nan
+        elif what == "pron_0":
+            pron[-1] = 0
+        else:
+            flu[-1] = 6
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(16,), levels=5)
+        stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
+        before = [store.serialize() for store in stores]
+        with pytest.raises(error):
+            train_assessment_network(net, feats, pron, flu, epochs=2, lr=0.05, seed=0)
+        assert [store.serialize() for store in stores] == before
 
 
 class TestAssessmentTraining:
