@@ -13,7 +13,9 @@ stable code on failure:
     7  pretrain or adapt diverged or saturated: training met a NaN or Inf,
        or its final epoch's mean senone CE on adult frames is at least ln K,
        no better than a uniform guess; the log of a finished run is
-       written, no bundle is
+       written, and no bundle of the stage is left: each stage removes the
+       bundles it writes (am.bundle, or adapter_<mode>.bundle and
+       disc_<mode>.bundle) before it trains
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
@@ -253,6 +255,7 @@ def cmd_pretrain(cfg: dict) -> int:
     _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
+    (out / "am.bundle").unlink(missing_ok=True)
     log = _train("pretraining", training.pretrain_adult_am,
                  am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
                  lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
@@ -282,6 +285,8 @@ def cmd_adapt(cfg: dict) -> int:
         cfg["dim"], _int_list(cfg["disc_hidden"]),
         mode="senone_aware" if acfg.mode == "sat" else "binary",
         K=cfg["K"] if acfg.mode == "sat" else None, rng=rng)
+    for stem in ("adapter", "disc"):
+        (out / f"{stem}_{acfg.mode}.bundle").unlink(missing_ok=True)
     log = _train(f"adaptation ({acfg.mode})", training.adversarial_train,
                  adapter, am, disc, corpus.training_view("train"), acfg)
     log.write(out / f"adapt_{acfg.mode}.log")

@@ -6,8 +6,7 @@ relative reduction is 100*(baseline - improved)/baseline, absolute
 reduction is the plain difference in points.
 
 Assessment MSE is computed on argmax-decoded integer levels, the same
-decision rule as the accuracy metric; expected-value decoding is available
-behind a flag.
+decision rule as the accuracy metric.
 """
 
 from __future__ import annotations
@@ -62,20 +61,11 @@ def domain_confusion(disc: DomainDiscriminator, adapter: AdaptationNetwork | Non
 
 
 def assessment_metrics(net: AssessmentNetwork, features: np.ndarray,
-                       pron: np.ndarray, flu: np.ndarray,
-                       decode: str = "argmax") -> dict[str, float]:
-    """Accuracy (%) and MSE per head on integer levels 1..5."""
+                       pron: np.ndarray, flu: np.ndarray) -> dict[str, float]:
+    """Accuracy (%) and MSE per head on argmax-decoded integer levels 1..5."""
     if len(features) == 0:
         raise ValueError("empty assessment corpus")
-    if decode == "argmax":
-        pred_p, pred_f = net.predict_levels(features)
-    elif decode == "expected":
-        _, p, f = net.forward(features)
-        lv = np.arange(1, net.levels + 1)
-        pred_p = np.rint(p.output @ lv).astype(np.int64)
-        pred_f = np.rint(f.output @ lv).astype(np.int64)
-    else:
-        raise ValueError(f"unknown decode rule {decode!r}")
+    pred_p, pred_f = net.predict_levels(features)
     return {
         "pron.accuracy": 100.0 * float((pred_p == pron).mean()),
         "pron.mse": float(((pred_p - pron) ** 2).mean()),
@@ -85,10 +75,10 @@ def assessment_metrics(net: AssessmentNetwork, features: np.ndarray,
 
 
 def child_senone_error(am: AdultAcousticModel, corpus: SyntheticCorpus,
-                       adapter: AdaptationNetwork | None = None,
-                       split: str = "test") -> float:
-    """Frame error of the frozen model on child frames, optionally adapted."""
-    sub = corpus.subset(split, "child")
+                       adapter: AdaptationNetwork | None = None) -> float:
+    """Frame error of the frozen model on test-split child frames, optionally
+    adapted."""
+    sub = corpus.subset("test", "child")
     feats = sub.frames if adapter is None else adapter.apply(sub.frames)
     pred = am.posteriors(feats).argmax(axis=1)
     return senone_error_rate(pred, sub.senone_labels)

@@ -264,8 +264,7 @@ class Network:
     """
 
     def __init__(self, layers: list[LayerSpec], store: ParameterStore | None = None,
-                 rng: np.random.Generator | None = None, zero_init: bool = False,
-                 name_prefix: str = ""):
+                 rng: np.random.Generator | None = None, zero_init: bool = False):
         if not layers:
             raise ValueError("network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
@@ -275,7 +274,6 @@ class Network:
             if spec.activation == "softmax":
                 raise ValueError("softmax is only legal as the final layer")
         self.layers = list(layers)
-        self.prefix = name_prefix
         if store is not None:
             expected = {}
             for i, spec in enumerate(self.layers):
@@ -304,7 +302,7 @@ class Network:
                                  self.store.grad(w), self.store.grad(b)))
 
     def _pname(self, i: int, kind: str) -> str:
-        return f"{self.prefix}layer{i}.{kind}"
+        return f"layer{i}.{kind}"
 
     @property
     def in_dim(self) -> int:

@@ -62,8 +62,16 @@ class GeneratorConfig:
             raise ValueError("shift_coherence must be in [0, 1]")
         if self.class_separation <= 0:
             raise ValueError("class_separation must be positive")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or len(self.split_fractions) != 3:
-            raise ValueError("split_fractions must be three values summing to 1")
+        if (len(self.split_fractions) != 3 or abs(sum(self.split_fractions) - 1.0) > 1e-9
+                or not all(0 <= f <= 1 for f in self.split_fractions)):
+            raise ValueError("split_fractions must be three values in [0, 1] summing to 1")
+        for n in (self.n_adult, self.n_child):
+            sizes = np.zeros(3, dtype=np.int64)
+            for count in _balanced_class_counts(n, self.K):
+                sizes += [len(range(count)[part])
+                          for part in _split_slices(count, self.split_fractions)]
+            if not sizes.all():
+                raise ValueError("split_fractions leave a split without frames of a domain")
 
 
 @dataclass
@@ -117,6 +125,14 @@ def _balanced_class_counts(n: int, K: int) -> np.ndarray:
     return counts
 
 
+def _split_slices(n: int, fractions) -> tuple[slice, slice, slice]:
+    """The train, dev and test slices of one shuffled (domain, senone) group
+    of n frames: train and dev rounded from their fractions, test the rest."""
+    n_tr = int(round(fractions[0] * n))
+    n_dev = int(round(fractions[1] * n))
+    return slice(None, n_tr), slice(n_tr, n_tr + n_dev), slice(n_tr + n_dev, None)
+
+
 def generate_corpus(cfg: GeneratorConfig) -> SyntheticCorpus:
     """Two-domain Gaussian corpus, deterministic given cfg.seed."""
     cfg.validate()
@@ -158,11 +174,9 @@ def generate_corpus(cfg: GeneratorConfig) -> SyntheticCorpus:
         for k in range(cfg.K):
             idx = np.flatnonzero((domains == d) & (senones == k))
             idx = rng.permutation(idx)
-            n_tr = int(round(cfg.split_fractions[0] * len(idx)))
-            n_dev = int(round(cfg.split_fractions[1] * len(idx)))
-            tags[idx[:n_tr]] = SPLIT_TRAIN
-            tags[idx[n_tr : n_tr + n_dev]] = SPLIT_DEV
-            tags[idx[n_tr + n_dev :]] = SPLIT_TEST
+            for tag, part in zip((SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST),
+                                 _split_slices(len(idx), cfg.split_fractions)):
+                tags[idx[part]] = tag
 
     order = rng.permutation(len(frames))
     return SyntheticCorpus(cfg.K, cfg.dim, frames[order], senones[order],

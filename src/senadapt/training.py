@@ -1,28 +1,29 @@
 """Pretraining of the adult acoustic model and adversarial min-max training.
 
-The min-max objective is realized two ways, selectable per config:
+Every trainer runs one SGD driver, _sgd_epochs: it zeroes the trainer's
+stores once per run (every sgd_step leaves its store's gradients at zero),
+runs the trainer's step over each epoch's minibatches and turns the epoch's
+running sums into its TrainLogRecord. A trainer checks its whole input once,
+before its first step (finite frames or features, domains in {0, 1}, senone
+labels in [0, K) on adult rows, assessment levels in range); its step then
+runs the losses' unchecked kernels and skips Network.forward's input check.
 
-* gradient_reversal: one pass per batch. The discriminator receives the
-  gradient descending the mean domain loss; the adapter receives the
-  gradient of [senone CE mean - lambda * domain loss mean], i.e. the domain
-  gradient flows into the adapter negated and scaled by lambda.
-* alternating: a discriminator descent step on the domain loss, then an
-  adapter descent step on [CE - lambda * domain loss] against the updated
-  discriminator. Both phases share one adapter forward, one acoustic-model
-  forward and one alpha per batch (a BatchForward): the adapter does not
-  move between them. The discriminator phase forms only the discriminator's
-  gradients: no senone CE, no alpha checksum or domain accuracy, and no
-  acoustic-model or adapter backward pass. The adapter phase forms no
-  discriminator weight gradients, only the input gradient the adapter needs.
+The min-max objective is realized two ways, selectable per config; one call
+of adversarial_batch_grads runs one whole batch of either:
+
+* gradient_reversal: one pass. The discriminator receives the gradient
+  descending the mean domain loss; the adapter receives the gradient of
+  [senone CE mean - lambda * domain loss mean], i.e. the domain gradient
+  flows into the adapter negated and scaled by lambda. The caller steps both.
+* alternating: a discriminator descent step on the domain loss, taken inside
+  the batch, then the adapter gradient of [CE - lambda * domain loss] against
+  the stepped discriminator; the caller steps the adapter. The adapter does
+  not move in between, so the batch runs one adapter forward, one
+  acoustic-model forward and one alpha for both halves, and the second
+  discriminator pass forms only its input gradient.
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
-
-Every loop checks its whole input once, before its first step (finite
-frames or features, domains in {0, 1}, senone labels in [0, K) on adult
-rows, assessment levels in range), and then runs the losses' unchecked
-kernels and skips Network.forward's input check. Gradients are zeroed once
-per run: every sgd_step leaves its store's gradients at zero.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .models import (AdaptationNetwork, AdapterTrace, AdultAcousticModel,
-                     DomainDiscriminator, marginal_domain_probs)
-from .nn import ForwardTrace, NonFiniteError, sgd_step
+from .models import (AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
+                     marginal_domain_probs)
+from .nn import NonFiniteError, sgd_step
 from .synthdata import TrainingView
 
 
@@ -169,6 +170,50 @@ def _check_view(view: TrainingView, K: int) -> None:
     _check_labels(view.adult_senone_labels, view.domain_labels, K)
 
 
+@dataclass
+class _BatchStats:
+    """One batch's share of its epoch's TrainLogRecord: senone CE summed over
+    n_ce labelled rows, domain loss summed and correct predictions counted
+    over all n rows, and the sat alpha counters."""
+    ce_sum: float
+    n_ce: int
+    dom_sum: float
+    n: int
+    correct: int
+    alpha_evals: int = 0
+    alpha_checksum: int = 0
+
+
+def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
+    """The one training loop. Each epoch sums the _BatchStats that
+    step(epoch, batch) returns for every batch batches() yields, and logs
+    them with the epoch's wall time."""
+    for store in stores:
+        # every sgd_step leaves its store's gradients at zero
+        store.zero_grads()
+    log = TrainLog()
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        ce = dom = 0.0
+        n_ce = n = correct = evals = crc = 0
+        for batch in batches():
+            s = step(epoch, batch)
+            ce += s.ce_sum
+            n_ce += s.n_ce
+            dom += s.dom_sum
+            n += s.n
+            correct += s.correct
+            evals += s.alpha_evals
+            if s.alpha_evals:  # a sat batch: chain its alpha checksum
+                crc = zlib.crc32(s.alpha_checksum.to_bytes(4, "little"), crc)
+        ce_mean = ce / n_ce if n_ce else 0.0
+        # without senone rows the objective is -(domain loss), a zero loss giving -0.0
+        log.records.append(TrainLogRecord(
+            epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
+            correct / n, time.perf_counter() - t0, evals, crc))
+    return log
+
+
 def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
                       lr: float, seed: int, batch_size: int = 128,
                       momentum: float = 0.9) -> TrainLog:
@@ -186,23 +231,18 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
     x_all = view.frames[adult]
     y_all = view.adult_senone_labels[adult]
     rng = np.random.default_rng(seed)
-    log = TrainLog()
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        ce_sum, correct, seen = 0.0, 0, 0
-        for idx in _minibatches(rng, adult.size, batch_size):
-            x, y = x_all[idx], y_all[idx]
-            trace = am.net.forward(x, train_mode=True, rng=rng, check_input=False)
-            ce, grad = losses.senone_ce_kernel(trace.output, np.arange(len(y)), y)
-            am.net.backward(trace, grad, input_grad=False, from_logits=True)
-            sgd_step(am.net.store, lr, momentum)
-            ce_sum += ce * len(y)
-            correct += int((trace.output.argmax(axis=1) == y).sum())
-            seen += len(y)
-        log.records.append(TrainLogRecord(
-            epoch=epoch, objective=ce_sum / seen, senone_ce=ce_sum / seen,
-            domain_loss=0.0, disc_acc=correct / seen,
-            seconds=time.perf_counter() - t0))
+
+    def step(epoch, idx):
+        x, y = x_all[idx], y_all[idx]
+        trace = am.net.forward(x, train_mode=True, rng=rng, check_input=False)
+        ce, grad = losses.senone_ce_kernel(trace.output, np.arange(len(y)), y)
+        am.net.backward(trace, grad, input_grad=False, from_logits=True)
+        sgd_step(am.net.store, lr, momentum)
+        return _BatchStats(ce * len(y), len(y), 0.0, len(y),
+                           int((trace.output.argmax(axis=1) == y).sum()))
+
+    log = _sgd_epochs(epochs, [am.net.store],
+                      lambda: _minibatches(rng, adult.size, batch_size), step)
     am.freeze()
     return log
 
@@ -230,14 +270,6 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
 
 
 @dataclass
-class _BatchStats:
-    terms: losses.BatchLossTerms
-    disc_correct: int
-    alpha_evals: int
-    alpha_checksum: int
-
-
-@dataclass
 class BatchTargets:
     """One batch's targets as integer indices: the adult rows, their senone
     labels and every row's domain column (0 adult, 1 child)."""
@@ -257,19 +289,21 @@ class BatchTargets:
         return cls(rows, senone_labels[rows].astype(np.intp), domain.astype(np.intp))
 
 
-@dataclass
-class BatchForward:
-    """One batch's targets, adapter pass, acoustic-model pass and sat alpha,
-    each filled in by adversarial_batch_grads where first needed. The
-    alternating scheme hands one to both of its phases: the adapter is not
-    stepped between them and its layers draw no dropout masks, so the
-    adapter phase reuses what the discriminator phase computed, bit for bit
-    the values it would recompute. Targets handed in with it mark the batch
-    as checked by the training run: its frames skip the input check."""
-    targets: BatchTargets | None = None
-    adapter: AdapterTrace | None = None
-    am: ForwardTrace | None = None
-    alpha: np.ndarray | None = None
+def _disc_pass(disc: DomainDiscriminator, feats: np.ndarray, domain_cols: np.ndarray,
+               alpha: np.ndarray | None, **backward):
+    """One discriminator forward, domain loss and backward (keywords go to
+    Network.backward). The loss is the one disc.mode names: senone-aware
+    against alpha, or binary. Returns the output, the mean domain loss and
+    the backward's input gradient."""
+    trace = disc.net.forward(feats, train_mode=False, check_input=False)
+    if disc.mode == "senone_aware":
+        _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
+                                                              alpha)
+    else:
+        dom_mean, grad = losses.binary_domain_kernel(trace.output, domain_cols)
+    feat_grad = disc.net.backward(trace, grad, from_logits=disc.mode == "binary",
+                                  **backward)
+    return trace.output, dom_mean, feat_grad
 
 
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -277,63 +311,52 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             senone_labels: np.ndarray, domain: np.ndarray,
                             cfg: AdversarialConfig, lam: float,
                             rng: np.random.Generator, *,
-                            disc_only: bool = False, adapter_only: bool = False,
-                            shared: BatchForward | None = None) -> _BatchStats | None:
-    """Accumulate one batch's gradients into the adapter and discriminator
-    stores per the gradient-reversal sign convention, without stepping.
+                            targets: BatchTargets | None = None) -> _BatchStats:
+    """Run one batch of cfg.update_scheme, leaving the adapter's step to the
+    caller.
 
     Adapter gradients are those of [CE mean - lam * domain loss mean];
-    discriminator gradients descend the domain loss mean. The caller steps
-    the stores. The alternating scheme runs two phases over one `shared`
-    forward: disc_only accumulates only the discriminator's gradients (the
-    adapter store is not touched) and returns None; adapter_only accumulates
-    only the adapter's (the discriminator store is not touched). The
-    gradients a phase forms are the bits a full call forms.
+    discriminator gradients descend the domain loss mean. Under
+    gradient_reversal both stores accumulate their gradients and neither is
+    stepped. Under alternating the discriminator takes its sgd_step here,
+    and the adapter gradients are formed against the stepped discriminator.
+    `targets` are the batch's targets as checked by a training run; its
+    frames then skip the input check.
     """
-    if disc_only and adapter_only:
-        raise ValueError("disc_only and adapter_only exclude each other")
-    fwd = BatchForward() if shared is None else shared
-    check = fwd.targets is None
+    check = targets is None
     if check:
-        fwd.targets = BatchTargets.checked(senone_labels, domain, am.K)
-    t = fwd.targets
+        targets = BatchTargets.checked(senone_labels, domain, am.K)
     if not am.frozen:
         raise RuntimeError("adversarial training requires a frozen acoustic model")
 
-    if fwd.adapter is None:
-        fwd.adapter = adapter.forward(x, train_mode=True, rng=rng, check_input=check)
-    alpha_from_adapted = cfg.mode == "sat" and cfg.alpha_source == "adapted"
-    if fwd.am is None and (not disc_only or alpha_from_adapted):
-        fwd.am = am.net.forward(fwd.adapter.output, train_mode=False, check_input=False)
-    if cfg.mode == "sat" and fwd.alpha is None:
+    at = adapter.forward(x, train_mode=True, rng=rng, check_input=check)
+    am_trace = am.net.forward(at.output, train_mode=False, check_input=False)
+    alpha = None
+    if cfg.mode == "sat":
         # constants: computed once per batch, no grad
-        fwd.alpha = (fwd.am.output if alpha_from_adapted else
-                     am.net.forward(x, train_mode=False, check_input=check).output)
-    disc_trace = disc.net.forward(fwd.adapter.output, train_mode=False, check_input=False)
-    if cfg.mode == "sat":
-        _, dom_mean, dom_grad = losses.senone_aware_domain_kernel(
-            disc_trace.output, t.domain_cols, fwd.alpha)
+        alpha = (am_trace.output if cfg.alpha_source == "adapted" else
+                 am.net.forward(x, train_mode=False, check_input=check).output)
+    if cfg.update_scheme == "alternating":
+        _disc_pass(disc, at.output, targets.domain_cols, alpha, input_grad=False)
+        sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+        disc_out, dom_mean, feat_grad_dom = _disc_pass(
+            disc, at.output, targets.domain_cols, alpha, param_grads=False)
     else:
-        dom_mean, dom_grad = losses.binary_domain_kernel(disc_trace.output, t.domain_cols)
-    feat_grad_dom = disc.net.backward(disc_trace, dom_grad, input_grad=not disc_only,
-                                      param_grads=not adapter_only,
-                                      from_logits=cfg.mode == "bat")
-    if disc_only:
-        return None
-    ce, ce_grad = losses.senone_ce_kernel(fwd.am.output, t.adult_rows, t.senone_labels)
-    feat_grad = am.net.backward(fwd.am, ce_grad, from_logits=True)
-    adapter.backward(fwd.adapter, feat_grad - lam * feat_grad_dom, input_grad=False)
+        disc_out, dom_mean, feat_grad_dom = _disc_pass(
+            disc, at.output, targets.domain_cols, alpha)
+    ce, ce_grad = losses.senone_ce_kernel(am_trace.output, targets.adult_rows,
+                                          targets.senone_labels)
+    feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
+    adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
 
-    n_adult = len(t.adult_rows)
-    terms = losses.multitask_objective(ce * n_adult, n_adult,
-                                       dom_mean * len(x), len(x))
-    alpha_evals, alpha_crc, dom_probs = 0, 0, disc_trace.output
+    n_adult = len(targets.adult_rows)
+    alpha_evals, alpha_crc, dom_probs = 0, 0, disc_out
     if cfg.mode == "sat":
-        alpha_evals, alpha_crc = len(fwd.alpha), _alpha_checksum(fwd.alpha)
-        dom_probs = marginal_domain_probs(disc_trace.output)
-    disc_correct = int((dom_probs.argmax(axis=1) == domain).sum())
-    return _BatchStats(terms=terms, disc_correct=disc_correct,
-                       alpha_evals=alpha_evals, alpha_checksum=alpha_crc)
+        alpha_evals, alpha_crc = len(alpha), _alpha_checksum(alpha)
+        dom_probs = marginal_domain_probs(disc_out)
+    return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
+                       int((dom_probs.argmax(axis=1) == domain).sum()),
+                       alpha_evals, alpha_crc)
 
 
 def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -352,56 +375,27 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     child_idx = np.flatnonzero(~view.adult_mask)
     if adult_idx.size == 0 or child_idx.size == 0:
         raise ValueError("adversarial training needs frames from both domains")
-
     rng = np.random.default_rng(cfg.seed)
-    # every sgd_step leaves its store's gradients at zero
-    adapter.store.zero_grads()
-    disc.store.zero_grads()
-    log = TrainLog()
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        lam = cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs,
-                                                         cfg.lambda_shape)
-        ce_sum, dom_sum, n_a, n_t = 0.0, 0.0, 0, 0
-        disc_correct, alpha_evals, alpha_crc = 0, 0, 0
-        for idx, n_adult in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
-            x = view.frames[idx]
-            y = view.adult_senone_labels[idx]
-            dom = view.domain_labels[idx]
-            # the batch's adult frames come first
-            fwd = BatchForward(targets=BatchTargets(
-                np.arange(n_adult), y[:n_adult], dom.astype(np.intp)))
-            if cfg.update_scheme == "alternating":
-                adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam, rng,
-                                        disc_only=True, shared=fwd)
-                sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-                # adapter phase against the updated discriminator
-                stats = adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam,
-                                                rng, adapter_only=True, shared=fwd)
-                sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
-            else:
-                stats = adversarial_batch_grads(adapter, am, disc, x, y, dom,
-                                                cfg, lam, rng, shared=fwd)
-                sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-                sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
-            ce_sum += stats.terms.senone_ce_sum
-            dom_sum += stats.terms.domain_loss_sum
-            n_a += stats.terms.n_adult
-            n_t += stats.terms.n_total
-            disc_correct += stats.disc_correct
-            alpha_evals += stats.alpha_evals
-            alpha_crc = zlib.crc32(stats.alpha_checksum.to_bytes(4, "little"),
-                                   alpha_crc) if cfg.mode == "sat" else 0
-        log.records.append(TrainLogRecord(
-            epoch=epoch,
-            objective=ce_sum / n_a - dom_sum / n_t,
-            senone_ce=ce_sum / n_a,
-            domain_loss=dom_sum / n_t,
-            disc_acc=disc_correct / n_t,
-            seconds=time.perf_counter() - t0,
-            alpha_evals=alpha_evals,
-            alpha_checksum=alpha_crc))
-    return log
+    lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
+            for epoch in range(cfg.epochs)]
+
+    def step(epoch, batch):
+        idx, n_adult = batch
+        x = view.frames[idx]
+        y = view.adult_senone_labels[idx]
+        dom = view.domain_labels[idx]
+        # the batch's adult frames come first
+        targets = BatchTargets(np.arange(n_adult), y[:n_adult], dom.astype(np.intp))
+        stats = adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lams[epoch],
+                                        rng, targets=targets)
+        if cfg.update_scheme == "gradient_reversal":
+            sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+        sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
+        return stats
+
+    return _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
+                       lambda: _stratified_batches(rng, adult_idx, child_idx,
+                                                   cfg.batch_size), step)
 
 
 def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
@@ -412,36 +406,20 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
     identity); the reference point for domain-confusion measurements."""
     _check_view(view, am.K)
     rng = np.random.default_rng(seed)
-    log = TrainLog()
-    n = len(view.frames)
-    # every sgd_step leaves the store's gradients at zero
-    disc.store.zero_grads()
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        dom_sum, correct = 0.0, 0
-        for idx in _minibatches(rng, n, batch_size):
-            x = view.frames[idx]
-            dom = view.domain_labels[idx]
-            cols = dom.astype(np.intp)
-            trace = disc.net.forward(x, train_mode=False, check_input=False)
-            if disc.mode == "senone_aware":
-                alpha = am.net.forward(x, train_mode=False, check_input=False).output
-                _, dom_mean, dom_grad = losses.senone_aware_domain_kernel(
-                    trace.output, cols, alpha)
-                disc.net.backward(trace, dom_grad, input_grad=False)
-                probs = marginal_domain_probs(trace.output)
-            else:
-                dom_mean, dom_grad = losses.binary_domain_kernel(trace.output, cols)
-                disc.net.backward(trace, dom_grad, input_grad=False, from_logits=True)
-                probs = trace.output
-            sgd_step(disc.store, lr, momentum)
-            dom_sum += dom_mean * len(idx)
-            correct += int((probs.argmax(axis=1) == dom).sum())
-        log.records.append(TrainLogRecord(
-            epoch=epoch, objective=-dom_sum / n, senone_ce=0.0,
-            domain_loss=dom_sum / n, disc_acc=correct / n,
-            seconds=time.perf_counter() - t0))
-    return log
+    joint = disc.mode == "senone_aware"
+
+    def step(epoch, idx):
+        x = view.frames[idx]
+        dom = view.domain_labels[idx]
+        alpha = am.net.forward(x, train_mode=False, check_input=False).output if joint else None
+        out, dom_mean, _ = _disc_pass(disc, x, dom.astype(np.intp), alpha, input_grad=False)
+        sgd_step(disc.store, lr, momentum)
+        probs = marginal_domain_probs(out) if joint else out
+        return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
+                           int((probs.argmax(axis=1) == dom).sum()))
+
+    return _sgd_epochs(epochs, [disc.store],
+                       lambda: _minibatches(rng, len(view.frames), batch_size), step)
 
 
 def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
@@ -460,30 +438,22 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         if ((levels < 1) | (levels > net.levels)).any():
             raise ValueError(f"assessment levels must be in 1..{net.levels}")
     rng = np.random.default_rng(seed)
-    n = len(features)
     stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
-    # every sgd_step leaves its store's gradients at zero
-    for store in stores:
-        store.zero_grads()
-    log = TrainLog()
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        ce_sum, correct = 0.0, 0
-        for idx in _minibatches(rng, n, batch_size):
-            x = features[idx]
-            yp, yf = pron[idx] - 1, flu[idx] - 1
-            rows = np.arange(len(idx))
-            traces = net.forward(x, train_mode=True, rng=rng, check_input=False)
-            _, p, f = traces
-            ce_p, g_p = losses.senone_ce_kernel(p.output, rows, yp)
-            ce_f, g_f = losses.senone_ce_kernel(f.output, rows, yf)
-            net.backward(traces, g_p, g_f, input_grad=False, from_logits=True)
-            for store in stores:
-                sgd_step(store, lr, momentum)
-            ce_sum += (ce_p + ce_f) * len(idx)
-            correct += int((p.output.argmax(axis=1) == yp).sum())
-        log.records.append(TrainLogRecord(
-            epoch=epoch, objective=ce_sum / (2 * n), senone_ce=ce_sum / (2 * n),
-            domain_loss=0.0, disc_acc=correct / n,
-            seconds=time.perf_counter() - t0))
-    return log
+
+    def step(epoch, idx):
+        x = features[idx]
+        yp, yf = pron[idx] - 1, flu[idx] - 1
+        rows = np.arange(len(idx))
+        traces = net.forward(x, train_mode=True, rng=rng, check_input=False)
+        _, p, f = traces
+        ce_p, g_p = losses.senone_ce_kernel(p.output, rows, yp)
+        ce_f, g_f = losses.senone_ce_kernel(f.output, rows, yf)
+        net.backward(traces, g_p, g_f, input_grad=False, from_logits=True)
+        for store in stores:
+            sgd_step(store, lr, momentum)
+        # the CE of both heads: each row counts twice
+        return _BatchStats((ce_p + ce_f) * len(idx), 2 * len(idx), 0.0, len(idx),
+                           int((p.output.argmax(axis=1) == yp).sum()))
+
+    return _sgd_epochs(epochs, stores,
+                       lambda: _minibatches(rng, len(features), batch_size), step)

@@ -163,6 +163,23 @@ class TestExitCodes:
         assert run("eval", "--config", small_cfg,
                    "--out", str(tmp_path / "empty")) == EXIT_NO_CORPUS
 
+    def test_diverged_stage_leaves_no_bundle(self, small_cfg, tmp_path):
+        # a stage that exits 7 removes the bundles an earlier run of it wrote,
+        # so eval reports no arm the logs say was never trained
+        out = tmp_path / "run"
+        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat")):
+            assert run(*argv, "--config", small_cfg, "--out", str(out)) == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL + "lr_adapter = 50\npretrain_lr = 50\n")
+        assert run("adapt", "--mode", "bat", "--config", str(bad),
+                   "--out", str(out)) == EXIT_DIVERGED
+        assert not (out / "adapter_bat.bundle").exists()
+        assert not (out / "disc_bat.bundle").exists()
+        assert run("eval", "--config", small_cfg, "--out", str(out)) == 0
+        assert not [k for k in read_report(out / "report.tsv").metrics if k.endswith(".bat")]
+        assert run("pretrain", "--config", str(bad), "--out", str(out)) == EXIT_DIVERGED
+        assert not (out / "am.bundle").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
@@ -237,6 +254,8 @@ PROBES = {
     "zero_pretrain_epochs": ("pretrain_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_assessment_epochs": ("assess_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "assessment_corpus_too_small": ("assess_n = 10\n", None, ALL_STAGES, EXIT_CONFIG),
+    "split_without_dev_frames": ("split_train = 0.85\nsplit_dev = 0\nsplit_test = 0.15\n",
+                                 None, ALL_STAGES, EXIT_CONFIG),
     "truncated_am_bundle": ("", _truncate("am.bundle"), ("adapt", "eval"), EXIT_NO_BUNDLE),
     "truncated_assessment_corpus": ("", _truncate("assess.saac"), ("eval",), EXIT_NO_CORPUS),
     "dim_changed_after_pretrain": ("dim = 6\n", None, ("pretrain", "adapt", "eval"),

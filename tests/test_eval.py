@@ -141,17 +141,6 @@ class TestAssessmentMetrics:
         assert m["flu.mse"] == pytest.approx(2.0, abs=1e-12)
         assert m["pron.accuracy"] == pytest.approx(20.0, abs=1e-12)
 
-    def test_decode_rules(self):
-        net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), levels=5,
-                                rng=np.random.default_rng(1))
-        feats = np.random.default_rng(2).normal(size=(40, 4))
-        levels = np.random.default_rng(3).integers(1, 6, size=40)
-        m1 = assessment_metrics(net, feats, levels, levels, decode="argmax")
-        m2 = assessment_metrics(net, feats, levels, levels, decode="expected")
-        assert set(m1) == set(m2)
-        with pytest.raises(ValueError):
-            assessment_metrics(net, feats, levels, levels, decode="mode")
-
     def test_empty_rejected(self):
         net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), levels=5,
                                 rng=np.random.default_rng(1))

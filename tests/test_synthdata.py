@@ -105,6 +105,12 @@ class TestGeneration:
         with pytest.raises(ValueError):
             GeneratorConfig(split_fractions=(0.5, 0.5, 0.5)).validate()
         with pytest.raises(ValueError):
+            # no dev frames: round(0 * n) is 0 in every (domain, senone) group
+            GeneratorConfig(split_fractions=(0.85, 0.0, 0.15)).validate()
+        with pytest.raises(ValueError):
+            # 40 frames per (domain, senone) group: train and dev round to 20 each
+            GeneratorConfig(n_adult=400, n_child=400, split_fractions=(0.49, 0.49, 0.02)).validate()
+        with pytest.raises(ValueError):
             GeneratorConfig(within_class_std=0.0).validate()
         with pytest.raises(ValueError):
             GeneratorConfig(shift_profile=(math.nan,) * 10).validate()
