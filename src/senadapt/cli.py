@@ -9,13 +9,19 @@ stable code on failure:
     3  I/O error while writing outputs
     4  required corpus file missing or malformed
     5  acoustic-model bundle is not frozen
-    6  required model bundle missing or malformed
+    6  required model bundle missing or malformed, or holding a model its
+       wrapper cannot run (an adapter that does not map dim to dim, a
+       discriminator whose output width does not fit its mode) or
+       that gives non-finite outputs on the (finite) corpus in eval
     7  pretrain or adapt diverged or saturated: training met a NaN or Inf,
        or its final epoch's mean senone CE on adult frames is at least ln K,
        no better than a uniform guess; the log of a finished run is
        written, and no bundle of the stage is left: each stage removes the
        bundles it writes (am.bundle, or adapter_<mode>.bundle and
        disc_<mode>.bundle) before it trains
+
+pretrain also removes every adapter and discriminator bundle before it
+trains: they were trained against the acoustic model it replaces.
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
@@ -255,7 +261,8 @@ def cmd_pretrain(cfg: dict) -> int:
     _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
-    (out / "am.bundle").unlink(missing_ok=True)
+    for name in ("am", "adapter_bat", "disc_bat", "adapter_sat", "disc_sat"):
+        (out / f"{name}.bundle").unlink(missing_ok=True)
     log = _train("pretraining", training.pretrain_adult_am,
                  am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
                  lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
@@ -299,16 +306,8 @@ def cmd_adapt(cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict) -> int:
-    out = _outdir(cfg)
-    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
-    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
-               EXIT_NO_BUNDLE)
-    _check_dims(cfg, corpus, am)
-    report = evaluate.MetricsReport(
-        fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
-        seed=cfg["seed"])
-
+def _report_arms(out: Path, corpus, am, report) -> dict:
+    """Report every arm's child senone error and discriminator confusion."""
     errors = {"dnn": evaluate.child_senone_error(am, corpus, None)}
     report.set("senone_err.child.test.dnn", errors["dnn"])
     test = corpus.subset("test")
@@ -328,6 +327,23 @@ def cmd_eval(cfg: dict) -> int:
             acc, conf = evaluate.domain_confusion(disc, adapter, test)
             report.set(f"disc_acc.test.{mode}", 100.0 * acc)
             report.set(f"disc_conf.test.{mode}", conf)
+    return errors
+
+
+def cmd_eval(cfg: dict) -> int:
+    out = _outdir(cfg)
+    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
+    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
+               EXIT_NO_BUNDLE)
+    _check_dims(cfg, corpus, am)
+    report = evaluate.MetricsReport(
+        fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
+        seed=cfg["seed"])
+
+    try:
+        errors = _report_arms(out, corpus, am, report)
+    except NonFiniteError as e:
+        raise StageError(EXIT_NO_BUNDLE, f"a model bundle gives non-finite outputs: {e}") from None
     if "bat" in errors and "sat" in errors:
         report.set("senone_err.rel_reduction.sat_vs_bat",
                    evaluate.relative_reduction(errors["bat"], errors["sat"]))

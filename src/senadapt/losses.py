@@ -14,21 +14,23 @@ Three losses drive training:
 The combined objective is E = ce_sum/n - dom_sum/N: the adapter minimizes E
 (so it maximizes the domain loss) while the discriminator maximizes E.
 
-Each loss comes in two forms with the same arithmetic for the loss:
+Two unchecked kernels do the arithmetic, one per target shape. The training
+loops call them once per batch: they check their whole input once per run
+and form integer rows, labels and domain columns once per batch.
 
-* the public senone_ce_loss, binary_domain_loss and senone_aware_domain_loss
-  check their arguments (shapes, labels in range, a 0/1 domain indicator)
-  and return the gradient with respect to the probability rows they were
-  fed; chaining it through Network.backward's softmax Jacobian gives the
-  logit gradient.
-* the kernels the training loops call once per batch check nothing: the
-  loops check their whole input once per run and form integer rows, labels
-  and domain columns once per batch. senone_ce_kernel and
-  binary_domain_kernel, whose rows have one target each, return the logit
-  gradient directly, for Network.backward(..., from_logits=True): per row
-  s = g*y_l, y*(0.0 - s) off the target and y_l*(g - s) on it, bit for bit
-  the chained result. senone_aware_domain_kernel has K targets per row, so
-  its chained row sum fixes the bits; it returns the probability gradient.
+* ce_kernel(y, rows, cols): one target per row, for the acoustic model,
+  both assessment heads and the binary discriminator (over every row). It
+  returns the gradient with respect to the softmax logits, for
+  Network.backward(..., from_logits=True): per row s = g*y_l, y*(0.0 - s)
+  off the target and y_l*(g - s) on it, bit for bit the chained result.
+* senone_aware_domain_kernel(y, cols, alpha): K targets per row, so its
+  chained row sum fixes the bits; it returns the probability gradient.
+
+The public senone_ce_loss, binary_domain_loss and senone_aware_domain_loss
+check their arguments (shapes, labels in range, a 0/1 domain indicator) and
+return the gradient with respect to the probability rows they were fed;
+chaining it through Network.backward's softmax Jacobian gives the logit
+gradient. binary_domain_loss is the joint kernel at K = 1 with alpha = 1.
 
 Log arguments are clamped at 1e-12.
 
@@ -38,8 +40,6 @@ is exactly the binary layout (adult, child).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,26 +52,6 @@ def _check_indicator(indicator: np.ndarray) -> np.ndarray:
     if not ((indicator == 0) | (indicator == 1)).all():
         raise ValueError("domain indicator values must be 0 (adult) or 1 (child)")
     return indicator.astype(np.intp)
-
-
-@dataclass
-class BatchLossTerms:
-    n_adult: int
-    n_total: int
-    senone_ce_sum: float
-    domain_loss_sum: float
-
-    @property
-    def objective(self) -> float:
-        return self.senone_ce_sum / self.n_adult - self.domain_loss_sum / self.n_total
-
-    @property
-    def senone_ce_mean(self) -> float:
-        return self.senone_ce_sum / self.n_adult
-
-    @property
-    def domain_loss_mean(self) -> float:
-        return self.domain_loss_sum / self.n_total
 
 
 def _target_terms(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -98,26 +78,15 @@ def _one_target_logit_grad(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return gz
 
 
-def senone_ce_kernel(y: np.ndarray, rows: np.ndarray,
-                     labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unchecked senone CE over the given rows of a softmax output y: the
-    mean -log y[rows, labels] and its gradient with respect to the softmax
-    logits (for Network.backward(..., from_logits=True)). rows are distinct
-    and non-empty, labels in [0, K)."""
+def ce_kernel(y: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unchecked cross-entropy of a softmax output y against one target
+    column per given row: the mean -log y[rows, cols] and its gradient with
+    respect to the softmax logits (for Network.backward(...,
+    from_logits=True)). rows are distinct and non-empty, cols in range."""
     n = len(rows)
-    p, g = _target_terms(y, rows, labels, n)
-    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, labels, g)
-
-
-def binary_domain_kernel(y: np.ndarray, cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unchecked binary domain loss of a 2-column softmax output y against
-    each row's domain column (0 adult, 1 child): the mean -log
-    P(true domain) and its gradient with respect to the softmax logits."""
-    N = len(y)
-    rows = np.arange(N)
-    p, g = _target_terms(y, rows, cols, N)
-    per_frame = -np.log(p)
-    return float(per_frame.sum() / N), _one_target_logit_grad(y, rows, cols, g)
+    p, g = _target_terms(y, rows, cols, n)
+    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, cols, g)
 
 
 def senone_aware_domain_kernel(y: np.ndarray, cols: np.ndarray,
@@ -160,18 +129,13 @@ def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
 
 def binary_domain_loss(disc_out: np.ndarray,
                        indicator: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Per-frame -log P(true domain | f), its mean, and d(mean)/d disc_out."""
+    """Per-frame -log P(true domain | f), its mean, and d(mean)/d disc_out:
+    the senone-aware domain loss with one senone class and alpha = 1."""
     disc_out = np.asarray(disc_out, dtype=np.float64)
     if disc_out.ndim != 2 or disc_out.shape[1] != 2:
         raise ShapeError("binary domain loss expects a 2-column posterior matrix")
-    cols = _check_indicator(indicator)  # 0 = adult column, 1 = child column
-    N = disc_out.shape[0]
-    rows = np.arange(N)
-    p, g = _target_terms(disc_out, rows, cols, N)
-    per_frame = -np.log(p)
-    grad = np.zeros_like(disc_out)
-    grad[rows, cols] = g
-    return per_frame, float(per_frame.sum() / N), grad
+    return senone_aware_domain_kernel(disc_out, _check_indicator(indicator),
+                                      np.ones((len(disc_out), 1)))
 
 
 def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
@@ -190,15 +154,3 @@ def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
         raise ShapeError(
             f"alpha shape {alpha.shape} incompatible with 2K={disc_out.shape[1]} output")
     return senone_aware_domain_kernel(disc_out, _check_indicator(indicator), alpha)
-
-
-def multitask_objective(senone_ce_sum: float, n_adult: int,
-                        domain_loss_sum: float, n_total: int) -> BatchLossTerms:
-    """E = (1/n) sum senone CE - (1/N) sum domain loss."""
-    if n_adult < 1:
-        raise ValueError("objective undefined with zero adult frames")
-    if n_total < n_adult:
-        raise ValueError("total frame count below adult frame count")
-    return BatchLossTerms(n_adult=n_adult, n_total=n_total,
-                          senone_ce_sum=float(senone_ce_sum),
-                          domain_loss_sum=float(domain_loss_sum))

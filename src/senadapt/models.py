@@ -207,7 +207,10 @@ def save_bundle(path, store: ParameterStore, manifest: dict) -> None:
 
 def load_bundle(path) -> tuple[ParameterStore, dict]:
     manifest, arrays = unpack_container(Path(path).read_bytes(), "bundle")
-    store = ParameterStore.from_arrays(arrays)
+    try:
+        store = ParameterStore(arrays)
+    except ShapeError as e:
+        raise FormatError(str(e)) from e
     if not np.isfinite(store.flat_values).all():
         raise FormatError("bundle parameters hold NaN or Inf")
     store.frozen = manifest.get("frozen", "false") == "true"
@@ -250,6 +253,8 @@ def save_adapter(path, adapter: AdaptationNetwork) -> None:
 
 
 def _adapter_from(net: Network, m: dict) -> AdaptationNetwork:
+    if not net.in_dim == net.out_dim == int(m["dim"]):
+        raise ShapeError(f"a {net.in_dim}->{net.out_dim} network is no adapter of dim {m['dim']}")
     adapter = AdaptationNetwork.__new__(AdaptationNetwork)
     adapter.g = net
     adapter.dim = int(m["dim"])
@@ -272,9 +277,12 @@ def save_discriminator(path, disc: DomainDiscriminator) -> None:
 
 def _discriminator_from(net: Network, m: dict) -> DomainDiscriminator:
     disc = DomainDiscriminator.__new__(DomainDiscriminator)
-    disc.net = net
-    disc.mode = m["mode"]
+    disc.net, disc.mode = net, m["mode"]
     disc.K = int(m["K"]) if m.get("K") else None
+    # a mode outside DomainDiscriminator.MODES fits no width
+    if net.out_dim != {"binary": 2, "senone_aware": 2 * (disc.K or 0)}.get(disc.mode):
+        raise ShapeError(f"{net.out_dim} output columns do not fit mode {disc.mode!r}, "
+                         f"K={disc.K}")
     return disc
 
 

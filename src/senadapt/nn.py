@@ -8,12 +8,12 @@ are scaled by 1/(1-p) at train time so inference is a pure pass-through.
 Parameters live in a ParameterStore: all of a store's values sit in one
 contiguous float64 arena, all its gradients in a second of the same layout
 and its momentum velocity (allocated by the first optimizer step) in a
-third, and every parameter name maps to a view into them. An optimizer step
-is therefore a few whole-arena operations, the same element-wise arithmetic
-as a loop over the names. The layout is fixed once a view has been handed
-out. A frozen store still propagates input gradients through its network
-but discards parameter gradients, which is how the fixed adult acoustic
-model participates in adversarial training.
+third, and every parameter name maps to a view into them. The layout is
+fixed at construction, from one dict of matrices, so no view can go stale.
+An optimizer step is a few whole-arena operations, the same element-wise
+arithmetic as a loop over the names. A frozen store still propagates input
+gradients through its network but discards parameter gradients, which is
+how the fixed adult acoustic model participates in adversarial training.
 
 Network.forward checks its output for NaN and Inf, and its input unless the
 caller passes check_input=False: the training loops do for frames they
@@ -84,38 +84,22 @@ class LayerSpec:
 
 
 class ParameterStore:
-    """Named 2-D parameter matrices in one flat float64 arena, a gradient
-    arena of the same layout, and a freeze flag.
+    """Named 2-D float64 matrices, copied in dict order into one flat arena,
+    a gradient arena of the same layout, and a freeze flag. value(name) and
+    grad(name) return views into the arenas."""
 
-    value(name) and grad(name) return views into the arenas. add() appends a
-    matrix to the layout by copying the arenas, so it raises RuntimeError
-    once value() or grad() has handed out a view: a Network holds views of
-    its store from construction on, and none of them can go stale.
-    """
-
-    def __init__(self):
-        self.flat_values = np.zeros(0)
-        self.flat_grads = np.zeros(0)
-        self._velocity: np.ndarray | None = None  # allocated by the first sgd_step
+    def __init__(self, arrays: dict[str, np.ndarray]):
         self._layout: dict[str, tuple[slice, tuple[int, int]]] = {}
-        self._layout_fixed = False
+        start = 0
+        for name, a in arrays.items():
+            if a.dtype != np.float64 or a.ndim != 2:
+                raise ShapeError(f"parameter {name!r} is not a 2-D float64 matrix")
+            self._layout[name] = (slice(start, start + a.size), a.shape)
+            start += a.size
+        self.flat_values = np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays.values()])
+        self.flat_grads = np.zeros(start)
+        self._velocity: np.ndarray | None = None  # allocated by the first sgd_step
         self.frozen = False
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        if self._layout_fixed:
-            raise RuntimeError(f"cannot add {name!r}: the layout is fixed once a "
-                               "view of the store has been handed out")
-        if name in self._layout:
-            raise ValueError(f"duplicate parameter {name!r}")
-        value = np.asarray(value, dtype=np.float64)
-        if value.ndim != 2:
-            raise ShapeError(f"parameter {name!r} must be a 2-D matrix")
-        start = self.flat_values.size
-        self._layout[name] = (slice(start, start + value.size), value.shape)
-        self.flat_values = np.concatenate([self.flat_values, value.ravel()])
-        self.flat_grads = np.concatenate([self.flat_grads, np.zeros(value.size)])
-        if self._velocity is not None:
-            self._velocity = np.concatenate([self._velocity, np.zeros(value.size)])
 
     def names(self):
         return list(self._layout)
@@ -125,11 +109,9 @@ class ParameterStore:
         return flat[span].reshape(shape)
 
     def value(self, name: str) -> np.ndarray:
-        self._layout_fixed = True
         return self._view(self.flat_values, name)
 
     def grad(self, name: str) -> np.ndarray:
-        self._layout_fixed = True
         return self._view(self.flat_grads, name)
 
     def zero_grads(self) -> None:
@@ -138,22 +120,16 @@ class ParameterStore:
     def num_params(self) -> int:
         return self.flat_values.size
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParameterStore":
-        store = cls()
-        for name, v in arrays.items():
-            if v.dtype != np.float64 or v.ndim != 2:
-                raise FormatError(f"parameter {name!r} is not a 2-D float64 matrix")
-            store.add(name, v)
-        return store
-
     def serialize(self) -> bytes:
         return pack_container("params", {}, {n: self._view(self.flat_values, n)
                                              for n in self._layout})
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "ParameterStore":
-        return cls.from_arrays(unpack_container(blob, "params")[1])
+        try:
+            return cls(unpack_container(blob, "params")[1])
+        except ShapeError as e:
+            raise FormatError(str(e)) from e
 
 
 def pack_container(kind: str, manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -258,13 +234,15 @@ def glorot_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.nd
 
 
 class Network:
-    """A dense feedforward stack over a ParameterStore.
+    """A dense feedforward stack over a ParameterStore: the given one, whose
+    matrices must match the layer specs, or a new one of Glorot-uniform
+    weights drawn from rng (default seed 0) and zero biases.
 
     Parameter names are "layer{i}.W" and "layer{i}.b" (bias stored 1 x out).
     """
 
     def __init__(self, layers: list[LayerSpec], store: ParameterStore | None = None,
-                 rng: np.random.Generator | None = None, zero_init: bool = False):
+                 rng: np.random.Generator | None = None):
         if not layers:
             raise ValueError("network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
@@ -274,25 +252,17 @@ class Network:
             if spec.activation == "softmax":
                 raise ValueError("softmax is only legal as the final layer")
         self.layers = list(layers)
-        if store is not None:
-            expected = {}
-            for i, spec in enumerate(self.layers):
-                expected[self._pname(i, "W")] = (spec.in_dim, spec.out_dim)
-                expected[self._pname(i, "b")] = (1, spec.out_dim)
-            if {n: store.value(n).shape for n in store.names()} != expected:
-                raise ShapeError("stored parameters do not match the layer specs")
-            self.store = store
-        else:
-            self.store = ParameterStore()
-            if not zero_init and rng is None:
-                rng = np.random.default_rng(0)
-            for i, spec in enumerate(self.layers):
-                if zero_init:
-                    w = np.zeros((spec.in_dim, spec.out_dim))
-                else:
-                    w = glorot_uniform(rng, spec.in_dim, spec.out_dim)
-                self.store.add(self._pname(i, "W"), w)
-                self.store.add(self._pname(i, "b"), np.zeros((1, spec.out_dim)))
+        shapes = {}
+        for i, spec in enumerate(self.layers):
+            shapes[self._pname(i, "W")] = (spec.in_dim, spec.out_dim)
+            shapes[self._pname(i, "b")] = (1, spec.out_dim)
+        if store is None:
+            rng = np.random.default_rng(0) if rng is None else rng
+            store = ParameterStore({n: glorot_uniform(rng, *shape) if n.endswith("W")
+                                    else np.zeros(shape) for n, shape in shapes.items()})
+        if {n: store.value(n).shape for n in store.names()} != shapes:
+            raise ShapeError("stored parameters do not match the layer specs")
+        self.store = store
         # per-layer (W, b, gW, gb): the store and every optimizer update these
         # arrays in place, so the references stay live
         self._params = []

@@ -235,7 +235,7 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
     def step(epoch, idx):
         x, y = x_all[idx], y_all[idx]
         trace = am.net.forward(x, train_mode=True, rng=rng, check_input=False)
-        ce, grad = losses.senone_ce_kernel(trace.output, np.arange(len(y)), y)
+        ce, grad = losses.ce_kernel(trace.output, np.arange(len(y)), y)
         am.net.backward(trace, grad, input_grad=False, from_logits=True)
         sgd_step(am.net.store, lr, momentum)
         return _BatchStats(ce * len(y), len(y), 0.0, len(y),
@@ -293,14 +293,15 @@ def _disc_pass(disc: DomainDiscriminator, feats: np.ndarray, domain_cols: np.nda
                alpha: np.ndarray | None, **backward):
     """One discriminator forward, domain loss and backward (keywords go to
     Network.backward). The loss is the one disc.mode names: senone-aware
-    against alpha, or binary. Returns the output, the mean domain loss and
-    the backward's input gradient."""
+    against alpha, or binary, the cross-entropy of every row against its
+    domain column. Returns the output, the mean domain loss and the
+    backward's input gradient."""
     trace = disc.net.forward(feats, train_mode=False, check_input=False)
     if disc.mode == "senone_aware":
         _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
                                                               alpha)
     else:
-        dom_mean, grad = losses.binary_domain_kernel(trace.output, domain_cols)
+        dom_mean, grad = losses.ce_kernel(trace.output, np.arange(len(feats)), domain_cols)
     feat_grad = disc.net.backward(trace, grad, from_logits=disc.mode == "binary",
                                   **backward)
     return trace.output, dom_mean, feat_grad
@@ -344,8 +345,8 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     else:
         disc_out, dom_mean, feat_grad_dom = _disc_pass(
             disc, at.output, targets.domain_cols, alpha)
-    ce, ce_grad = losses.senone_ce_kernel(am_trace.output, targets.adult_rows,
-                                          targets.senone_labels)
+    ce, ce_grad = losses.ce_kernel(am_trace.output, targets.adult_rows,
+                                   targets.senone_labels)
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
     adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
 
@@ -446,8 +447,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         rows = np.arange(len(idx))
         traces = net.forward(x, train_mode=True, rng=rng, check_input=False)
         _, p, f = traces
-        ce_p, g_p = losses.senone_ce_kernel(p.output, rows, yp)
-        ce_f, g_f = losses.senone_ce_kernel(f.output, rows, yf)
+        ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
+        ce_f, g_f = losses.ce_kernel(f.output, rows, yf)
         net.backward(traces, g_p, g_f, input_grad=False, from_logits=True)
         for store in stores:
             sgd_step(store, lr, momentum)

@@ -10,6 +10,7 @@ import pytest
 from senadapt.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_IO,
     EXIT_NO_BUNDLE,
     EXIT_NO_CORPUS,
     EXIT_UNFROZEN,
@@ -22,12 +23,15 @@ from senadapt.cli import (
 from senadapt.evaluate import read_report
 from senadapt.models import (
     AdaptationNetwork,
+    DomainDiscriminator,
     build_adult_am,
     load_bundle,
     save_adapter,
     save_adult_am,
     save_bundle,
+    save_discriminator,
 )
+from senadapt.nn import LayerSpec, Network, pack_container, unpack_container
 from senadapt.synthdata import SPLIT_TRAIN, load_corpus, save_corpus
 from senadapt.training import TrainLog
 
@@ -180,6 +184,18 @@ class TestExitCodes:
         assert run("pretrain", "--config", str(bad), "--out", str(out)) == EXIT_DIVERGED
         assert not (out / "am.bundle").exists()
 
+    def test_pretrain_removes_bundles_of_the_replaced_model(self, small_cfg, tmp_path):
+        # adapter and discriminator bundles were trained against the acoustic
+        # model pretrain replaces; eval must not report them as its arms
+        out = str(tmp_path / "run")
+        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat"),
+                     ("pretrain", "--seed", "1"), ("eval",)):
+            assert run(*argv, "--config", small_cfg, "--out", out) == 0
+        for stem in ("adapter_bat", "disc_bat"):
+            assert not (tmp_path / "run" / f"{stem}.bundle").exists()
+        assert not [k for k in read_report(tmp_path / "run" / "report.tsv").metrics
+                    if k.endswith(".bat")]
+
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
@@ -207,6 +223,35 @@ def _nan_adapter_weight(out, cfg):
     adapter = AdaptationNetwork(8, [12])
     adapter.store.flat_values[3] = np.nan
     save_adapter(out / "adapter_sat.bundle", adapter)
+
+
+def _disc_mode_binary_over_joint_output(out, cfg):
+    save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, [12]))
+    disc = DomainDiscriminator(8, [12], "senone_aware", K=4)  # 8 output columns
+    save_discriminator(out / "disc_sat.bundle", disc)
+    _, manifest = load_bundle(out / "disc_sat.bundle")
+    save_bundle(out / "disc_sat.bundle", disc.store, {**manifest, "mode": "binary"})
+
+
+def _adapter_output_narrower_than_input(out, cfg):
+    net = Network([LayerSpec(8, 12), LayerSpec(12, 7, "identity")])
+    save_bundle(out / "adapter_sat.bundle", net.store, {
+        "kind": "adapter", "layers": "8:12:rectifier:0.0;12:7:identity:0.0", "dim": 8,
+        "frozen": "false"})
+
+
+def _am_weights_overflow(out, cfg):
+    # finite parameters whose forward overflows, as a flipped exponent bit
+    # makes them
+    store, manifest = load_bundle(out / "am.bundle")
+    store.value("layer0.W")[...] = 1e308
+    save_bundle(out / "am.bundle", store, manifest)
+
+
+def _am_matrix_stored_as_u4(out, cfg):
+    manifest, arrays = unpack_container((out / "am.bundle").read_bytes(), "bundle")
+    arrays["layer0.b"] = arrays["layer0.b"].astype("<u4")
+    (out / "am.bundle").write_bytes(pack_container("bundle", manifest, arrays))
 
 
 def _edit_corpus(edit):
@@ -268,6 +313,13 @@ PROBES = {
                                            ("adapt", "eval"), EXIT_CONFIG),
     # well-formed files holding bad values
     "nan_adapter_weight": ("", _nan_adapter_weight, ("eval",), EXIT_NO_BUNDLE),
+    "am_matrix_stored_as_u4": ("", _am_matrix_stored_as_u4, ("adapt", "eval"), EXIT_NO_BUNDLE),
+    "am_weights_overflow": ("", _am_weights_overflow, ("eval",), EXIT_NO_BUNDLE),
+    # well-formed bundles holding models their wrappers cannot run
+    "disc_mode_binary_over_joint_output": ("", _disc_mode_binary_over_joint_output,
+                                           ("eval",), EXIT_NO_BUNDLE),
+    "adapter_output_narrower_than_input": ("", _adapter_output_narrower_than_input,
+                                           ("eval",), EXIT_NO_BUNDLE),
     "nan_adult_training_frame": ("", _edit_corpus(_nan_adult_training_frame),
                                  ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
     "senone_label_99": ("", _edit_corpus(_set("senone_labels", 5, 99)),
@@ -309,3 +361,57 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
         damage(out, str(cfg))
     for stage in stages:
         assert run(stage, "--config", str(cfg), "--out", str(out)) == code, stage
+
+
+# every file kind eval reads; a seeded byte-mutation fuzz of each
+FUZZ_FILES = ("corpus.saco", "assess.saac", "am.bundle", "adapter_sat.bundle",
+              "disc_sat.bundle")
+DOCUMENTED_EXITS = {0, EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN,
+                    EXIT_NO_BUNDLE, EXIT_DIVERGED}
+
+
+def _mutations(blob, rng, n=50):
+    """n mutations of one container: truncations at random offsets, and
+    single-bit flips in its header (magic, length and text) and payload."""
+    payload = 12 + int.from_bytes(blob[8:12], "little")
+    for i in range(n):
+        if i % 3 == 0:
+            cut = int(rng.integers(len(blob)))
+            yield f"truncated to {cut} bytes", blob[:cut]
+            continue
+        lo, hi = (0, payload) if i % 3 == 1 else (payload, len(blob))
+        off, bit = int(rng.integers(lo, hi)), int(rng.integers(8))
+        flipped = bytearray(blob)
+        flipped[off] ^= 1 << bit
+        yield f"bit {bit} of byte {off} flipped", bytes(flipped)
+
+
+@pytest.fixture(scope="module")
+def adapted_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("adapted")
+    (base / "small.cfg").write_text(SMALL)
+    for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "sat")):
+        assert run(*argv, "--config", str(base / "small.cfg"), "--out", str(base / "run")) == 0
+    return base
+
+
+@pytest.mark.parametrize("seed, name", enumerate(FUZZ_FILES), ids=FUZZ_FILES)
+def test_mutated_file_ends_in_documented_code(adapted_run, seed, name):
+    """eval reads all five file kinds: a truncated or bit-flipped file ends
+    in exit 0 or a code cli.py documents, never in an exception."""
+    cfg, path = str(adapted_run / "small.cfg"), adapted_run / "run" / name
+    blob = path.read_bytes()
+    failures = []
+    try:
+        for what, mutated in _mutations(blob, np.random.default_rng(seed)):
+            path.write_bytes(mutated)
+            try:
+                code = run("eval", "--config", cfg, "--out", str(path.parent))
+            except Exception as e:
+                failures.append(f"{what}: {e!r}")
+            else:
+                if code not in DOCUMENTED_EXITS:
+                    failures.append(f"{what}: exit {code}")
+    finally:
+        path.write_bytes(blob)
+    assert not failures

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from senadapt.losses import (
-    binary_domain_kernel,
     binary_domain_loss,
-    multitask_objective,
+    ce_kernel,
     senone_aware_domain_kernel,
     senone_aware_domain_loss,
-    senone_ce_kernel,
     senone_ce_loss,
 )
 from senadapt.models import marginal_domain_probs
@@ -202,31 +200,6 @@ class TestSenoneAwareDomainLoss:
         assert mean <= math.log(1e12) + 1e-9
 
 
-class TestMultitaskObjective:
-
-    def test_hand_value(self):
-        # n=1 adult, N=2 total, ce sum 0.7, domain sum 1.0 -> E = 0.7 - 0.5
-        terms = multitask_objective(0.7, 1, 1.0, 2)
-        assert terms.objective == pytest.approx(0.2, abs=1e-12)
-        assert terms.senone_ce_mean == pytest.approx(0.7)
-        assert terms.domain_loss_mean == pytest.approx(0.5)
-
-    def test_adapter_and_discriminator_pull_opposite(self):
-        # a larger domain loss lowers E (good for the adapter, bad for the
-        # discriminator); a larger senone CE raises E
-        base = multitask_objective(1.0, 2, 1.0, 4).objective
-        assert multitask_objective(1.0, 2, 2.0, 4).objective < base
-        assert multitask_objective(2.0, 2, 1.0, 4).objective > base
-
-    def test_zero_adult_rejected(self):
-        with pytest.raises(ValueError):
-            multitask_objective(0.0, 0, 1.0, 4)
-
-    def test_total_below_adult_rejected(self):
-        with pytest.raises(ValueError):
-            multitask_objective(1.0, 4, 1.0, 2)
-
-
 # The formulations below are the losses as first written: np.mean, and (N, K)
 # fancy indexing for the true-domain block. The losses now use sum() / n and
 # a (N, 2, K) reshape; both must give the same bits, not just close values.
@@ -360,14 +333,15 @@ class TestFusedKernels:
             return
         loss, prob_grad = senone_ce_loss(y, labels, mask)
         rows = np.flatnonzero(mask)
-        got_loss, logit_grad = senone_ce_kernel(y, rows, labels[rows])
+        got_loss, logit_grad = ce_kernel(y, rows, labels[rows])
         assert got_loss == loss
         assert _same_bits(logit_grad, _chained(y, prob_grad))
 
     def test_binary_domain(self, N, K, domains):
+        # the binary discriminator's loss: ce_kernel over every row
         _, y, dom = self.batch(N, K, domains, 2)
         _, mean, prob_grad = binary_domain_loss(y, dom)
-        got_mean, logit_grad = binary_domain_kernel(y, dom.astype(np.intp))
+        got_mean, logit_grad = ce_kernel(y, np.arange(N), dom.astype(np.intp))
         assert got_mean == mean
         assert _same_bits(logit_grad, _chained(y, prob_grad))
 
@@ -383,5 +357,5 @@ class TestFusedKernels:
 def test_masked_rows_are_positive_zero():
     # writing -s for 0.0 - s would give -0.0 on every row without a target
     y = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
-    _, gz = senone_ce_kernel(y, np.array([1]), np.array([0]))
+    _, gz = ce_kernel(y, np.array([1]), np.array([0]))
     assert not np.signbit(gz[[0, 2]]).any() and not gz[[0, 2]].any()

@@ -12,13 +12,15 @@ from senadapt.models import (
     discriminate,
     load_adapter,
     load_adult_am,
+    load_bundle,
     load_discriminator,
     marginal_domain_probs,
     save_adapter,
     save_adult_am,
+    save_bundle,
     save_discriminator,
 )
-from senadapt.nn import FormatError, Network, ShapeError
+from senadapt.nn import FormatError, LayerSpec, Network, ShapeError, pack_container
 
 
 def param_count(store):
@@ -186,6 +188,32 @@ class TestBundles:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
             load_adapter(path)
+
+    def test_non_float64_matrix_rejected(self, tmp_path):
+        path = tmp_path / "u4.bundle"
+        path.write_bytes(pack_container("bundle", {"kind": "adult_am"},
+                                        {"layer0.W": np.zeros((2, 2), "<u4")}))
+        with pytest.raises(FormatError, match="float64"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("mode, K", [("binary", ""), ("bogus", "4"),
+                                         ("senone_aware", "3"), ("senone_aware", "")])
+    def test_discriminator_mode_must_fit_its_output(self, tmp_path, mode, K):
+        disc = DomainDiscriminator(6, [5], "senone_aware", K=4)  # 8 output columns
+        save_discriminator(tmp_path / "d", disc)
+        _, manifest = load_bundle(tmp_path / "d")
+        save_bundle(tmp_path / "d", disc.store, {**manifest, "mode": mode, "K": K})
+        with pytest.raises(FormatError):
+            load_discriminator(tmp_path / "d")
+
+    @pytest.mark.parametrize("out_dim, dim", [(7, 8), (8, 7)])
+    def test_adapter_must_map_dim_to_dim(self, tmp_path, out_dim, dim):
+        net = Network([LayerSpec(8, 12), LayerSpec(12, out_dim, "identity")])
+        save_bundle(tmp_path / "a", net.store, {
+            "kind": "adapter", "layers": f"8:12:rectifier:0.0;12:{out_dim}:identity:0.0",
+            "dim": dim, "frozen": "false"})
+        with pytest.raises(FormatError):
+            load_adapter(tmp_path / "a")
 
 
 class TestAssessmentNetwork:

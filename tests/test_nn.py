@@ -14,15 +14,24 @@ def make_net(specs, seed=0):
     return Network(specs, rng=np.random.default_rng(seed))
 
 
+def zero_net(specs):
+    """A network over an all-zero store."""
+    arrays = {}
+    for i, s in enumerate(specs):
+        arrays[f"layer{i}.W"] = np.zeros((s.in_dim, s.out_dim))
+        arrays[f"layer{i}.b"] = np.zeros((1, s.out_dim))
+    return Network(specs, store=ParameterStore(arrays))
+
+
 class TestForward:
     def test_identity_layer_passthrough(self):
-        net = Network([LayerSpec(3, 3, "identity")], zero_init=True)
+        net = zero_net([LayerSpec(3, 3, "identity")])
         net.store.value("layer0.W")[...] = np.eye(3)
         x = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]])
         npt.assert_array_equal(net.forward(x).output, x)
 
     def test_zero_weight_softmax_is_uniform(self):
-        net = Network([LayerSpec(3, 4, "softmax")], zero_init=True)
+        net = zero_net([LayerSpec(3, 4, "softmax")])
         out = net.forward(np.random.default_rng(1).normal(size=(5, 3))).output
         npt.assert_allclose(out, 0.25)
 
@@ -41,8 +50,7 @@ class TestForward:
         e = [math.exp(v - m) for v in z2]
         expected = [v / sum(e) for v in e]
 
-        net = Network([LayerSpec(2, 3, "rectifier"), LayerSpec(3, 2, "softmax")],
-                      zero_init=True)
+        net = zero_net([LayerSpec(2, 3, "rectifier"), LayerSpec(3, 2, "softmax")])
         net.store.value("layer0.W")[...] = W1
         net.store.value("layer0.b")[...] = b1
         net.store.value("layer1.W")[...] = W2
@@ -90,8 +98,7 @@ class TestForward:
 
     def test_softmax_only_final(self):
         with pytest.raises(ValueError, match="final"):
-            Network([LayerSpec(2, 2, "softmax"), LayerSpec(2, 2, "identity")],
-                    zero_init=True)
+            zero_net([LayerSpec(2, 2, "softmax"), LayerSpec(2, 2, "identity")])
 
     def test_determinism(self):
         a = make_net([LayerSpec(3, 4, "sigmoid", dropout_rate=0.3),
@@ -106,7 +113,7 @@ class TestForward:
 
 class TestBackward:
     def test_identity_upstream_ones(self):
-        net = Network([LayerSpec(3, 3, "identity")], zero_init=True)
+        net = zero_net([LayerSpec(3, 3, "identity")])
         net.store.value("layer0.W")[...] = np.eye(3)
         trace = net.forward(np.ones((2, 3)))
         gx = net.backward(trace, np.ones((2, 3)))
@@ -246,15 +253,13 @@ class TestBackwardContract:
 
 class TestSgd:
     def test_zero_lr_no_change(self):
-        store = ParameterStore()
-        store.add("w", np.array([[1.0, 2.0]]))
+        store = ParameterStore({"w": np.array([[1.0, 2.0]])})
         store.grad("w")[...] = 5.0
         sgd_step(store, 0.0)
         npt.assert_array_equal(store.value("w"), [[1.0, 2.0]])
 
     def test_plain_step_subtracts_gradient(self):
-        store = ParameterStore()
-        store.add("w", np.array([[3.0]]))
+        store = ParameterStore({"w": np.array([[3.0]])})
         store.grad("w")[...] = 0.25
         sgd_step(store, 1.0, momentum=0.0)
         npt.assert_allclose(store.value("w"), [[2.75]])
@@ -262,8 +267,7 @@ class TestSgd:
 
     def test_two_momentum_steps_hand_recurrence(self):
         # v1 = g, v2 = 0.9 g + g; total change -lr (g + 1.9 g)
-        store = ParameterStore()
-        store.add("w", np.array([[1.0]]))
+        store = ParameterStore({"w": np.array([[1.0]])})
         g, lr = 0.5, 0.1
         for _ in range(2):
             store.grad("w")[...] = g
@@ -271,8 +275,7 @@ class TestSgd:
         npt.assert_allclose(store.value("w"), [[1.0 - lr * (g + 1.9 * g)]])
 
     def test_frozen_store_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.zeros((1, 1)))
+        store = ParameterStore({"w": np.zeros((1, 1))})
         store.frozen = True
         with pytest.raises(FrozenStoreError):
             sgd_step(store, 0.1)
@@ -306,8 +309,7 @@ class TestSgd:
 
     @pytest.mark.parametrize("lr", [-0.1, math.nan])
     def test_bad_learning_rate_rejected(self, lr):
-        store = ParameterStore()
-        store.add("w", np.zeros((1, 1)))
+        store = ParameterStore({"w": np.zeros((1, 1))})
         with pytest.raises(ValueError):
             sgd_step(store, lr)
 
@@ -322,44 +324,28 @@ class TestFlatArena:
         store.value("layer1.b")[...] = 7.0
         assert (store.flat_values[-2:] == 7.0).all()
 
-    def test_add_keeps_earlier_parameters(self):
-        store = ParameterStore()
+    def test_arena_is_laid_out_from_the_dict(self):
         a, b = np.arange(6.0).reshape(2, 3), np.array([[9.0]])
-        store.add("a", a)
-        store.add("b", b)
+        store = ParameterStore({"a": a, "b": b})
         assert store.names() == ["a", "b"]
-        npt.assert_array_equal(store.value("a"), a)
-        npt.assert_array_equal(store.value("b"), b)
-        npt.assert_array_equal(store.flat_grads, 0.0)
+        npt.assert_array_equal(store.flat_values, [0, 1, 2, 3, 4, 5, 9])
+        npt.assert_array_equal(store.flat_grads, np.zeros(7))
+        a[0, 0] = -1.0  # the store holds a copy
+        assert store.value("a")[0, 0] == 0.0
 
-    def test_add_after_a_view_raises(self):
-        # a Network holds views from construction on: adding would copy the
-        # arenas and leave them stale, so the layout is fixed instead
-        net = make_net([LayerSpec(2, 2, "identity")])
-        with pytest.raises(RuntimeError, match="fixed"):
-            net.store.add("extra", np.zeros((1, 1)))
-        assert net.store.names() == ["layer0.W", "layer0.b"]
-        store = ParameterStore()
-        store.add("w", np.ones((1, 2)))
-        store.grad("w")
-        with pytest.raises(RuntimeError, match="fixed"):
-            store.add("v", np.ones((1, 1)))
-
-    def test_add_after_a_step_starts_at_zero_velocity(self):
-        store = ParameterStore()
-        store.add("a", np.zeros((1, 2)))
-        store.flat_grads[...] = 1.0
-        sgd_step(store, 1.0, momentum=0.5)
-        store.add("b", np.zeros((1, 1)))
-        store.flat_grads[...] = 1.0
-        sgd_step(store, 1.0, momentum=0.5)
-        npt.assert_array_equal(store.value("a"), [[-2.5, -2.5]])
-        npt.assert_array_equal(store.value("b"), [[-1.0]])
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2), "<u4"), np.zeros(3),
+                                     np.zeros((1, 2, 2))])
+    def test_non_float64_or_non_matrix_rejected(self, bad):
+        with pytest.raises(ShapeError, match="'w'"):
+            ParameterStore({"a": np.zeros((1, 1)), "w": bad})
+        # in a file, the same matrix makes the file malformed
+        with pytest.raises(FormatError):
+            ParameterStore.deserialize(pack_container("params", {}, {"w": bad}))
 
 
 class TestFiniteDiff:
     def test_quadratic_loss(self):
-        net = Network([LayerSpec(1, 1, "identity")], zero_init=True)
+        net = zero_net([LayerSpec(1, 1, "identity")])
         net.store.value("layer0.W")[...] = 3.0
         fd = finite_diff_gradient(net, np.array([[1.0]]),
                                   lambda out: float(out[0, 0] ** 2), h=1e-5)
@@ -397,10 +383,9 @@ class TestFiniteDiff:
 
 class TestSerialization:
     def test_round_trip_byte_exact(self):
-        store = ParameterStore()
         rng = np.random.default_rng(8)
-        store.add("a.W", rng.normal(size=(3, 4)))
-        store.add("a.b", rng.normal(size=(1, 4)))
+        store = ParameterStore({"a.W": rng.normal(size=(3, 4)),
+                                "a.b": rng.normal(size=(1, 4))})
         blob = store.serialize()
         again = ParameterStore.deserialize(blob)
         assert again.serialize() == blob
@@ -409,9 +394,7 @@ class TestSerialization:
     def test_bytes_are_the_container_of_the_values(self):
         rng = np.random.default_rng(8)
         arrays = {"a.W": rng.normal(size=(3, 4)), "a.b": rng.normal(size=(1, 4))}
-        store = ParameterStore()
-        for name, a in arrays.items():
-            store.add(name, a)
+        store = ParameterStore(arrays)
         assert store.serialize() == pack_container("params", {}, arrays)
 
     def test_bad_magic_rejected(self):
@@ -419,15 +402,13 @@ class TestSerialization:
             ParameterStore.deserialize(b"XXXX" + b"\x00" * 16)
 
     def test_truncation_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.ones((2, 2)))
+        store = ParameterStore({"w": np.ones((2, 2))})
         blob = store.serialize()
         with pytest.raises(FormatError):
             ParameterStore.deserialize(blob[:-5])
 
     def test_header_layout(self):
-        store = ParameterStore()
-        store.add("w", np.ones((2, 3)))
+        store = ParameterStore({"w": np.ones((2, 3))})
         blob = store.serialize()
         header = b"kind=params\narray.w=<f8 2,3"
         assert blob[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC
@@ -487,7 +468,7 @@ class TestParameterReferences:
     def rebuilt(net):
         """A new network over copies of net's current parameter values."""
         copies = {n: net.store.value(n).copy() for n in net.store.names()}
-        return Network(net.layers, store=ParameterStore.from_arrays(copies))
+        return Network(net.layers, store=ParameterStore(copies))
 
     @pytest.mark.parametrize("build", [_fresh_net, _deserialized_net])
     def test_forward_sees_sgd_step(self, build):
