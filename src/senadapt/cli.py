@@ -6,19 +6,22 @@ stable code on failure:
 
     2  config error (unknown key, bad value, or a dim/K that disagrees
        with the corpus or the acoustic-model bundle)
-    3  I/O error while writing outputs
+    3  I/O error while writing outputs, in any stage (an output path
+       that is a directory, an --out under a regular file); every read
+       failure has a code of its own below
     4  required corpus file missing or malformed
     5  acoustic-model bundle is not frozen
     6  required model bundle missing or malformed, or holding a model its
        wrapper cannot run (an adapter that does not map dim to dim, a
        discriminator whose output width does not fit its mode) or
-       that gives non-finite outputs on the (finite) corpus in eval
-    7  pretrain or adapt diverged or saturated: training met a NaN or Inf,
-       or its final epoch's mean senone CE on adult frames is at least ln K,
-       no better than a uniform guess; the log of a finished run is
-       written, and no bundle of the stage is left: each stage removes the
-       bundles it writes (am.bundle, or adapter_<mode>.bundle and
-       disc_<mode>.bundle) before it trains
+       that gives non-finite outputs on the (finite) corpus in adapt or eval
+    7  training diverged or saturated: pretrain, adapt or eval's
+       assessment training met a NaN or Inf, or the final epoch of pretrain
+       or adapt has a mean senone CE on adult frames of at least ln K, no
+       better than a uniform guess; the log of a finished run is written,
+       and no output of the stage is left: each stage removes what it
+       writes before it trains (pretrain am.bundle, adapt
+       adapter_<mode>.bundle and disc_<mode>.bundle, eval report.tsv)
 
 pretrain also removes every adapter and discriminator bundle before it
 trains: they were trained against the acoustic model it replaces.
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +221,16 @@ def _train(what: str, train, *args, **kwargs) -> training.TrainLog:
     try:
         return train(*args, **kwargs)
     except NonFiniteError as e:
-        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no bundle written") from None
+        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no output written") from None
+
+
+@contextmanager
+def _finite_outputs():
+    """A NaN or Inf from a loaded model on the (finite) corpus is exit 6."""
+    try:
+        yield
+    except NonFiniteError as e:
+        raise StageError(EXIT_NO_BUNDLE, f"a model bundle gives non-finite outputs: {e}") from None
 
 
 def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
@@ -243,13 +256,9 @@ def cmd_gen(cfg: dict) -> int:
     out = _outdir(cfg)
     corpus = synthdata.generate_corpus(_gen_config(cfg))
     feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
-    try:
-        synthdata.save_corpus(corpus, out / "corpus.saco")
-        save_assessment_corpus(out / "assess.saac", feats, pron, flu)
-        _write_resolved(cfg, out, "gen")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    synthdata.save_corpus(corpus, out / "corpus.saco")
+    save_assessment_corpus(out / "assess.saac", feats, pron, flu)
+    _write_resolved(cfg, out, "gen")
     print(f"wrote {out / 'corpus.saco'} ({corpus.frames.shape[0]} frames) "
           f"and {out / 'assess.saac'}")
     return 0
@@ -285,17 +294,18 @@ def cmd_adapt(cfg: dict) -> int:
     if not am.frozen:
         raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
     _check_dims(cfg, corpus, am)
+    view = corpus.training_view("train")
+    with _finite_outputs():
+        am.posteriors(view.frames)
     acfg = _adv_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     adapter = models.AdaptationNetwork(cfg["dim"], _int_list(cfg["adapter_hidden"]), rng=rng)
-    disc = models.DomainDiscriminator(
-        cfg["dim"], _int_list(cfg["disc_hidden"]),
-        mode="senone_aware" if acfg.mode == "sat" else "binary",
-        K=cfg["K"] if acfg.mode == "sat" else None, rng=rng)
+    disc = models.DomainDiscriminator(cfg["dim"], _int_list(cfg["disc_hidden"]),
+                                      mode=training.DISC_MODES[acfg.mode], K=cfg["K"], rng=rng)
     for stem in ("adapter", "disc"):
         (out / f"{stem}_{acfg.mode}.bundle").unlink(missing_ok=True)
     log = _train(f"adaptation ({acfg.mode})", training.adversarial_train,
-                 adapter, am, disc, corpus.training_view("train"), acfg)
+                 adapter, am, disc, view, acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
     _check_converged(f"adaptation ({acfg.mode})", log, cfg["K"])
@@ -311,7 +321,7 @@ def _report_arms(out: Path, corpus, am, report) -> dict:
     errors = {"dnn": evaluate.child_senone_error(am, corpus, None)}
     report.set("senone_err.child.test.dnn", errors["dnn"])
     test = corpus.subset("test")
-    for mode in ("bat", "sat"):
+    for mode in training.DISC_MODES:
         a_path = out / f"adapter_{mode}.bundle"
         d_path = out / f"disc_{mode}.bundle"
         if not a_path.exists():
@@ -332,6 +342,7 @@ def _report_arms(out: Path, corpus, am, report) -> dict:
 
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
+    (out / "report.tsv").unlink(missing_ok=True)
     corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
     am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
                EXIT_NO_BUNDLE)
@@ -340,10 +351,8 @@ def cmd_eval(cfg: dict) -> int:
         fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
         seed=cfg["seed"])
 
-    try:
+    with _finite_outputs():
         errors = _report_arms(out, corpus, am, report)
-    except NonFiniteError as e:
-        raise StageError(EXIT_NO_BUNDLE, f"a model bundle gives non-finite outputs: {e}") from None
     if "bat" in errors and "sat" in errors:
         report.set("senone_err.rel_reduction.sat_vs_bat",
                    evaluate.relative_reduction(errors["bat"], errors["sat"]))
@@ -358,9 +367,9 @@ def cmd_eval(cfg: dict) -> int:
         n_train = int(0.8 * len(feats))
         net = AssessmentNetwork(input_dim=feats.shape[1],
                                 rng=np.random.default_rng(cfg["seed"]))
-        training.train_assessment_network(
-            net, feats[:n_train], pron[:n_train], flu[:n_train],
-            epochs=cfg["assess_epochs"], lr=cfg["assess_lr"], seed=cfg["seed"])
+        _train("assessment training", training.train_assessment_network,
+               net, feats[:n_train], pron[:n_train], flu[:n_train],
+               epochs=cfg["assess_epochs"], lr=cfg["assess_lr"], seed=cfg["seed"])
         for name, val in evaluate.assessment_metrics(
                 net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
             report.set(f"assess.{name}", val)
@@ -382,7 +391,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
         if name == "adapt":
-            p.add_argument("--mode", choices=("bat", "sat"), default=None)
+            p.add_argument("--mode", choices=tuple(training.DISC_MODES), default=None)
     args = parser.parse_args(argv)
 
     overrides = {"seed": args.seed, "out_dir": args.out}
@@ -400,6 +409,9 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except OSError as e:  # every read goes through _load: this is a failed write
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (AdaptationNetwork, AdultAcousticModel, AssessmentNetwork,
-                     DomainDiscriminator, discriminate, marginal_domain_probs)
+                     DomainDiscriminator, discriminate)
 from .synthdata import SyntheticCorpus
 
 
@@ -51,9 +51,7 @@ def domain_confusion(disc: DomainDiscriminator, adapter: AdaptationNetwork | Non
     if doms.size < 2:
         raise ValueError("domain confusion needs frames from both domains")
     feats = corpus.frames if adapter is None else adapter.apply(corpus.frames)
-    probs = discriminate(disc, feats)
-    if disc.mode == "senone_aware":
-        probs = marginal_domain_probs(probs)
+    probs = disc.domain_probs(discriminate(disc, feats))
     pred = probs.argmax(axis=1)
     acc = float((pred == corpus.domain_labels).mean())
     confidence = float(probs.max(axis=1).mean())

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import losses
 from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
                  ShapeError, pack_container, unpack_container)
 
@@ -125,6 +126,27 @@ class DomainDiscriminator:
     @property
     def store(self) -> ParameterStore:
         return self.net.store
+
+    def loss_backward(self, feats: np.ndarray, domain_cols: np.ndarray,
+                      alpha: np.ndarray | None, **backward):
+        """One forward, domain loss and backward (keywords go to
+        Network.backward), with the loss self.mode names: senone-aware against
+        alpha, or binary, each row's cross-entropy against its domain column.
+        Returns the output, the mean domain loss and the input gradient."""
+        trace = self.net.forward(feats, train_mode=False, check_input=False)
+        if self.mode == "senone_aware":
+            _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
+                                                                  alpha)
+        else:
+            dom_mean, grad = losses.ce_kernel(trace.output, np.arange(len(feats)), domain_cols)
+        feat_grad = self.net.backward(trace, grad, from_logits=self.mode == "binary",
+                                      **backward)
+        return trace.output, dom_mean, feat_grad
+
+    def domain_probs(self, out: np.ndarray) -> np.ndarray:
+        """The (adult, child) probability rows of an output of this
+        discriminator: a joint output is marginalized over senones."""
+        return marginal_domain_probs(out) if self.mode == "senone_aware" else out
 
 
 class AssessmentNetwork:

@@ -36,10 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .models import (AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
-                     marginal_domain_probs)
+from .models import AdaptationNetwork, AdultAcousticModel, DomainDiscriminator
 from .nn import NonFiniteError, sgd_step
 from .synthdata import TrainingView
+
+
+DISC_MODES = {"bat": "binary", "sat": "senone_aware"}  # config mode -> its adversary
 
 
 @dataclass
@@ -57,7 +59,7 @@ class AdversarialConfig:
     lambda_shape: str = "ramp"              # | "constant"
 
     def validate(self) -> None:
-        if self.mode not in ("bat", "sat"):
+        if self.mode not in DISC_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.update_scheme not in ("gradient_reversal", "alternating"):
             raise ValueError(f"unknown update scheme {self.update_scheme!r}")
@@ -289,22 +291,14 @@ class BatchTargets:
         return cls(rows, senone_labels[rows].astype(np.intp), domain.astype(np.intp))
 
 
-def _disc_pass(disc: DomainDiscriminator, feats: np.ndarray, domain_cols: np.ndarray,
-               alpha: np.ndarray | None, **backward):
-    """One discriminator forward, domain loss and backward (keywords go to
-    Network.backward). The loss is the one disc.mode names: senone-aware
-    against alpha, or binary, the cross-entropy of every row against its
-    domain column. Returns the output, the mean domain loss and the
-    backward's input gradient."""
-    trace = disc.net.forward(feats, train_mode=False, check_input=False)
-    if disc.mode == "senone_aware":
-        _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
-                                                              alpha)
-    else:
-        dom_mean, grad = losses.ce_kernel(trace.output, np.arange(len(feats)), domain_cols)
-    feat_grad = disc.net.backward(trace, grad, from_logits=disc.mode == "binary",
-                                  **backward)
-    return trace.output, dom_mean, feat_grad
+def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
+                     cfg: AdversarialConfig) -> None:
+    """A frozen acoustic model, and the discriminator that cfg.mode names."""
+    if not am.frozen:
+        raise RuntimeError("adversarial training requires a frozen acoustic model")
+    if disc.mode != DISC_MODES.get(cfg.mode):
+        raise ValueError(f"discriminator mode {disc.mode!r} does not match "
+                         f"config mode {cfg.mode!r}")
 
 
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -321,42 +315,38 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     gradient_reversal both stores accumulate their gradients and neither is
     stepped. Under alternating the discriminator takes its sgd_step here,
     and the adapter gradients are formed against the stepped discriminator.
-    `targets` are the batch's targets as checked by a training run; its
-    frames then skip the input check.
+    `targets` come from a training run that has checked them and the
+    models; the frames then skip the input check.
     """
     check = targets is None
     if check:
         targets = BatchTargets.checked(senone_labels, domain, am.K)
-    if not am.frozen:
-        raise RuntimeError("adversarial training requires a frozen acoustic model")
+        _check_adversary(am, disc, cfg)
 
     at = adapter.forward(x, train_mode=True, rng=rng, check_input=check)
     am_trace = am.net.forward(at.output, train_mode=False, check_input=False)
     alpha = None
-    if cfg.mode == "sat":
+    if disc.mode == "senone_aware":
         # constants: computed once per batch, no grad
         alpha = (am_trace.output if cfg.alpha_source == "adapted" else
                  am.net.forward(x, train_mode=False, check_input=check).output)
     if cfg.update_scheme == "alternating":
-        _disc_pass(disc, at.output, targets.domain_cols, alpha, input_grad=False)
+        disc.loss_backward(at.output, targets.domain_cols, alpha, input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-        disc_out, dom_mean, feat_grad_dom = _disc_pass(
-            disc, at.output, targets.domain_cols, alpha, param_grads=False)
+        disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
+            at.output, targets.domain_cols, alpha, param_grads=False)
     else:
-        disc_out, dom_mean, feat_grad_dom = _disc_pass(
-            disc, at.output, targets.domain_cols, alpha)
+        disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
+            at.output, targets.domain_cols, alpha)
     ce, ce_grad = losses.ce_kernel(am_trace.output, targets.adult_rows,
                                    targets.senone_labels)
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
     adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
 
     n_adult = len(targets.adult_rows)
-    alpha_evals, alpha_crc, dom_probs = 0, 0, disc_out
-    if cfg.mode == "sat":
-        alpha_evals, alpha_crc = len(alpha), _alpha_checksum(alpha)
-        dom_probs = marginal_domain_probs(disc_out)
+    alpha_evals, alpha_crc = (0, 0) if alpha is None else (len(alpha), _alpha_checksum(alpha))
     return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
-                       int((dom_probs.argmax(axis=1) == domain).sum()),
+                       int((disc.domain_probs(disc_out).argmax(axis=1) == domain).sum()),
                        alpha_evals, alpha_crc)
 
 
@@ -365,12 +355,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
                       cfg: AdversarialConfig) -> TrainLog:
     """Min-max training of adapter (argmin E) against discriminator (argmax E)."""
     cfg.validate()
-    if not am.frozen:
-        raise RuntimeError("adversarial training requires a frozen acoustic model")
-    expected_mode = "senone_aware" if cfg.mode == "sat" else "binary"
-    if disc.mode != expected_mode:
-        raise ValueError(f"discriminator mode {disc.mode!r} does not match "
-                         f"config mode {cfg.mode!r}")
+    _check_adversary(am, disc, cfg)
     _check_view(view, am.K)
     adult_idx = np.flatnonzero(view.adult_mask)
     child_idx = np.flatnonzero(~view.adult_mask)
@@ -407,17 +392,16 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
     identity); the reference point for domain-confusion measurements."""
     _check_view(view, am.K)
     rng = np.random.default_rng(seed)
-    joint = disc.mode == "senone_aware"
 
     def step(epoch, idx):
         x = view.frames[idx]
         dom = view.domain_labels[idx]
-        alpha = am.net.forward(x, train_mode=False, check_input=False).output if joint else None
-        out, dom_mean, _ = _disc_pass(disc, x, dom.astype(np.intp), alpha, input_grad=False)
+        alpha = (am.net.forward(x, train_mode=False, check_input=False).output
+                 if disc.mode == "senone_aware" else None)
+        out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), alpha, input_grad=False)
         sgd_step(disc.store, lr, momentum)
-        probs = marginal_domain_probs(out) if joint else out
         return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
-                           int((probs.argmax(axis=1) == dom).sum()))
+                           int((disc.domain_probs(out).argmax(axis=1) == dom).sum()))
 
     return _sgd_epochs(epochs, [disc.store],
                        lambda: _minibatches(rng, len(view.frames), batch_size), step)

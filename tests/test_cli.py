@@ -196,6 +196,12 @@ class TestExitCodes:
         assert not [k for k in read_report(tmp_path / "run" / "report.tsv").metrics
                     if k.endswith(".bat")]
 
+    def test_out_under_a_regular_file(self, small_cfg, tmp_path):
+        (tmp_path / "file").write_text("")
+        for stage in ALL_STAGES:
+            assert run(stage, "--config", small_cfg,
+                       "--out", str(tmp_path / "file" / "run")) == EXIT_IO, stage
+
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
@@ -246,6 +252,18 @@ def _am_weights_overflow(out, cfg):
     store, manifest = load_bundle(out / "am.bundle")
     store.value("layer0.W")[...] = 1e308
     save_bundle(out / "am.bundle", store, manifest)
+
+
+def _directory_in_place_of(name):
+    """A damage that leaves a directory where a stage writes name."""
+    def damage(out, cfg):
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+    return damage
+
+
+def _stale_report(out, cfg):
+    (out / "report.tsv").write_text("# a report of an earlier run\n")
 
 
 def _am_matrix_stored_as_u4(out, cfg):
@@ -314,7 +332,7 @@ PROBES = {
     # well-formed files holding bad values
     "nan_adapter_weight": ("", _nan_adapter_weight, ("eval",), EXIT_NO_BUNDLE),
     "am_matrix_stored_as_u4": ("", _am_matrix_stored_as_u4, ("adapt", "eval"), EXIT_NO_BUNDLE),
-    "am_weights_overflow": ("", _am_weights_overflow, ("eval",), EXIT_NO_BUNDLE),
+    "am_weights_overflow": ("", _am_weights_overflow, ("adapt", "eval"), EXIT_NO_BUNDLE),
     # well-formed bundles holding models their wrappers cannot run
     "disc_mode_binary_over_joint_output": ("", _disc_mode_binary_over_joint_output,
                                            ("eval",), EXIT_NO_BUNDLE),
@@ -336,6 +354,15 @@ PROBES = {
     "saturating_pretrain_lr": ("pretrain_lr = 50\n", None, ("pretrain",), EXIT_DIVERGED),
     "saturating_adapter_lr": ("lr_adapter = 50\n", None, ("adapt",), EXIT_DIVERGED),
     "overflowing_pretrain_lr": ("pretrain_lr = 1e300\n", None, ("pretrain",), EXIT_DIVERGED),
+    "overflowing_assessment_lr": ("assess_lr = 1e100\n", _stale_report, ("eval",),
+                                  EXIT_DIVERGED),
+    # outputs that cannot be written
+    "directory_in_place_of_pretrain_log": ("", _directory_in_place_of("pretrain.log"),
+                                           ("pretrain",), EXIT_IO),
+    "directory_in_place_of_adapt_log": ("", _directory_in_place_of("adapt_sat.log"),
+                                        ("adapt",), EXIT_IO),
+    "directory_in_place_of_report": ("", _directory_in_place_of("report.tsv"), ("eval",),
+                                     EXIT_IO),
 }
 
 
@@ -351,8 +378,9 @@ def pretrained_run(tmp_path_factory):
 @pytest.mark.parametrize("extra, damage, stages, code", PROBES.values(), ids=list(PROBES))
 def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, damage,
                                            stages, code):
-    """Bad config values and missing, malformed or mismatched files end in
-    the exit code cli.py documents for them, never in an exception."""
+    """Bad config values, missing, malformed or mismatched files and
+    unwritable outputs end in the exit code cli.py documents for them, never
+    in an exception; an eval that fails leaves no report."""
     out = tmp_path / "run"
     shutil.copytree(pretrained_run, out)
     cfg = tmp_path / "probe.cfg"
@@ -361,6 +389,7 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
         damage(out, str(cfg))
     for stage in stages:
         assert run(stage, "--config", str(cfg), "--out", str(out)) == code, stage
+    assert not (out / "report.tsv").is_file()
 
 
 # every file kind eval reads; a seeded byte-mutation fuzz of each
@@ -395,18 +424,16 @@ def adapted_run(tmp_path_factory):
     return base
 
 
-@pytest.mark.parametrize("seed, name", enumerate(FUZZ_FILES), ids=FUZZ_FILES)
-def test_mutated_file_ends_in_documented_code(adapted_run, seed, name):
-    """eval reads all five file kinds: a truncated or bit-flipped file ends
-    in exit 0 or a code cli.py documents, never in an exception."""
-    cfg, path = str(adapted_run / "small.cfg"), adapted_run / "run" / name
+def _fuzz(cfg, path, seed, *stage):
+    """Run the stage once on each mutation of the file at path; returns the
+    mutations that ended in an exception or an undocumented exit code."""
     blob = path.read_bytes()
     failures = []
     try:
         for what, mutated in _mutations(blob, np.random.default_rng(seed)):
             path.write_bytes(mutated)
             try:
-                code = run("eval", "--config", cfg, "--out", str(path.parent))
+                code = run(*stage, "--config", cfg, "--out", str(path.parent))
             except Exception as e:
                 failures.append(f"{what}: {e!r}")
             else:
@@ -414,4 +441,31 @@ def test_mutated_file_ends_in_documented_code(adapted_run, seed, name):
                     failures.append(f"{what}: exit {code}")
     finally:
         path.write_bytes(blob)
-    assert not failures
+    return failures
+
+
+@pytest.mark.parametrize("seed, name", enumerate(FUZZ_FILES), ids=FUZZ_FILES)
+def test_mutated_file_ends_in_documented_code(adapted_run, seed, name):
+    """eval reads all five file kinds: a truncated or bit-flipped file ends
+    in exit 0 or a code cli.py documents, never in an exception."""
+    assert not _fuzz(str(adapted_run / "small.cfg"), adapted_run / "run" / name, seed, "eval")
+
+
+# the files the training stages read, each with its own fuzz seed
+TRAINING_FUZZ = {"pretrain-corpus.saco": (("pretrain",), "corpus.saco"),
+                 "adapt_sat-corpus.saco": (("adapt", "--mode", "sat"), "corpus.saco"),
+                 "adapt_sat-am.bundle": (("adapt", "--mode", "sat"), "am.bundle")}
+
+
+@pytest.mark.parametrize("seed, stage, name",
+                         [(len(FUZZ_FILES) + i, *case)
+                          for i, case in enumerate(TRAINING_FUZZ.values())],
+                         ids=list(TRAINING_FUZZ))
+def test_mutated_training_input_ends_in_documented_code(adapted_run, tmp_path, seed,
+                                                        stage, name):
+    """pretrain and adapt on a truncated or bit-flipped input end in exit 0
+    or a code cli.py documents, never in an exception. They run on a copy
+    of the fixture run: both stages remove bundles before they train."""
+    shutil.copytree(adapted_run, tmp_path / "copy")
+    assert not _fuzz(str(tmp_path / "copy" / "small.cfg"), tmp_path / "copy" / "run" / name,
+                     seed, *stage)

@@ -320,6 +320,15 @@ class TestBatchGradients:
             adversarial_batch_grads(adapter, am, disc, self.x, self.y,
                                     self.dom, cfg, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("cfg_mode, disc_mode", [("bat", "sat"), ("sat", "bat")])
+    def test_adversary_mismatch_rejected(self, cfg_mode, disc_mode):
+        # the config's mode and the discriminator's must name one adversary
+        adapter, disc = self.make_arms(disc_mode)
+        with pytest.raises(ValueError):
+            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                    AdversarialConfig(mode=cfg_mode), 1.0,
+                                    np.random.default_rng(0))
+
     def test_all_child_batch_rejected(self):
         adapter, disc = self.make_arms("bat")
         cfg = AdversarialConfig(mode="bat")
