@@ -4,17 +4,18 @@ Each subcommand reads a flat key=value config file, applies --seed/--out
 overrides, writes its resolved config next to its outputs, and exits with a
 stable code on failure:
 
-    2  config error (unknown key, bad value, or a dim/K that disagrees
-       with the corpus or the acoustic-model bundle)
+    2  config error (unknown key, bad value, a dim/K that disagrees
+       with the corpus or the acoustic-model bundle, or generator settings
+       whose frames overflow to NaN or Inf)
     3  I/O error while writing outputs, in any stage (an output path
        that is a directory, an --out under a regular file); every read
        failure has a code of its own below
     4  required corpus file missing or malformed
     5  acoustic-model bundle is not frozen
-    6  required model bundle missing or malformed, or holding a model its
-       wrapper cannot run (an adapter that does not map dim to dim, a
-       discriminator whose output width does not fit its mode) or
-       that gives non-finite outputs on the (finite) corpus in adapt or eval
+    6  required model bundle missing or malformed, holding matrices that
+       do not fit the layers its kind defines for the numbers in its
+       manifest (dim, hidden widths, K, mode), or holding a model that
+       gives non-finite outputs on the (finite) corpus in adapt or eval
     7  training diverged or saturated: pretrain, adapt or eval's
        assessment training met a NaN or Inf, or the final epoch of pretrain
        or adapt has a mean senone CE on adult frames of at least ln K, no
@@ -46,12 +47,10 @@ import numpy as np
 
 from . import evaluate, models, synthdata, training
 from .models import AssessmentNetwork
-from .nn import FormatError, NonFiniteError, pack_container, unpack_container
+from .nn import FormatError, NonFiniteError
 
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
 EXIT_DIVERGED = 7
-
-ASSESS_LEVELS = 5  # the level scale of generate_assessment_corpus and AssessmentNetwork
 
 # key -> (caster, default)
 CONFIG_SCHEMA = {
@@ -128,13 +127,13 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     for key in ("am_hidden", "adapter_hidden", "disc_hidden"):
         _int_list(cfg[key])
-    if not (cfg["pretrain_epochs"] >= 1 and cfg["pretrain_batch"] >= 1
+    if not (cfg["seed"] >= 0 and cfg["pretrain_epochs"] >= 1 and cfg["pretrain_batch"] >= 1
             and cfg["assess_epochs"] >= 1
             and cfg["pretrain_lr"] > 0 and cfg["assess_lr"] > 0
             and 0 <= cfg["pretrain_momentum"] < 1
             and cfg["assess_n"] >= synthdata.MIN_ASSESS_N):
-        raise ConfigError("need pretrain_epochs, pretrain_batch and assess_epochs >= 1, "
-                          "pretrain_lr and assess_lr > 0, pretrain_momentum in [0, 1), "
+        raise ConfigError("need seed >= 0, pretrain_epochs, pretrain_batch and assess_epochs "
+                          ">= 1, pretrain_lr and assess_lr > 0, pretrain_momentum in [0, 1), "
                           f"assess_n >= {synthdata.MIN_ASSESS_N}")
     _gen_config(cfg).validate()
     _adv_config(cfg).validate()
@@ -174,28 +173,6 @@ def _adv_config(cfg: dict) -> training.AdversarialConfig:
         lr_discriminator=cfg["lr_discriminator"], momentum=cfg["momentum"],
         epochs=cfg["epochs"], batch_size=cfg["batch_size"], seed=cfg["seed"],
         alpha_source=cfg["alpha_source"], lambda_shape=cfg["lambda_shape"])
-
-
-def save_assessment_corpus(path, feats, pron, flu) -> None:
-    Path(path).write_bytes(pack_container("assessment", {}, {
-        "features": feats.astype("<f8"), "pron": pron.astype("u1"), "flu": flu.astype("u1")}))
-
-
-def load_assessment_corpus(path):
-    _, a = unpack_container(Path(path).read_bytes(), "assessment")
-    try:
-        n, dim = a["features"].shape
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"malformed assessment corpus: {e!r}") from e
-    layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
-    if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
-        raise FormatError("assessment corpus arrays disagree in dtype or length")
-    if not np.isfinite(a["features"]).all():
-        raise FormatError("assessment features hold NaN or Inf")
-    for levels in (a["pron"], a["flu"]):
-        if ((levels < 1) | (levels > ASSESS_LEVELS)).any():
-            raise FormatError(f"assessment level outside 1..{ASSESS_LEVELS}")
-    return a["features"], a["pron"].astype(np.int64), a["flu"].astype(np.int64)
 
 
 def _load(path: Path, loader, what: str, code: int):
@@ -253,11 +230,14 @@ def _write_resolved(cfg: dict, out: Path, stem: str) -> None:
 
 
 def cmd_gen(cfg: dict) -> int:
-    out = _outdir(cfg)
-    corpus = synthdata.generate_corpus(_gen_config(cfg))
+    try:
+        corpus = synthdata.generate_corpus(_gen_config(cfg))
+    except ValueError as e:
+        raise StageError(EXIT_CONFIG, f"{e}; nothing written") from None
     feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
+    out = _outdir(cfg)
     synthdata.save_corpus(corpus, out / "corpus.saco")
-    save_assessment_corpus(out / "assess.saac", feats, pron, flu)
+    synthdata.save_assessment_corpus(out / "assess.saac", feats, pron, flu)
     _write_resolved(cfg, out, "gen")
     print(f"wrote {out / 'corpus.saco'} ({corpus.frames.shape[0]} frames) "
           f"and {out / 'assess.saac'}")
@@ -362,7 +342,7 @@ def cmd_eval(cfg: dict) -> int:
 
     assess_path = out / "assess.saac"
     if assess_path.exists():
-        feats, pron, flu = _load(assess_path, load_assessment_corpus,
+        feats, pron, flu = _load(assess_path, synthdata.load_assessment_corpus,
                                  "assessment corpus", EXIT_NO_CORPUS)
         n_train = int(0.8 * len(feats))
         net = AssessmentNetwork(input_dim=feats.shape[1],

@@ -7,13 +7,18 @@ feeds the acoustic model's input layer, and a domain discriminator attached
 to the adapter output. At inference the discriminator is simply not called;
 nothing else changes.
 
+Each kind's constructor defines its layers from its numbers (dim, hidden
+widths, K or mode) and takes a loaded store in place of fresh weights: a
+bundle records only those numbers, and loading runs the constructor.
+
 The adapter is residual: output = x + g(x), with g's final layer
 zero-initialized so the adapter is exactly the identity at step 0 (g's
-hidden layers get normal init so gradients flow from the first step).
+hidden layers keep Glorot-uniform init so gradients flow from the first step).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +27,15 @@ import numpy as np
 from . import losses
 from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
                  ShapeError, pack_container, unpack_container)
+from .synthdata import ASSESS_LEVELS
+
+
+def _stack(in_dim: int, hidden: list[int], out_dim: int, top: str,
+           dropout_rate: float = 0.0) -> list[LayerSpec]:
+    """Rectifier layers of the hidden widths, then one top layer to out_dim."""
+    dims = [in_dim, *hidden]
+    return ([LayerSpec(a, b, "rectifier", dropout_rate) for a, b in zip(dims, dims[1:])]
+            + [LayerSpec(dims[-1], out_dim, top)])
 
 
 # ---------------------------------------------------------------------------
@@ -31,11 +45,9 @@ from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
 class AdultAcousticModel:
     """Feedforward senone classifier; frozen after pretraining."""
 
-    def __init__(self, net: Network, K: int):
-        if net.out_dim != K:
-            raise ShapeError("acoustic model output dim must equal senone count")
+    def __init__(self, net: Network):
         self.net = net
-        self.K = K
+        self.K = net.out_dim
 
     @property
     def frozen(self) -> bool:
@@ -50,13 +62,12 @@ class AdultAcousticModel:
 
 def build_adult_am(input_dim: int, hidden_dims: list[int], K: int,
                    rng: np.random.Generator | None = None,
-                   dropout_rate: float = 0.0) -> AdultAcousticModel:
+                   dropout_rate: float = 0.0,
+                   store: ParameterStore | None = None) -> AdultAcousticModel:
     if K < 2:
         raise ValueError("senone inventory K must be at least 2")
-    dims = [input_dim] + list(hidden_dims)
-    layers = [LayerSpec(a, b, "rectifier", dropout_rate) for a, b in zip(dims, dims[1:])]
-    layers.append(LayerSpec(dims[-1], K, "softmax"))
-    return AdultAcousticModel(Network(layers, rng=rng or np.random.default_rng(0)), K)
+    return AdultAcousticModel(Network(_stack(input_dim, hidden_dims, K, "softmax",
+                                             dropout_rate), store=store, rng=rng))
 
 
 @dataclass
@@ -69,15 +80,13 @@ class AdaptationNetwork:
     """Residual feature-space transform: output = x + g(x), dim-preserving."""
 
     def __init__(self, dim: int, hidden_dims: list[int],
-                 rng: np.random.Generator | None = None):
-        dims = [dim] + list(hidden_dims)
-        layers = [LayerSpec(a, b, "rectifier") for a, b in zip(dims, dims[1:])]
-        layers.append(LayerSpec(dims[-1], dim, "identity"))
-        self.g = Network(layers, rng=rng or np.random.default_rng(0))
-        # zero the final layer so the adapter starts as the exact identity
-        last = len(layers) - 1
-        self.g.store.value(self.g._pname(last, "W"))[...] = 0.0
-        self.g.store.value(self.g._pname(last, "b"))[...] = 0.0
+                 rng: np.random.Generator | None = None,
+                 store: ParameterStore | None = None):
+        self.g = Network(_stack(dim, hidden_dims, dim, "identity"), store=store, rng=rng)
+        if store is None:
+            # zero the final layer so the adapter starts as the exact identity
+            for name in self.g.store.names()[-2:]:
+                self.g.store.value(name)[...] = 0.0
         self.dim = dim
 
     @property
@@ -106,7 +115,8 @@ class DomainDiscriminator:
     MODES = ("binary", "senone_aware")
 
     def __init__(self, input_dim: int, hidden_dims: list[int], mode: str,
-                 K: int | None = None, rng: np.random.Generator | None = None):
+                 K: int | None = None, rng: np.random.Generator | None = None,
+                 store: ParameterStore | None = None):
         if mode not in self.MODES:
             raise ValueError(f"unknown discriminator mode {mode!r}")
         if mode == "senone_aware":
@@ -116,10 +126,8 @@ class DomainDiscriminator:
         else:
             out = 2
             K = None
-        dims = [input_dim] + list(hidden_dims)
-        layers = [LayerSpec(a, b, "rectifier") for a, b in zip(dims, dims[1:])]
-        layers.append(LayerSpec(dims[-1], out, "softmax"))
-        self.net = Network(layers, rng=rng or np.random.default_rng(0))
+        self.net = Network(_stack(input_dim, hidden_dims, out, "softmax"), store=store,
+                           rng=rng)
         self.mode = mode
         self.K = K
 
@@ -154,13 +162,12 @@ class AssessmentNetwork:
     (pronunciation level, fluency level)."""
 
     def __init__(self, input_dim: int = 30, trunk_dims: tuple = (128, 128, 128),
-                 levels: int = 5, rng: np.random.Generator | None = None):
+                 levels: int = ASSESS_LEVELS, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        dims = [input_dim] + list(trunk_dims)
-        self.trunk = Network(
-            [LayerSpec(a, b, "rectifier") for a, b in zip(dims, dims[1:])], rng=rng)
-        self.head_pron = Network([LayerSpec(dims[-1], levels, "softmax")], rng=rng)
-        self.head_flu = Network([LayerSpec(dims[-1], levels, "softmax")], rng=rng)
+        width = trunk_dims[-1]
+        self.trunk = Network(_stack(input_dim, trunk_dims[:-1], width, "rectifier"), rng=rng)
+        self.head_pron = Network(_stack(width, [], levels, "softmax"), rng=rng)
+        self.head_flu = Network(_stack(width, [], levels, "softmax"), rng=rng)
         self.levels = levels
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
@@ -206,20 +213,8 @@ def marginal_domain_probs(joint: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model bundle files: text manifest plus parameter matrices in one container
-
-
-def _layers_to_text(net: Network) -> str:
-    return ";".join(f"{s.in_dim}:{s.out_dim}:{s.activation}:{s.dropout_rate}"
-                    for s in net.layers)
-
-
-def _layers_from_text(text: str) -> list[LayerSpec]:
-    out = []
-    for part in text.split(";"):
-        i, o, act, p = part.split(":")
-        out.append(LayerSpec(int(i), int(o), act, float(p)))
-    return out
+# model bundle files: the constructor's numbers as a text manifest, plus the
+# parameter matrices, in one container
 
 
 def save_bundle(path, store: ParameterStore, manifest: dict) -> None:
@@ -239,74 +234,50 @@ def load_bundle(path) -> tuple[ParameterStore, dict]:
     return store, manifest
 
 
-def _load_network(path, kind: str, wrap):
-    """Load a bundle of this kind and return wrap(network, manifest); any
-    disagreement between the manifest and the stored matrices is a
-    FormatError."""
+def _save_model(path, kind: str, net: Network, **numbers) -> None:
+    hidden = ",".join(str(s.out_dim) for s in net.layers[:-1])
+    save_bundle(path, net.store, {"kind": kind, "dim": net.in_dim, "hidden": hidden, **numbers,
+                                  "frozen": "true" if net.store.frozen else "false"})
+
+
+@contextmanager
+def _model_bundle(path, kind: str):
+    """Yield (dim, hidden, manifest, store) of a bundle of this kind, for the
+    kind's constructor. Numbers the constructor rejects, and matrices that
+    do not fit the layers it builds, raise FormatError."""
     store, m = load_bundle(path)
     if m.get("kind") != kind:
         raise FormatError(f"bundle kind {m.get('kind')!r}, expected {kind}")
     try:
-        return wrap(Network(_layers_from_text(m["layers"]), store=store), m)
+        yield int(m["dim"]), [int(w) for w in m["hidden"].split(",") if w], m, store
     except (KeyError, ValueError) as e:
-        raise FormatError(f"{kind} bundle does not match its manifest: {e!r}") from e
+        raise FormatError(f"{kind} bundle does not fit its manifest: {e!r}") from e
 
 
 def save_adult_am(path, am: AdultAcousticModel) -> None:
-    save_bundle(path, am.net.store, {
-        "kind": "adult_am",
-        "layers": _layers_to_text(am.net),
-        "K": am.K,
-        "frozen": "true" if am.frozen else "false",
-    })
+    _save_model(path, "adult_am", am.net, K=am.K)
 
 
 def load_adult_am(path) -> AdultAcousticModel:
-    return _load_network(path, "adult_am", lambda net, m: AdultAcousticModel(net, int(m["K"])))
+    with _model_bundle(path, "adult_am") as (dim, hidden, m, store):
+        return build_adult_am(dim, hidden, int(m["K"]), store=store)
 
 
 def save_adapter(path, adapter: AdaptationNetwork) -> None:
-    save_bundle(path, adapter.store, {
-        "kind": "adapter",
-        "layers": _layers_to_text(adapter.g),
-        "dim": adapter.dim,
-        "frozen": "false",
-    })
-
-
-def _adapter_from(net: Network, m: dict) -> AdaptationNetwork:
-    if not net.in_dim == net.out_dim == int(m["dim"]):
-        raise ShapeError(f"a {net.in_dim}->{net.out_dim} network is no adapter of dim {m['dim']}")
-    adapter = AdaptationNetwork.__new__(AdaptationNetwork)
-    adapter.g = net
-    adapter.dim = int(m["dim"])
-    return adapter
+    _save_model(path, "adapter", adapter.g)
 
 
 def load_adapter(path) -> AdaptationNetwork:
-    return _load_network(path, "adapter", _adapter_from)
+    with _model_bundle(path, "adapter") as (dim, hidden, _, store):
+        return AdaptationNetwork(dim, hidden, store=store)
 
 
 def save_discriminator(path, disc: DomainDiscriminator) -> None:
-    save_bundle(path, disc.store, {
-        "kind": "discriminator",
-        "layers": _layers_to_text(disc.net),
-        "mode": disc.mode,
-        "K": disc.K if disc.K is not None else "",
-        "frozen": "false",
-    })
-
-
-def _discriminator_from(net: Network, m: dict) -> DomainDiscriminator:
-    disc = DomainDiscriminator.__new__(DomainDiscriminator)
-    disc.net, disc.mode = net, m["mode"]
-    disc.K = int(m["K"]) if m.get("K") else None
-    # a mode outside DomainDiscriminator.MODES fits no width
-    if net.out_dim != {"binary": 2, "senone_aware": 2 * (disc.K or 0)}.get(disc.mode):
-        raise ShapeError(f"{net.out_dim} output columns do not fit mode {disc.mode!r}, "
-                         f"K={disc.K}")
-    return disc
+    _save_model(path, "discriminator", disc.net, mode=disc.mode,
+                **({} if disc.K is None else {"K": disc.K}))
 
 
 def load_discriminator(path) -> DomainDiscriminator:
-    return _load_network(path, "discriminator", _discriminator_from)
+    with _model_bundle(path, "discriminator") as (dim, hidden, m, store):
+        return DomainDiscriminator(dim, hidden, m["mode"], K=int(m["K"]) if m.get("K") else None,
+                                   store=store)

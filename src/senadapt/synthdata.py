@@ -27,6 +27,8 @@ DEFAULT_SHIFT_PROFILE = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 5.0, 5.0)
 
 # smallest assessment corpus generate_assessment_corpus accepts
 MIN_ASSESS_N = 50
+# the level scale of the assessment corpus: levels run 1..ASSESS_LEVELS
+ASSESS_LEVELS = 5
 
 
 @dataclass
@@ -178,13 +180,16 @@ def generate_corpus(cfg: GeneratorConfig) -> SyntheticCorpus:
                                  _split_slices(len(idx), cfg.split_fractions)):
                 tags[idx[part]] = tag
 
+    if not np.isfinite(frames).all():
+        raise ValueError("generated frames hold NaN or Inf: the generator settings "
+                         "overflow float64")
     order = rng.permutation(len(frames))
     return SyntheticCorpus(cfg.K, cfg.dim, frames[order], senones[order],
                            domains[order], tags[order])
 
 
 def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
-                               levels: int = 5, noise_std: float = 1.0):
+                               levels: int = ASSESS_LEVELS, noise_std: float = 1.0):
     """Correlated (pronunciation, fluency) level pairs with 30-dim features.
 
     A latent proficiency z is uniform over 1..5; pronunciation equals z and
@@ -206,8 +211,9 @@ def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
 
 
 # ---------------------------------------------------------------------------
-# corpus file: K and dim in the manifest, then frames f64, senone labels u32,
-# domain labels u8 and split tags u8; load_corpus checks the values too
+# corpus files: K and dim in the manifest, then frames f64, senone labels u32,
+# domain labels u8 and split tags u8; assessment features f64 and levels u8.
+# The loaders check the values too.
 
 
 def save_corpus(corpus: SyntheticCorpus, path) -> None:
@@ -239,6 +245,28 @@ def load_corpus(path) -> SyntheticCorpus:
     if not np.bincount(2 * splits + domains, minlength=6).all():
         raise FormatError("a corpus split lacks adult or child frames")
     return SyntheticCorpus(K, dim, frames, senones.astype(np.int32), domains, splits)
+
+
+def save_assessment_corpus(path, feats, pron, flu) -> None:
+    Path(path).write_bytes(pack_container("assessment", {}, {
+        "features": feats.astype("<f8"), "pron": pron.astype("u1"), "flu": flu.astype("u1")}))
+
+
+def load_assessment_corpus(path):
+    _, a = unpack_container(Path(path).read_bytes(), "assessment")
+    try:
+        n, dim = a["features"].shape
+    except (KeyError, ValueError) as e:
+        raise FormatError(f"malformed assessment corpus: {e!r}") from e
+    layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
+    if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
+        raise FormatError("assessment corpus arrays disagree in dtype or length")
+    if not np.isfinite(a["features"]).all():
+        raise FormatError("assessment features hold NaN or Inf")
+    for levels in (a["pron"], a["flu"]):
+        if ((levels < 1) | (levels > ASSESS_LEVELS)).any():
+            raise FormatError(f"assessment level outside 1..{ASSESS_LEVELS}")
+    return a["features"], a["pron"].astype(np.int64), a["flu"].astype(np.int64)
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

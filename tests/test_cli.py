@@ -14,11 +14,9 @@ from senadapt.cli import (
     EXIT_NO_BUNDLE,
     EXIT_NO_CORPUS,
     EXIT_UNFROZEN,
-    load_assessment_corpus,
     load_run_config,
     main,
     resolved_config_text,
-    save_assessment_corpus,
 )
 from senadapt.evaluate import read_report
 from senadapt.models import (
@@ -32,7 +30,13 @@ from senadapt.models import (
     save_discriminator,
 )
 from senadapt.nn import LayerSpec, Network, pack_container, unpack_container
-from senadapt.synthdata import SPLIT_TRAIN, load_corpus, save_corpus
+from senadapt.synthdata import (
+    SPLIT_TRAIN,
+    load_assessment_corpus,
+    load_corpus,
+    save_assessment_corpus,
+    save_corpus,
+)
 from senadapt.training import TrainLog
 
 SMALL = """\
@@ -82,6 +86,10 @@ class TestConfig:
     def test_overrides_win(self, small_cfg):
         cfg = load_run_config(small_cfg, {"seed": 42, "out_dir": "x"})
         assert cfg["seed"] == 42 and cfg["out_dir"] == "x" and cfg["K"] == 4
+
+    def test_negative_seed_flag_rejected(self, tmp_path):
+        for stage in ALL_STAGES:
+            assert run(stage, "--seed", "-1", "--out", str(tmp_path / "o")) == EXIT_CONFIG, stage
 
     def test_resolved_text_covers_every_key(self, small_cfg):
         cfg = load_run_config(small_cfg, {})
@@ -163,6 +171,12 @@ class TestExitCodes:
         save_adult_am(f"{out}/am.bundle", am)
         assert run("adapt", "--config", small_cfg, "--out", out) == EXIT_UNFROZEN
 
+    def test_gen_writes_nothing_when_frames_overflow(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL + "within_class_std = 1e308\nclass_separation = 10\n")
+        assert run("gen", "--config", str(bad), "--out", str(tmp_path / "run")) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
     def test_eval_without_corpus(self, small_cfg, tmp_path):
         assert run("eval", "--config", small_cfg,
                    "--out", str(tmp_path / "empty")) == EXIT_NO_CORPUS
@@ -240,10 +254,19 @@ def _disc_mode_binary_over_joint_output(out, cfg):
 
 
 def _adapter_output_narrower_than_input(out, cfg):
+    # a well-formed manifest over an 8 -> 12 -> 7 network
     net = Network([LayerSpec(8, 12), LayerSpec(12, 7, "identity")])
     save_bundle(out / "adapter_sat.bundle", net.store, {
-        "kind": "adapter", "layers": "8:12:rectifier:0.0;12:7:identity:0.0", "dim": 8,
-        "frozen": "false"})
+        "kind": "adapter", "dim": 8, "hidden": "12", "frozen": "false"})
+
+
+def _parent_format_disc_with_identity_top(out, cfg):
+    # the earlier per-layer manifest, whose text named each layer's activation
+    save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, [12]))
+    disc = DomainDiscriminator(8, [12], "senone_aware", K=4)
+    save_bundle(out / "disc_sat.bundle", disc.store, {
+        "kind": "discriminator", "layers": "8:12:rectifier:0.0;12:8:identity:0.0",
+        "mode": "senone_aware", "K": 4, "frozen": "false"})
 
 
 def _am_weights_overflow(out, cfg):
@@ -316,6 +339,9 @@ PROBES = {
     "zero_assessment_lr": ("assess_lr = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_pretrain_epochs": ("pretrain_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_assessment_epochs": ("assess_epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
+    "negative_seed": ("seed = -3\n", None, ALL_STAGES, EXIT_CONFIG),
+    "generated_frames_overflow": ("within_class_std = 1e308\nclass_separation = 10\n", None,
+                                  ("gen",), EXIT_CONFIG),
     "assessment_corpus_too_small": ("assess_n = 10\n", None, ALL_STAGES, EXIT_CONFIG),
     "split_without_dev_frames": ("split_train = 0.85\nsplit_dev = 0\nsplit_test = 0.15\n",
                                  None, ALL_STAGES, EXIT_CONFIG),
@@ -338,6 +364,8 @@ PROBES = {
                                            ("eval",), EXIT_NO_BUNDLE),
     "adapter_output_narrower_than_input": ("", _adapter_output_narrower_than_input,
                                            ("eval",), EXIT_NO_BUNDLE),
+    "parent_format_disc_with_identity_top": ("", _parent_format_disc_with_identity_top,
+                                             ("eval",), EXIT_NO_BUNDLE),
     "nan_adult_training_frame": ("", _edit_corpus(_nan_adult_training_frame),
                                  ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
     "senone_label_99": ("", _edit_corpus(_set("senone_labels", 5, 99)),

@@ -208,12 +208,39 @@ class TestBundles:
 
     @pytest.mark.parametrize("out_dim, dim", [(7, 8), (8, 7)])
     def test_adapter_must_map_dim_to_dim(self, tmp_path, out_dim, dim):
+        # a well-formed manifest over an 8 -> 12 -> out_dim network
         net = Network([LayerSpec(8, 12), LayerSpec(12, out_dim, "identity")])
         save_bundle(tmp_path / "a", net.store, {
-            "kind": "adapter", "layers": f"8:12:rectifier:0.0;12:{out_dim}:identity:0.0",
-            "dim": dim, "frozen": "false"})
-        with pytest.raises(FormatError):
+            "kind": "adapter", "dim": dim, "hidden": "12", "frozen": "false"})
+        with pytest.raises(FormatError, match="do not match the layer specs"):
             load_adapter(tmp_path / "a")
+
+    @pytest.mark.parametrize("hidden", [[9, 7], []])
+    def test_loaded_layers_are_the_constructors(self, tmp_path, hidden):
+        # a bundle holds the constructor's numbers: loading builds the layers,
+        # activations included, of the model that was saved
+        for model, save, load in (
+                (build_adult_am(6, hidden, 4), save_adult_am, load_adult_am),
+                (AdaptationNetwork(6, hidden), save_adapter, load_adapter),
+                (DomainDiscriminator(6, hidden, "binary"), save_discriminator,
+                 load_discriminator),
+                (DomainDiscriminator(6, hidden, "senone_aware", K=4), save_discriminator,
+                 load_discriminator)):
+            save(tmp_path / "m", model)
+            back = load(tmp_path / "m")
+            if isinstance(model, AdaptationNetwork):
+                assert back.g.layers == model.g.layers
+            else:
+                assert back.net.layers == model.net.layers
+
+    def test_parent_format_manifest_rejected(self, tmp_path):
+        # the earlier per-layer manifest named activations no loader checked
+        am = build_adult_am(6, [5], 4)
+        save_bundle(tmp_path / "am", am.net.store, {
+            "kind": "adult_am", "layers": "6:5:rectifier:0.0;5:4:identity:0.0", "K": 4,
+            "frozen": "true"})
+        with pytest.raises(FormatError):
+            load_adult_am(tmp_path / "am")
 
 
 class TestAssessmentNetwork:

@@ -575,21 +575,26 @@ class TestAdversarialTrain:
 
 class TestBenchmarkTracer:
     """perfbench/tracing.py wraps training by name from outside the package:
-    an alternating batch is one adversarial_batch_grads call, and restore()
-    leaves every patched module and class as it found it."""
+    an alternating batch is one adversarial_batch_grads call, a reloaded
+    model keeps its role, and restore() leaves every patched module and class
+    as it found it."""
 
-    def test_alternating_batch_is_one_span(self):
+    @staticmethod
+    def tracer():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        return tracing.Tracer()
+
+    def test_alternating_batch_is_one_span(self):
         owners = (nn, losses, models, synthdata, training, evaluate, nn.Network,
                   models.AdultAcousticModel, models.AdaptationNetwork,
                   models.DomainDiscriminator, models.AssessmentNetwork)
         before = [dict(vars(o)) for o in owners]
 
         view = small_corpus(seed=11).training_view("train")
-        tracer = tracing.Tracer()
+        tracer = self.tracer()
         tracer.install(senadapt)
         try:
             # built under the tracer, so that it is tagged as the acoustic model
@@ -612,6 +617,25 @@ class TestBenchmarkTracer:
         metrics = tracer.metrics(startup_s=0.0, overhead_ratio=0.0)
         assert metrics["models.am_forward_per_batch_grads.bat"] == 1.0
         assert metrics["models.am_forward_per_batch_grads.sat"] == 1.0
+
+    def test_reloaded_models_keep_their_roles(self, tmp_path):
+        # the bundle loaders run the constructors, which the tracer tags
+        am = build_adult_am(8, [16], 4)
+        am.freeze()
+        models.save_adult_am(tmp_path / "am", am)
+        models.save_adapter(tmp_path / "adapter", AdaptationNetwork(8, [12]))
+        models.save_discriminator(tmp_path / "disc",
+                                  DomainDiscriminator(8, [12], "senone_aware", K=4))
+        tracer = self.tracer()
+        tracer.install(senadapt)
+        try:
+            nets = {"am": models.load_adult_am(tmp_path / "am").net,
+                    "adapter": models.load_adapter(tmp_path / "adapter").g,
+                    "disc": models.load_discriminator(tmp_path / "disc").net}
+        finally:
+            tracer.restore()
+        for role, net in nets.items():
+            assert tracer.roles.get(net) == tracer.roles.get(net.store) == role
 
 
 class TestDiscriminatorOnly:
