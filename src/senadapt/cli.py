@@ -385,7 +385,9 @@ def main(argv=None) -> int:
     handler = {"gen": cmd_gen, "pretrain": cmd_pretrain,
                "adapt": cmd_adapt, "eval": cmd_eval}[args.command]
     try:
-        return handler(cfg)
+        # overflow and NaN are reported by the stages' own finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler(cfg)
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -54,23 +54,22 @@ def _check_indicator(indicator: np.ndarray) -> np.ndarray:
     return indicator.astype(np.intp)
 
 
-def _target_terms(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each target probability p = y[rows, cols], floored at PROB_FLOOR, and
-    d(-sum log p / n)/dp."""
-    p = np.maximum(y[rows, cols], PROB_FLOOR)
+def _target_terms(yl: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each target probability p = yl (the gathered y[rows, cols]), floored
+    at PROB_FLOOR, and d(-sum log p / n)/dp."""
+    p = np.maximum(yl, PROB_FLOOR)
     return p, -1.0 / (n * p)
 
 
 def _one_target_logit_grad(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                           g: np.ndarray) -> np.ndarray:
-    """dLoss/dz of the softmax layer y = softmax(z) when dLoss/dy is g at
-    (rows, cols) and 0 elsewhere: per row s = g*y_l, y*(0.0 - s) off the
+                           yl: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dLoss/dz of the softmax layer y = softmax(z), whose targets
+    y[rows, cols] are yl, when dLoss/dy is g at (rows, cols) and 0
+    elsewhere: per row s = g*y_l, y*(0.0 - s) off the
     target, y_l*(g - s) on it. These are the bits of the chained path
     (the probability gradient through Network.backward's softmax
     Jacobian): its row sum adds only zeros to g*y_l, and 0.0 - s, unlike
     -s, gives +0.0 on a row without a target, as 0.0 - 0.0 does there."""
-    yl = y[rows, cols]
     s = np.zeros(len(y))
     s[rows] = g * yl
     gz = y * (0.0 - s)[:, None]
@@ -85,8 +84,9 @@ def ce_kernel(y: np.ndarray, rows: np.ndarray,
     respect to the softmax logits (for Network.backward(...,
     from_logits=True)). rows are distinct and non-empty, cols in range."""
     n = len(rows)
-    p, g = _target_terms(y, rows, cols, n)
-    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, cols, g)
+    yl = y[rows, cols]
+    p, g = _target_terms(yl, n)
+    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, cols, yl, g)
 
 
 def senone_aware_domain_kernel(y: np.ndarray, cols: np.ndarray,
@@ -121,7 +121,7 @@ def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
     lab = labels[rows].astype(np.intp)
     if (lab < 0).any() or (lab >= posteriors.shape[1]).any():
         raise ValueError("senone label out of range")
-    p, g = _target_terms(posteriors, rows, lab, n)
+    p, g = _target_terms(posteriors[rows, lab], n)
     grad = np.zeros_like(posteriors)
     grad[rows, lab] = g
     return float(-np.log(p).sum() / n), grad

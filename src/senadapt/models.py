@@ -30,11 +30,10 @@ from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
 from .synthdata import ASSESS_LEVELS
 
 
-def _stack(in_dim: int, hidden: list[int], out_dim: int, top: str,
-           dropout_rate: float = 0.0) -> list[LayerSpec]:
+def _stack(in_dim: int, hidden: list[int], out_dim: int, top: str) -> list[LayerSpec]:
     """Rectifier layers of the hidden widths, then one top layer to out_dim."""
     dims = [in_dim, *hidden]
-    return ([LayerSpec(a, b, "rectifier", dropout_rate) for a, b in zip(dims, dims[1:])]
+    return ([LayerSpec(a, b, "rectifier") for a, b in zip(dims, dims[1:])]
             + [LayerSpec(dims[-1], out_dim, top)])
 
 
@@ -57,17 +56,16 @@ class AdultAcousticModel:
         self.net.store.frozen = True
 
     def posteriors(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x, train_mode=False).output
+        return self.net.forward(x).output
 
 
 def build_adult_am(input_dim: int, hidden_dims: list[int], K: int,
                    rng: np.random.Generator | None = None,
-                   dropout_rate: float = 0.0,
                    store: ParameterStore | None = None) -> AdultAcousticModel:
     if K < 2:
         raise ValueError("senone inventory K must be at least 2")
-    return AdultAcousticModel(Network(_stack(input_dim, hidden_dims, K, "softmax",
-                                             dropout_rate), store=store, rng=rng))
+    return AdultAcousticModel(Network(_stack(input_dim, hidden_dims, K, "softmax"),
+                                      store=store, rng=rng))
 
 
 @dataclass
@@ -93,11 +91,9 @@ class AdaptationNetwork:
     def store(self) -> ParameterStore:
         return self.g.store
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None, *,
-                check_input: bool = True) -> AdapterTrace:
-        inner = self.g.forward(x, train_mode=train_mode, rng=rng, check_input=check_input)
-        return AdapterTrace(inner=inner, output=np.asarray(x, dtype=np.float64) + inner.output)
+    def forward(self, x: np.ndarray, *, check_input: bool = True) -> AdapterTrace:
+        inner = self.g.forward(x, check_input=check_input)
+        return AdapterTrace(inner=inner, output=inner.activations[0] + inner.output)
 
     def backward(self, trace: AdapterTrace, upstream: np.ndarray, *,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -105,7 +101,7 @@ class AdaptationNetwork:
         return None if g is None else upstream + g
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, train_mode=False).output
+        return self.forward(x).output
 
 
 class DomainDiscriminator:
@@ -141,7 +137,7 @@ class DomainDiscriminator:
         Network.backward), with the loss self.mode names: senone-aware against
         alpha, or binary, each row's cross-entropy against its domain column.
         Returns the output, the mean domain loss and the input gradient."""
-        trace = self.net.forward(feats, train_mode=False, check_input=False)
+        trace = self.net.forward(feats, check_input=False)
         if self.mode == "senone_aware":
             _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
                                                                   alpha)
@@ -170,14 +166,11 @@ class AssessmentNetwork:
         self.head_flu = Network(_stack(width, [], levels, "softmax"), rng=rng)
         self.levels = levels
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None, *, check_input: bool = True):
-        t = self.trunk.forward(x, train_mode=train_mode, rng=rng, check_input=check_input)
+    def forward(self, x: np.ndarray, *, check_input: bool = True):
+        t = self.trunk.forward(x, check_input=check_input)
         # the trunk's output is checked: the heads skip their input check
-        p = self.head_pron.forward(t.output, train_mode=train_mode, rng=rng,
-                                   check_input=False)
-        f = self.head_flu.forward(t.output, train_mode=train_mode, rng=rng,
-                                  check_input=False)
+        p = self.head_pron.forward(t.output, check_input=False)
+        f = self.head_flu.forward(t.output, check_input=False)
         return t, p, f
 
     def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray, *,
@@ -197,11 +190,6 @@ class AssessmentNetwork:
 
 # ---------------------------------------------------------------------------
 # composition
-
-
-def discriminate(disc: DomainDiscriminator, adapted: np.ndarray) -> np.ndarray:
-    """Probability rows from the discriminator (2 or 2K columns)."""
-    return disc.net.forward(adapted, train_mode=False).output
 
 
 def marginal_domain_probs(joint: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Everything is float64 numpy. A network is a stack of affine layers with one
 of four activations (rectifier, sigmoid, identity, softmax); softmax is only
-legal as the final layer. Dropout uses the inverted convention: activations
-are scaled by 1/(1-p) at train time so inference is a pure pass-through.
+legal as the final layer. The forward pass is a pure function of the input
+and the parameters: its trace is the list of activations, input first.
 
 Parameters live in a ParameterStore: all of a store's values sit in one
 contiguous float64 arena, all its gradients in a second of the same layout
@@ -70,17 +70,12 @@ class LayerSpec:
     in_dim: int
     out_dim: int
     activation: str = "rectifier"
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dimensions must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.activation == "softmax" and self.dropout_rate > 0:
-            raise ValueError("dropout on a softmax layer would break row normalization")
 
 
 class ParameterStore:
@@ -192,16 +187,14 @@ def unpack_container(blob: bytes, kind: str) -> tuple[dict[str, str], dict[str, 
 
 
 @dataclass
-class _LayerCache:
-    x: np.ndarray           # layer input
-    h: np.ndarray           # post-activation (pre-dropout)
-    mask: np.ndarray | None # dropout keep-mask scaled by 1/(1-p), or None
-
-
-@dataclass
 class ForwardTrace:
-    caches: list[_LayerCache]
-    output: np.ndarray
+    """The activations of one forward pass, [x, h0, ..., h_top]: layer i's
+    input is activations[i] and its output activations[i + 1]."""
+    activations: list[np.ndarray]
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.activations[-1]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -282,9 +275,7 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None, *,
-                check_input: bool = True) -> ForwardTrace:
+    def forward(self, x: np.ndarray, *, check_input: bool = True) -> ForwardTrace:
         """Run the stack on x. The output is always checked for NaN and Inf;
         check_input=False skips the same check on x, for callers whose x
         was already checked (a training run's frames, a network's output)."""
@@ -295,17 +286,9 @@ class Network:
                 f"layer 0 expects {self.in_dim}")
         if check_input and not np.isfinite(x).all():
             raise NonFiniteError("non-finite values in network input")
-        needs_rng = train_mode and any(s.dropout_rate > 0 for s in self.layers)
-        if needs_rng and rng is None:
-            raise ValueError("rng required: train_mode with dropout > 0")
-
-        caches = []
-        h_out = x
-        for i, (spec, (W, b, _, _)) in enumerate(zip(self.layers, self._params)):
-            xi = h_out
-            if xi.shape[1] != spec.in_dim:
-                raise ShapeError(f"layer {i} expects {spec.in_dim} cols, got {xi.shape[1]}")
-            z = xi @ W
+        acts = [x]
+        for spec, (W, b, _, _) in zip(self.layers, self._params):
+            z = acts[-1] @ W
             z += b
             if spec.activation == "rectifier":
                 h = np.maximum(z, 0.0, out=z)
@@ -315,17 +298,10 @@ class Network:
                 h = z
             else:
                 h = _softmax(z)
-            mask = None
-            if spec.dropout_rate > 0 and train_mode:
-                keep = 1.0 - spec.dropout_rate
-                mask = (rng.random(h.shape) < keep) / keep
-                h_out = h * mask
-            else:
-                h_out = h
-            caches.append(_LayerCache(x=xi, h=h, mask=mask))
-        if not np.isfinite(h_out).all():
+            acts.append(h)
+        if not np.isfinite(acts[-1]).all():
             raise NonFiniteError("non-finite values in network output")
-        return ForwardTrace(caches=caches, output=h_out)
+        return ForwardTrace(acts)
 
     def backward(self, trace: ForwardTrace, upstream: np.ndarray, *,
                  input_grad: bool = True, param_grads: bool = True,
@@ -339,8 +315,8 @@ class Network:
         With param_grads=False, or on a frozen store, no parameter gradient
         is formed and the store's gradients are left as they are.
         """
-        if trace is None or not trace.caches:
-            raise RuntimeError("backward called before forward")
+        if trace is None or len(trace.activations) != len(self.layers) + 1:
+            raise RuntimeError("backward needs a forward trace of this network")
         if not (input_grad or param_grads):
             raise ValueError("backward must form the input or the parameter gradients")
         upstream = np.asarray(upstream, dtype=np.float64)
@@ -352,15 +328,14 @@ class Network:
         accumulate = param_grads and not self.store.frozen
         top = len(self.layers) - 1
         for i in range(top, -1, -1):
-            spec, cache, (W, _, gW, gb) = self.layers[i], trace.caches[i], self._params[i]
+            W, _, gW, gb = self._params[i]
             if i == top and from_logits:
                 gz = g
             else:
-                if cache.mask is not None:
-                    g, owned = np.multiply(g, cache.mask, out=g if owned else None), True
-                gz = _activation_backward(spec.activation, cache.h, g, owned)
+                gz = _activation_backward(self.layers[i].activation,
+                                          trace.activations[i + 1], g, owned)
             if accumulate:
-                gW += cache.x.T @ gz
+                gW += trace.activations[i].T @ gz
                 gb += gz.sum(axis=0, keepdims=True)
             if i == 0 and not input_grad:
                 return None
@@ -386,7 +361,7 @@ def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0)
 
 
 def finite_diff_gradient(net: Network, x: np.ndarray, loss_fn, h: float = 1e-5) -> dict:
-    """Central-difference d loss / d theta per parameter, dropout disabled.
+    """Central-difference d loss / d theta per parameter.
 
     loss_fn maps the network output matrix to a scalar. Returns a dict of
     parameter name -> gradient estimate matrix.
@@ -402,9 +377,9 @@ def finite_diff_gradient(net: Network, x: np.ndarray, loss_fn, h: float = 1e-5) 
             idx = it.multi_index
             orig = theta[idx]
             theta[idx] = orig + h
-            lp = loss_fn(net.forward(x, train_mode=False).output)
+            lp = loss_fn(net.forward(x).output)
             theta[idx] = orig - h
-            lm = loss_fn(net.forward(x, train_mode=False).output)
+            lm = loss_fn(net.forward(x).output)
             theta[idx] = orig
             est[idx] = (lp - lm) / (2.0 * h)
             it.iternext()

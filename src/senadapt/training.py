@@ -236,7 +236,7 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
 
     def step(epoch, idx):
         x, y = x_all[idx], y_all[idx]
-        trace = am.net.forward(x, train_mode=True, rng=rng, check_input=False)
+        trace = am.net.forward(x, check_input=False)
         ce, grad = losses.ce_kernel(trace.output, np.arange(len(y)), y)
         am.net.backward(trace, grad, input_grad=False, from_logits=True)
         sgd_step(am.net.store, lr, momentum)
@@ -293,7 +293,9 @@ class BatchTargets:
 
 def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
                      cfg: AdversarialConfig) -> None:
-    """A frozen acoustic model, and the discriminator that cfg.mode names."""
+    """A valid cfg, a frozen acoustic model, and the discriminator that
+    cfg.mode names."""
+    cfg.validate()
     if not am.frozen:
         raise RuntimeError("adversarial training requires a frozen acoustic model")
     if disc.mode != DISC_MODES.get(cfg.mode):
@@ -304,8 +306,7 @@ def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
-                            cfg: AdversarialConfig, lam: float,
-                            rng: np.random.Generator, *,
+                            cfg: AdversarialConfig, lam: float, *,
                             targets: BatchTargets | None = None) -> _BatchStats:
     """Run one batch of cfg.update_scheme, leaving the adapter's step to the
     caller.
@@ -323,13 +324,13 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
         targets = BatchTargets.checked(senone_labels, domain, am.K)
         _check_adversary(am, disc, cfg)
 
-    at = adapter.forward(x, train_mode=True, rng=rng, check_input=check)
-    am_trace = am.net.forward(at.output, train_mode=False, check_input=False)
+    at = adapter.forward(x, check_input=check)
+    am_trace = am.net.forward(at.output, check_input=False)
     alpha = None
     if disc.mode == "senone_aware":
         # constants: computed once per batch, no grad
         alpha = (am_trace.output if cfg.alpha_source == "adapted" else
-                 am.net.forward(x, train_mode=False, check_input=check).output)
+                 am.net.forward(x, check_input=check).output)
     if cfg.update_scheme == "alternating":
         disc.loss_backward(at.output, targets.domain_cols, alpha, input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
@@ -354,7 +355,6 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
                       disc: DomainDiscriminator, view: TrainingView,
                       cfg: AdversarialConfig) -> TrainLog:
     """Min-max training of adapter (argmin E) against discriminator (argmax E)."""
-    cfg.validate()
     _check_adversary(am, disc, cfg)
     _check_view(view, am.K)
     adult_idx = np.flatnonzero(view.adult_mask)
@@ -373,7 +373,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
         # the batch's adult frames come first
         targets = BatchTargets(np.arange(n_adult), y[:n_adult], dom.astype(np.intp))
         stats = adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lams[epoch],
-                                        rng, targets=targets)
+                                        targets=targets)
         if cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
@@ -390,13 +390,17 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                              momentum: float = 0.0) -> TrainLog:
     """Train a discriminator on un-adapted features (adapter fixed at
     identity); the reference point for domain-confusion measurements."""
+    if epochs < 1:
+        raise ValueError("discriminator training needs at least one epoch")
+    if not lr > 0:
+        raise ValueError(f"discriminator learning rate must be positive, got {lr}")
     _check_view(view, am.K)
     rng = np.random.default_rng(seed)
 
     def step(epoch, idx):
         x = view.frames[idx]
         dom = view.domain_labels[idx]
-        alpha = (am.net.forward(x, train_mode=False, check_input=False).output
+        alpha = (am.net.forward(x, check_input=False).output
                  if disc.mode == "senone_aware" else None)
         out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), alpha, input_grad=False)
         sgd_step(disc.store, lr, momentum)
@@ -429,7 +433,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         x = features[idx]
         yp, yf = pron[idx] - 1, flu[idx] - 1
         rows = np.arange(len(idx))
-        traces = net.forward(x, train_mode=True, rng=rng, check_input=False)
+        traces = net.forward(x, check_input=False)
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)

@@ -56,7 +56,7 @@ def rel_err(analytic, approx):
 
 def analytic_param_grads(net, x, out_grad_fn):
     net.store.zero_grads()
-    trace = net.forward(x, train_mode=False)
+    trace = net.forward(x)
     net.backward(trace, out_grad_fn(trace.output))
     return {n: net.store.grad(n).copy() for n in net.store.names()}
 
@@ -201,8 +201,7 @@ class TestCriterion3SignContract:
                     continue
                 adapter.store.zero_grads()
                 disc.store.zero_grads()
-                adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam,
-                                        np.random.default_rng(0))
+                adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lam)
                 g_disc = {n: disc.store.grad(n).copy() for n in disc.store.names()}
                 g_adpt = {n: adapter.store.grad(n).copy()
                           for n in adapter.store.names()}
@@ -210,9 +209,8 @@ class TestCriterion3SignContract:
                 # independent gradients from a hand-composed second pass
                 adapter.store.zero_grads()
                 disc.store.zero_grads()
-                at = adapter.forward(x, train_mode=True,
-                                     rng=np.random.default_rng(0))
-                dt = disc.net.forward(at.output, train_mode=False)
+                at = adapter.forward(x)
+                dt = disc.net.forward(at.output)
                 if mode == "sat":
                     alpha = am.posteriors(at.output)
                     _, _, dg = losses.senone_aware_domain_loss(dt.output, dom, alpha)
@@ -220,7 +218,7 @@ class TestCriterion3SignContract:
                     _, _, dg = losses.binary_domain_loss(dt.output, dom)
                 feat_dom = disc.net.backward(dt, dg)
                 i_disc = {n: disc.store.grad(n).copy() for n in disc.store.names()}
-                tr = am.net.forward(at.output, train_mode=False)
+                tr = am.net.forward(at.output)
                 _, cg = losses.senone_ce_loss(tr.output, y, dom == 0)
                 adapter.backward(at, am.net.backward(tr, cg) - lam * feat_dom)
                 i_adpt = {n: adapter.store.grad(n).copy()

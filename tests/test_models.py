@@ -9,7 +9,6 @@ from senadapt.models import (
     AssessmentNetwork,
     DomainDiscriminator,
     build_adult_am,
-    discriminate,
     load_adapter,
     load_adult_am,
     load_bundle,
@@ -65,7 +64,7 @@ class TestConstruction:
         disc = DomainDiscriminator(4, [3], "binary", rng=np.random.default_rng(0))
         for name in disc.store.names():
             disc.store.value(name)[...] = 0.0
-        out = discriminate(disc, np.ones((2, 4)))
+        out = disc.net.forward(np.ones((2, 4))).output
         assert np.allclose(out, 0.5)
 
     def test_joint_disc_zero_weights_uniform(self):
@@ -73,7 +72,7 @@ class TestConstruction:
                                    rng=np.random.default_rng(0))
         for name in disc.store.names():
             disc.store.value(name)[...] = 0.0
-        out = discriminate(disc, np.ones((2, 4)))
+        out = disc.net.forward(np.ones((2, 4))).output
         assert out.shape == (2, 6)
         assert np.allclose(out, 1.0 / 6.0)
 
@@ -127,7 +126,7 @@ class TestFreezing:
         am.freeze()
         before = am.net.store.serialize()
         x = np.random.default_rng(1).normal(size=(6, 5))
-        tr = am.net.forward(x, train_mode=False)
+        tr = am.net.forward(x)
         g_in = am.net.backward(tr, np.ones((6, 3)))
         assert g_in.shape == (6, 5)
         assert am.net.store.serialize() == before
@@ -174,7 +173,7 @@ class TestBundles:
             back = load_discriminator(path)
             assert back.mode == mode and back.K == K
             x = np.random.default_rng(5).normal(size=(8, 6))
-            assert np.array_equal(discriminate(back, x), discriminate(disc, x))
+            assert np.array_equal(back.net.forward(x).output, disc.net.forward(x).output)
 
     def test_wrong_kind_rejected(self, tmp_path):
         ad = AdaptationNetwork(7, [5], rng=np.random.default_rng(3))

@@ -81,34 +81,15 @@ class TestForward:
         with pytest.raises(NonFiniteError, match="output"):
             net.forward(np.array([[1.0, np.nan]]), check_input=False)
 
-    def test_dropout_identity_at_eval_and_scaled_at_train(self):
-        net = make_net([LayerSpec(5, 5, "identity", dropout_rate=0.4)])
-        x = np.random.default_rng(3).normal(size=(20, 5))
-        eval_out = net.forward(x, train_mode=False).output
-        ref = x @ net.store.value("layer0.W") + net.store.value("layer0.b")
-        npt.assert_array_equal(eval_out, ref)
-        train_out = net.forward(x, train_mode=True, rng=np.random.default_rng(7)).output
-        kept = train_out != 0
-        npt.assert_allclose(train_out[kept], (ref / 0.6)[kept])
-
-    def test_dropout_requires_rng_in_train_mode(self):
-        net = make_net([LayerSpec(2, 2, "identity", dropout_rate=0.5)])
-        with pytest.raises(ValueError, match="rng"):
-            net.forward(np.zeros((1, 2)), train_mode=True)
-
     def test_softmax_only_final(self):
         with pytest.raises(ValueError, match="final"):
             zero_net([LayerSpec(2, 2, "softmax"), LayerSpec(2, 2, "identity")])
 
     def test_determinism(self):
-        a = make_net([LayerSpec(3, 4, "sigmoid", dropout_rate=0.3),
-                      LayerSpec(4, 2, "softmax")], seed=11)
-        b = make_net([LayerSpec(3, 4, "sigmoid", dropout_rate=0.3),
-                      LayerSpec(4, 2, "softmax")], seed=11)
+        a = make_net([LayerSpec(3, 4, "sigmoid"), LayerSpec(4, 2, "softmax")], seed=11)
+        b = make_net([LayerSpec(3, 4, "sigmoid"), LayerSpec(4, 2, "softmax")], seed=11)
         x = np.random.default_rng(5).normal(size=(6, 3))
-        oa = a.forward(x, train_mode=True, rng=np.random.default_rng(9)).output
-        ob = b.forward(x, train_mode=True, rng=np.random.default_rng(9)).output
-        assert oa.tobytes() == ob.tobytes()
+        assert a.forward(x).output.tobytes() == b.forward(x).output.tobytes()
 
 
 class TestBackward:
@@ -176,32 +157,32 @@ class TestBackwardContract:
     param_grads=False leaves the input gradient bit-for-bit unchanged."""
 
     @staticmethod
-    def setup(top, dropout, frozen):
-        # the top layer carries the dropout when it may, so that both the
-        # mask and the activation meet the caller's upstream first
-        top_drop = 0.0 if top == "softmax" else dropout
-        net = make_net([LayerSpec(4, 6, "rectifier", dropout),
-                        LayerSpec(6, 3, top, top_drop)], seed=6)
+    def setup(top, bias, frozen):
+        # every bias set to `bias`: 0.0 as a new network has them, 0.4 as a
+        # trained one might
+        net = make_net([LayerSpec(4, 6, "rectifier"), LayerSpec(6, 3, top)], seed=6)
+        for i in range(2):
+            net.store.value(f"layer{i}.b")[...] = bias
         net.store.frozen = frozen
         rng = np.random.default_rng(7)
-        trace = net.forward(rng.normal(size=(9, 4)), train_mode=True, rng=rng)
+        trace = net.forward(rng.normal(size=(9, 4)))
         return net, trace, rng.normal(size=(9, 3))
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("bias", [0.0, 0.4])
     @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
-    def test_upstream_never_written(self, top, dropout, frozen):
-        net, trace, upstream = self.setup(top, dropout, frozen)
+    def test_upstream_never_written(self, top, bias, frozen):
+        net, trace, upstream = self.setup(top, bias, frozen)
         kept = upstream.copy()
         for input_grad in (True, False):
             net.backward(trace, upstream, input_grad=input_grad)
             npt.assert_array_equal(upstream, kept)
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("bias", [0.0, 0.4])
     @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
-    def test_no_input_grad_same_parameter_grads(self, top, dropout, frozen):
-        net, trace, upstream = self.setup(top, dropout, frozen)
+    def test_no_input_grad_same_parameter_grads(self, top, bias, frozen):
+        net, trace, upstream = self.setup(top, bias, frozen)
         grads = []
         for input_grad in (True, False):
             net.store.zero_grads()
@@ -213,10 +194,10 @@ class TestBackwardContract:
             assert any(np.any(g) for g in grads[1])
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("bias", [0.0, 0.4])
     @pytest.mark.parametrize("top", ["rectifier", "sigmoid", "identity", "softmax"])
-    def test_no_param_grads_same_input_grad(self, top, dropout, frozen):
-        net, trace, upstream = self.setup(top, dropout, frozen)
+    def test_no_param_grads_same_input_grad(self, top, bias, frozen):
+        net, trace, upstream = self.setup(top, bias, frozen)
         kept = upstream.copy()
         full = net.backward(trace, upstream)
         # whatever the store holds, param_grads=False leaves it as it is
@@ -229,10 +210,10 @@ class TestBackwardContract:
         npt.assert_array_equal(upstream, kept)
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("dropout", [0.0, 0.4])
-    def test_from_logits_skips_the_softmax_backward(self, dropout, frozen):
+    @pytest.mark.parametrize("bias", [0.0, 0.4])
+    def test_from_logits_skips_the_softmax_backward(self, bias, frozen):
         # handing over dLoss/dz gives the bits of handing over dLoss/dy
-        net, trace, upstream = self.setup("softmax", dropout, frozen)
+        net, trace, upstream = self.setup("softmax", bias, frozen)
         y = trace.output
         gz = y * (upstream - (upstream * y).sum(axis=1, keepdims=True))
         kept = gz.copy()

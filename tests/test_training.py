@@ -125,7 +125,7 @@ class TestPretraining:
             ce_sum, correct, seen = 0.0, 0, 0
             for idx in _minibatches(rng, adult.size, batch_size):
                 x, y = x_all[idx], y_all[idx]
-                trace = am.net.forward(x, train_mode=True, rng=rng)
+                trace = am.net.forward(x)
                 ce, grad = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
                 assert am.net.backward(trace, grad).shape == x.shape
                 sgd_step(am.net.store, lr, momentum)
@@ -138,12 +138,11 @@ class TestPretraining:
         return log
 
     def test_matches_reference_loop(self):
-        # momentum and dropout on: bit-identical trajectory and parameters
+        # momentum on: bit-identical trajectory and parameters
         view = small_corpus(seed=6).training_view("train")
         runs = []
         for train in (pretrain_adult_am, self.reference_pretrain):
-            am = build_adult_am(8, [16, 12], 4, rng=np.random.default_rng(6),
-                                dropout_rate=0.2)
+            am = build_adult_am(8, [16, 12], 4, rng=np.random.default_rng(6))
             log = train(am, view, epochs=3, lr=0.1, seed=6, batch_size=64, momentum=0.9)
             runs.append((log.trajectory_key(), am.net.store.serialize()))
         assert runs[0] == runs[1]
@@ -221,13 +220,13 @@ class TestBatchGradients:
         adapter.store.zero_grads()
         disc.store.zero_grads()
         adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
-                                self.dom, cfg, 0.0, np.random.default_rng(0))
+                                self.dom, cfg, 0.0)
         got = {n: adapter.store.grad(n).copy() for n in adapter.store.names()}
 
         adapter2, _ = self.make_arms("bat")
         adapter2.store.zero_grads()
-        at = adapter2.forward(self.x, train_mode=True, rng=np.random.default_rng(0))
-        tr = self.am.net.forward(at.output, train_mode=False)
+        at = adapter2.forward(self.x)
+        tr = self.am.net.forward(at.output)
         _, g = losses.senone_ce_loss(tr.output, self.y, self.dom == 0)
         adapter2.backward(at, self.am.net.backward(tr, g))
         for n in got:
@@ -241,21 +240,21 @@ class TestBatchGradients:
         adapter.store.zero_grads()
         disc.store.zero_grads()
         adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
-                                self.dom, cfg, lam, np.random.default_rng(0))
+                                self.dom, cfg, lam)
         got = {n: adapter.store.grad(n).copy() for n in adapter.store.names()}
 
         # pass 1: CE term
         a_ce, _ = self.make_arms("bat")
         a_ce.store.zero_grads()
-        at = a_ce.forward(self.x, train_mode=True, rng=np.random.default_rng(0))
-        tr = self.am.net.forward(at.output, train_mode=False)
+        at = a_ce.forward(self.x)
+        tr = self.am.net.forward(at.output)
         _, g = losses.senone_ce_loss(tr.output, self.y, self.dom == 0)
         a_ce.backward(at, self.am.net.backward(tr, g))
         # pass 2: domain term through the discriminator
         a_dom, disc2 = self.make_arms("bat")
         a_dom.store.zero_grads()
-        at2 = a_dom.forward(self.x, train_mode=True, rng=np.random.default_rng(0))
-        dt = disc2.net.forward(at2.output, train_mode=False)
+        at2 = a_dom.forward(self.x)
+        dt = disc2.net.forward(at2.output)
         _, _, dg = losses.binary_domain_loss(dt.output, self.dom)
         a_dom.backward(at2, disc2.net.backward(dt, dg))
         for n in got:
@@ -265,19 +264,18 @@ class TestBatchGradients:
     def test_discriminator_step_descends_domain_loss(self):
         adapter, disc = self.make_arms("sat")
         cfg = AdversarialConfig(mode="sat")
-        rng = np.random.default_rng(0)
 
         def dom_loss():
             at = adapter.forward(self.x)
             alpha = self.am.posteriors(at.output)
-            out = disc.net.forward(at.output, train_mode=False).output
+            out = disc.net.forward(at.output).output
             return losses.senone_aware_domain_loss(out, self.dom, alpha)[1]
 
         before = dom_loss()
         adapter.store.zero_grads()
         disc.store.zero_grads()
         adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
-                                self.dom, cfg, 1.0, rng)
+                                self.dom, cfg, 1.0)
         for n in disc.store.names():
             disc.store.value(n)[...] -= 1e-6 * disc.store.grad(n)
         assert dom_loss() < before
@@ -292,14 +290,14 @@ class TestBatchGradients:
 
         def dom_loss():
             at = adapter.forward(self.x)
-            out = disc.net.forward(at.output, train_mode=False).output
+            out = disc.net.forward(at.output).output
             return losses.binary_domain_loss(out, self.dom)[1]
 
         before = dom_loss()
         adapter.store.zero_grads()
         disc.store.zero_grads()
         adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
-                                self.dom, cfg, 1000.0, np.random.default_rng(0))
+                                self.dom, cfg, 1000.0)
         for n in adapter.store.names():
             adapter.store.value(n)[...] -= 1e-6 * adapter.store.grad(n)
         assert dom_loss() > before
@@ -309,7 +307,7 @@ class TestBatchGradients:
         cfg = AdversarialConfig(mode="sat")
         before = self.am.net.store.serialize()
         adversarial_batch_grads(adapter, self.am, disc, self.x, self.y,
-                                self.dom, cfg, 1.0, np.random.default_rng(0))
+                                self.dom, cfg, 1.0)
         assert self.am.net.store.serialize() == before
 
     def test_unfrozen_am_rejected(self):
@@ -318,7 +316,7 @@ class TestBatchGradients:
         cfg = AdversarialConfig(mode="bat")
         with pytest.raises(RuntimeError):
             adversarial_batch_grads(adapter, am, disc, self.x, self.y,
-                                    self.dom, cfg, 1.0, np.random.default_rng(0))
+                                    self.dom, cfg, 1.0)
 
     @pytest.mark.parametrize("cfg_mode, disc_mode", [("bat", "sat"), ("sat", "bat")])
     def test_adversary_mismatch_rejected(self, cfg_mode, disc_mode):
@@ -326,8 +324,16 @@ class TestBatchGradients:
         adapter, disc = self.make_arms(disc_mode)
         with pytest.raises(ValueError):
             adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
-                                    AdversarialConfig(mode=cfg_mode), 1.0,
-                                    np.random.default_rng(0))
+                                    AdversarialConfig(mode=cfg_mode), 1.0)
+
+    @pytest.mark.parametrize("field", ["update_scheme", "alpha_source"])
+    def test_bad_config_rejected_on_the_checked_path(self, field):
+        # an unchecked bad value would silently run gradient reversal or raw alpha
+        adapter, disc = self.make_arms("sat")
+        cfg = AdversarialConfig(mode="sat", **{field: "bogus"})
+        with pytest.raises(ValueError, match=field.replace("_", ".")):
+            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                    cfg, 1.0)
 
     def test_all_child_batch_rejected(self):
         adapter, disc = self.make_arms("bat")
@@ -338,7 +344,7 @@ class TestBatchGradients:
         dom = np.ones(16, dtype=np.uint8)
         with pytest.raises(ValueError):
             adversarial_batch_grads(adapter, self.am, disc, x, y, dom, cfg,
-                                    1.0, np.random.default_rng(0))
+                                    1.0)
 
     @pytest.mark.parametrize("alpha_source, mode, am_forwards", [
         ("adapted", "bat", 1), ("adapted", "sat", 1), ("raw", "sat", 2)])
@@ -374,19 +380,17 @@ class TestBatchGradients:
         rev = dataclasses.replace(alt, update_scheme="gradient_reversal")
         args = (self.x, self.y, self.dom)
         adapter, disc = self.make_arms(mode)
-        stats = adversarial_batch_grads(adapter, self.am, disc, *args, alt, 0.7,
-                                        np.random.default_rng(0))
+        stats = adversarial_batch_grads(adapter, self.am, disc, *args, alt, 0.7)
         assert not disc.store.flat_grads.any()
 
         ref_adapter, ref_disc = self.make_arms(mode)
-        adversarial_batch_grads(ref_adapter, self.am, ref_disc, *args, rev, 0.7,
-                                np.random.default_rng(0))
+        adversarial_batch_grads(ref_adapter, self.am, ref_disc, *args, rev, 0.7)
         sgd_step(ref_disc.store, rev.lr_discriminator, rev.momentum)
         assert disc.store.flat_values.tobytes() == ref_disc.store.flat_values.tobytes()
 
         ref_adapter, _ = self.make_arms(mode)
         ref_stats = adversarial_batch_grads(ref_adapter, self.am, ref_disc, *args, rev,
-                                            0.7, np.random.default_rng(0))
+                                            0.7)
         assert adapter.store.flat_grads.any()
         assert np.array_equal(adapter.store.flat_grads, ref_adapter.store.flat_grads)
         assert stats == ref_stats
@@ -398,8 +402,7 @@ class TestBatchGradients:
             adapter.store.zero_grads()
             disc.store.zero_grads()
             stats = adversarial_batch_grads(adapter, self.am, disc, self.x,
-                                            self.y, self.dom, cfg, 1.0,
-                                            np.random.default_rng(0))
+                                            self.y, self.dom, cfg, 1.0)
             if mode == "sat":
                 assert stats.alpha_evals == len(self.x)
                 assert stats.alpha_checksum != 0
@@ -446,11 +449,11 @@ class TestAdversarialTrain:
         child_idx = np.flatnonzero(~view.adult_mask)
 
         def batch_grads(x, y, dom, lam):
-            at = adapter.forward(x, train_mode=True, rng=rng)
-            am_trace = am.net.forward(at.output, train_mode=False)
+            at = adapter.forward(x)
+            am_trace = am.net.forward(at.output)
             ce, ce_grad = losses.senone_ce_loss(am_trace.output, y, dom == 0)
             feat_grad = am.net.backward(am_trace, ce_grad)
-            dt = disc.net.forward(at.output, train_mode=False)
+            dt = disc.net.forward(at.output)
             evals, crc = 0, 0
             if cfg.mode == "sat":
                 alpha = am.posteriors(at.output if cfg.alpha_source == "adapted" else x)
@@ -663,6 +666,18 @@ class TestDiscriminatorOnly:
         assert log.records[-1].disc_acc > 0.5
 
 
+    @pytest.mark.parametrize("epochs, lr", [(0, 0.2), (-1, 0.2), (1, 0.0), (1, -0.2),
+                                            (1, math.nan)])
+    def test_no_epochs_or_non_positive_learning_rate_rejected(self, epochs, lr):
+        # either would leave an untrained reference discriminator
+        view = small_corpus(seed=10).training_view("train")
+        am = build_adult_am(8, [16], 4, rng=np.random.default_rng(10))
+        disc = DomainDiscriminator(8, [16], "binary", rng=np.random.default_rng(10))
+        before = disc.store.serialize()
+        with pytest.raises(ValueError):
+            train_discriminator_only(disc, am, view, epochs=epochs, lr=lr, seed=10)
+        assert disc.store.serialize() == before
+
     @staticmethod
     def reference_train(disc, am, view, epochs, lr, seed, batch_size=128, momentum=0.0):
         """train_discriminator_only as written before it checked its input
@@ -675,7 +690,7 @@ class TestDiscriminatorOnly:
             dom_sum, correct = 0.0, 0
             for idx in _minibatches(rng, n, batch_size):
                 x, dom = view.frames[idx], view.domain_labels[idx]
-                trace = disc.net.forward(x, train_mode=False)
+                trace = disc.net.forward(x)
                 if disc.mode == "senone_aware":
                     _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
                         trace.output, dom, am.posteriors(x))
@@ -828,7 +843,7 @@ class TestAssessmentTraining:
             ce_sum, correct = 0.0, 0
             for idx in _minibatches(rng, n, batch_size):
                 yp, yf = pron[idx] - 1, flu[idx] - 1
-                traces = net.forward(features[idx], train_mode=True, rng=rng)
+                traces = net.forward(features[idx])
                 _, p, f = traces
                 ce_p, g_p = losses.senone_ce_loss(p.output, yp, np.ones(len(idx), bool))
                 ce_f, g_f = losses.senone_ce_loss(f.output, yf, np.ones(len(idx), bool))
