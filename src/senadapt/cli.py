@@ -29,7 +29,7 @@ trains: they were trained against the acoustic model it replaces.
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
-domains in every split, assessment levels in 1..5.
+domains in every split, assessment levels in 1..5 on at least 50 rows.
 
 The three evaluation arms (DNN baseline, BAT, SAT) share the one pretrained
 acoustic-model bundle, so reported differences come from adaptation alone.
@@ -38,6 +38,7 @@ acoustic-model bundle, so reported differences come from adaptation alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from contextlib import contextmanager
@@ -52,20 +53,27 @@ from .nn import FormatError, NonFiniteError
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
 EXIT_DIVERGED = 7
 
-# key -> (caster, default)
+
+def _scalar_keys(config_cls) -> dict:
+    """key -> (caster, default) for each field of a config dataclass but its
+    seed (a key of its own) and its tuple fields (spelled out below)."""
+    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(config_cls)
+            if f.name != "seed" and not isinstance(f.default, tuple)}
+
+
+_GEN_KEYS = _scalar_keys(synthdata.GeneratorConfig)
+_ADV_KEYS = _scalar_keys(training.AdversarialConfig)
+_GEN_DEFAULTS = synthdata.GeneratorConfig()
+
+# key -> (caster, default). The key order, the dataclasses' field order
+# included, is the order of the resolved config text, which every report's
+# fingerprint hashes.
 CONFIG_SCHEMA = {
     "seed": (int, 0),
-    "K": (int, 10),
-    "dim": (int, 20),
-    "n_adult": (int, 2000),
-    "n_child": (int, 2000),
-    "within_class_std": (float, 1.0),
-    "shift_coherence": (float, 0.6),
-    "class_separation": (float, 3.5),
-    "shift_profile": (str, ",".join(str(s) for s in synthdata.DEFAULT_SHIFT_PROFILE)),
-    "split_train": (float, 0.7),
-    "split_dev": (float, 0.15),
-    "split_test": (float, 0.15),
+    **_GEN_KEYS,
+    "shift_profile": (str, ",".join(str(s) for s in _GEN_DEFAULTS.shift_profile)),
+    **{f"split_{name}": (float, frac)
+       for name, frac in zip(("train", "dev", "test"), _GEN_DEFAULTS.split_fractions)},
     "assess_n": (int, 1500),
     "am_hidden": (str, "64,64"),
     "adapter_hidden": (str, "64"),
@@ -74,16 +82,7 @@ CONFIG_SCHEMA = {
     "pretrain_lr": (float, 0.1),
     "pretrain_batch": (int, 128),
     "pretrain_momentum": (float, 0.9),
-    "mode": (str, "sat"),
-    "reversal_coefficient": (float, 1.0),
-    "update_scheme": (str, "gradient_reversal"),
-    "lr_adapter": (float, 0.05),
-    "lr_discriminator": (float, 0.2),
-    "momentum": (float, 0.0),
-    "epochs": (int, 30),
-    "batch_size": (int, 128),
-    "alpha_source": (str, "adapted"),
-    "lambda_shape": (str, "ramp"),
+    **_ADV_KEYS,
     "assess_epochs": (int, 150),
     "assess_lr": (float, 0.05),
     "out_dir": (str, "run"),
@@ -158,21 +157,14 @@ def _int_list(text: str) -> list[int]:
 
 def _gen_config(cfg: dict) -> synthdata.GeneratorConfig:
     return synthdata.GeneratorConfig(
-        K=cfg["K"], dim=cfg["dim"], n_adult=cfg["n_adult"], n_child=cfg["n_child"],
+        **{key: cfg[key] for key in _GEN_KEYS}, seed=cfg["seed"],
         shift_profile=tuple(float(s) for s in cfg["shift_profile"].split(",")),
-        within_class_std=cfg["within_class_std"],
-        shift_coherence=cfg["shift_coherence"],
-        class_separation=cfg["class_separation"], seed=cfg["seed"],
         split_fractions=(cfg["split_train"], cfg["split_dev"], cfg["split_test"]))
 
 
 def _adv_config(cfg: dict) -> training.AdversarialConfig:
-    return training.AdversarialConfig(
-        mode=cfg["mode"], reversal_coefficient=cfg["reversal_coefficient"],
-        update_scheme=cfg["update_scheme"], lr_adapter=cfg["lr_adapter"],
-        lr_discriminator=cfg["lr_discriminator"], momentum=cfg["momentum"],
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], seed=cfg["seed"],
-        alpha_source=cfg["alpha_source"], lambda_shape=cfg["lambda_shape"])
+    return training.AdversarialConfig(**{key: cfg[key] for key in _ADV_KEYS},
+                                      seed=cfg["seed"])
 
 
 def _load(path: Path, loader, what: str, code: int):

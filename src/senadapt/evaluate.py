@@ -20,6 +20,9 @@ from .models import (AdaptationNetwork, AdultAcousticModel, AssessmentNetwork,
                      DomainDiscriminator)
 from .synthdata import SyntheticCorpus
 
+# hashed into every report fingerprint
+CODE_VERSION = "1"
+
 
 def senone_error_rate(predictions: np.ndarray, truth: np.ndarray) -> float:
     """Percentage of frames whose argmax senone differs from the truth."""
@@ -99,10 +102,10 @@ class MetricsReport:
         self.metrics[name] = value
 
 
-def config_fingerprint(config_text: str, seed: int, code_version: str = "1") -> str:
+def config_fingerprint(config_text: str, seed: int) -> str:
     h = hashlib.sha256()
     h.update(config_text.encode("utf-8"))
-    h.update(f"|seed={seed}|v={code_version}".encode())
+    h.update(f"|seed={seed}|v={CODE_VERSION}".encode())
     return h.hexdigest()[:16]
 
 

@@ -25,7 +25,7 @@ SPLIT_NAMES = {"train": SPLIT_TRAIN, "dev": SPLIT_DEV, "test": SPLIT_TEST}
 
 DEFAULT_SHIFT_PROFILE = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 5.0, 5.0)
 
-# smallest assessment corpus generate_assessment_corpus accepts
+# fewest rows of an assessment corpus, generated or loaded
 MIN_ASSESS_N = 50
 # the level scale of the assessment corpus: levels run 1..ASSESS_LEVELS
 ASSESS_LEVELS = 5
@@ -258,6 +258,8 @@ def load_assessment_corpus(path):
         n, dim = a["features"].shape
     except (KeyError, ValueError) as e:
         raise FormatError(f"malformed assessment corpus: {e!r}") from e
+    if n < MIN_ASSESS_N:
+        raise FormatError(f"assessment corpus has {n} rows, fewer than {MIN_ASSESS_N}")
     layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
     if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
         raise FormatError("assessment corpus arrays disagree in dtype or length")

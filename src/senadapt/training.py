@@ -24,6 +24,12 @@ of adversarial_batch_grads runs one whole batch of either:
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
+
+adversarial_batch_grads derives a batch's targets from its labels: the adult
+rows, their senone labels and the domain column of every row. Called on its
+own it checks the labels, the config and the models first. adversarial_train
+has checked all of them once per run and passes checked=True, so its batches
+skip those checks and the input check on the frames.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -91,31 +97,24 @@ class TrainLogRecord:
     alpha_checksum: int = 0
 
     def to_line(self) -> str:
-        return "\t".join([str(self.epoch), repr(self.objective),
-                          repr(self.senone_ce), repr(self.domain_loss),
-                          repr(self.disc_acc), repr(self.seconds),
-                          str(self.alpha_evals), str(self.alpha_checksum)])
+        return "\t".join(map(repr, astuple(self)))
 
     @classmethod
     def from_line(cls, line: str) -> "TrainLogRecord":
         p = line.rstrip("\n").split("\t")
-        return cls(int(p[0]), float(p[1]), float(p[2]), float(p[3]),
-                   float(p[4]), float(p[5]), int(p[6]), int(p[7]))
+        return cls(*(int(v) if f.type == "int" else float(v)
+                     for f, v in zip(fields(cls), p, strict=True)))
 
 
 @dataclass
 class TrainLog:
     records: list[TrainLogRecord] = field(default_factory=list)
 
-    def to_lines(self) -> list[str]:
-        return [r.to_line() for r in self.records]
-
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("# epoch\tobjective\tsenone_ce\tdomain_loss\tdisc_acc"
-                     "\tseconds\talpha_evals\talpha_checksum\n")
-            for line in self.to_lines():
-                fh.write(line + "\n")
+            fh.write("# " + "\t".join(f.name for f in fields(TrainLogRecord)) + "\n")
+            for r in self.records:
+                fh.write(r.to_line() + "\n")
 
     @classmethod
     def read(cls, path) -> "TrainLog":
@@ -129,9 +128,8 @@ class TrainLog:
 
     def trajectory_key(self) -> tuple:
         """Everything except wall time; this is what determinism guarantees."""
-        return tuple((r.epoch, r.objective, r.senone_ce, r.domain_loss,
-                      r.disc_acc, r.alpha_evals, r.alpha_checksum)
-                     for r in self.records)
+        names = [f.name for f in fields(TrainLogRecord) if f.name != "seconds"]
+        return tuple(tuple(getattr(r, n) for n in names) for r in self.records)
 
 
 def lambda_schedule(epoch: int, total: int, shape: str = "ramp") -> float:
@@ -268,27 +266,8 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
         if a.size < need:
             extra = rng.choice(adult_idx, size=need - a.size, replace=True)
             a = np.concatenate([a, extra])
-        yield np.concatenate([a, c]), a.size
-
-
-@dataclass
-class BatchTargets:
-    """One batch's targets as integer indices: the adult rows, their senone
-    labels and every row's domain column (0 adult, 1 child)."""
-    adult_rows: np.ndarray
-    senone_labels: np.ndarray
-    domain_cols: np.ndarray
-
-    @classmethod
-    def checked(cls, senone_labels: np.ndarray, domain: np.ndarray,
-                K: int) -> "BatchTargets":
-        """The targets of a batch no training run has checked."""
-        senone_labels, domain = np.asarray(senone_labels), np.asarray(domain)
-        _check_labels(senone_labels, domain, K)
-        rows = np.flatnonzero(domain == 0)
-        if rows.size == 0:
-            raise ValueError("batch has no adult frames; the objective divides by n")
-        return cls(rows, senone_labels[rows].astype(np.intp), domain.astype(np.intp))
+        # adult frames first: row order changes the bits of the gradient sums
+        yield np.concatenate([a, c])
 
 
 def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
@@ -307,7 +286,7 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
                             cfg: AdversarialConfig, lam: float, *,
-                            targets: BatchTargets | None = None) -> _BatchStats:
+                            checked: bool = False) -> _BatchStats:
     """Run one batch of cfg.update_scheme, leaving the adapter's step to the
     caller.
 
@@ -316,35 +295,38 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     gradient_reversal both stores accumulate their gradients and neither is
     stepped. Under alternating the discriminator takes its sgd_step here,
     and the adapter gradients are formed against the stepped discriminator.
-    `targets` come from a training run that has checked them and the
+    checked=True means a training run has checked the labels, cfg and the
     models; the frames then skip the input check.
     """
-    check = targets is None
-    if check:
-        targets = BatchTargets.checked(senone_labels, domain, am.K)
+    if not checked:
+        senone_labels, domain = np.asarray(senone_labels), np.asarray(domain)
+        _check_labels(senone_labels, domain, am.K)
         _check_adversary(am, disc, cfg)
+    adult_rows = np.flatnonzero(domain == 0)
+    if adult_rows.size == 0:
+        raise ValueError("batch has no adult frames; the objective divides by n")
+    domain_cols = domain.astype(np.intp)
 
-    at = adapter.forward(x, check_input=check)
+    at = adapter.forward(x, check_input=not checked)
     am_trace = am.net.forward(at.output, check_input=False)
     alpha = None
     if disc.mode == "senone_aware":
         # constants: computed once per batch, no grad
         alpha = (am_trace.output if cfg.alpha_source == "adapted" else
-                 am.net.forward(x, check_input=check).output)
+                 am.net.forward(x, check_input=not checked).output)
     if cfg.update_scheme == "alternating":
-        disc.loss_backward(at.output, targets.domain_cols, alpha, input_grad=False)
+        disc.loss_backward(at.output, domain_cols, alpha, input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
-            at.output, targets.domain_cols, alpha, param_grads=False)
+            at.output, domain_cols, alpha, param_grads=False)
     else:
         disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
-            at.output, targets.domain_cols, alpha)
-    ce, ce_grad = losses.ce_kernel(am_trace.output, targets.adult_rows,
-                                   targets.senone_labels)
+            at.output, domain_cols, alpha)
+    ce, ce_grad = losses.ce_kernel(am_trace.output, adult_rows, senone_labels[adult_rows])
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
     adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
 
-    n_adult = len(targets.adult_rows)
+    n_adult = len(adult_rows)
     alpha_evals, alpha_crc = (0, 0) if alpha is None else (len(alpha), _alpha_checksum(alpha))
     return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
                        int((disc.domain_probs(disc_out).argmax(axis=1) == domain).sum()),
@@ -365,15 +347,11 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
             for epoch in range(cfg.epochs)]
 
-    def step(epoch, batch):
-        idx, n_adult = batch
-        x = view.frames[idx]
-        y = view.adult_senone_labels[idx]
-        dom = view.domain_labels[idx]
-        # the batch's adult frames come first
-        targets = BatchTargets(np.arange(n_adult), y[:n_adult], dom.astype(np.intp))
-        stats = adversarial_batch_grads(adapter, am, disc, x, y, dom, cfg, lams[epoch],
-                                        targets=targets)
+    def step(epoch, idx):
+        stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
+                                        view.adult_senone_labels[idx],
+                                        view.domain_labels[idx], cfg, lams[epoch],
+                                        checked=True)
         if cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
@@ -395,6 +373,8 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
     if not lr > 0:
         raise ValueError(f"discriminator learning rate must be positive, got {lr}")
     _check_view(view, am.K)
+    if len(view.frames) == 0:
+        raise ValueError("discriminator training corpus has no frames")
     rng = np.random.default_rng(seed)
 
     def step(epoch, idx):
@@ -421,6 +401,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         raise ValueError("assessment training needs at least one epoch")
     if not lr > 0:
         raise ValueError(f"assessment learning rate must be positive, got {lr}")
+    if len(features) == 0:
+        raise ValueError("assessment training corpus has no rows")
     if not np.isfinite(features).all():
         raise NonFiniteError("non-finite values in the assessment features")
     for levels in (pron, flu):

@@ -97,6 +97,44 @@ class TestConfig:
         for key in cfg:
             assert f"{key}=" in text
 
+    def test_default_resolved_text(self):
+        # the key order feeds every report's fingerprint: reordering a key,
+        # or a field of GeneratorConfig or AdversarialConfig, changes it
+        assert resolved_config_text(load_run_config(None, {})) == (
+            "seed=0\n"
+            "K=10\n"
+            "dim=20\n"
+            "n_adult=2000\n"
+            "n_child=2000\n"
+            "within_class_std=1.0\n"
+            "shift_coherence=0.6\n"
+            "class_separation=3.5\n"
+            "shift_profile=0.0,0.0,1.0,1.0,2.0,2.0,4.0,4.0,5.0,5.0\n"
+            "split_train=0.7\n"
+            "split_dev=0.15\n"
+            "split_test=0.15\n"
+            "assess_n=1500\n"
+            "am_hidden=64,64\n"
+            "adapter_hidden=64\n"
+            "disc_hidden=64\n"
+            "pretrain_epochs=30\n"
+            "pretrain_lr=0.1\n"
+            "pretrain_batch=128\n"
+            "pretrain_momentum=0.9\n"
+            "mode=sat\n"
+            "reversal_coefficient=1.0\n"
+            "update_scheme=gradient_reversal\n"
+            "lr_adapter=0.05\n"
+            "lr_discriminator=0.2\n"
+            "momentum=0.0\n"
+            "epochs=30\n"
+            "batch_size=128\n"
+            "alpha_source=adapted\n"
+            "lambda_shape=ramp\n"
+            "assess_epochs=150\n"
+            "assess_lr=0.05\n"
+            "out_dir=run\n")
+
 
 class TestPipeline:
 
@@ -318,6 +356,13 @@ def _edit_assessment_corpus(edit):
     return damage
 
 
+def _keep_assessment_rows(n):
+    def damage(out, cfg):
+        feats, pron, flu = load_assessment_corpus(out / "assess.saac")
+        save_assessment_corpus(out / "assess.saac", feats[:n], pron[:n], flu[:n])
+    return damage
+
+
 def _set(array_name, index, value):
     def edit(corpus):
         getattr(corpus, array_name)[index] = value
@@ -378,6 +423,9 @@ PROBES = {
         lambda feats, pron, flu: feats.__setitem__((0, 0), np.nan)), ("eval",), EXIT_NO_CORPUS),
     "assessment_level_6": ("", _edit_assessment_corpus(
         lambda feats, pron, flu: flu.__setitem__(0, 6)), ("eval",), EXIT_NO_CORPUS),
+    "empty_assessment_corpus": ("", _keep_assessment_rows(0), ("eval",), EXIT_NO_CORPUS),
+    "assessment_corpus_of_one_row": ("", _keep_assessment_rows(1), ("eval",),
+                                     EXIT_NO_CORPUS),
     # training that saturates or overflows
     "saturating_pretrain_lr": ("pretrain_lr = 50\n", None, ("pretrain",), EXIT_DIVERGED),
     "saturating_adapter_lr": ("lr_adapter = 50\n", None, ("adapt",), EXIT_DIVERGED),

@@ -176,7 +176,8 @@ class TestStratifiedBatches:
         adult = np.arange(30)            # scarce adult pool
         child = np.arange(30, 1030)
         seen_child = []
-        for idx, n_a in _stratified_batches(rng, adult, child, 64):
+        for idx in _stratified_batches(rng, adult, child, 64):
+            n_a = int((idx < 30).sum())
             assert n_a >= max(1, math.ceil(len(idx) / 4))
             assert (idx[:n_a] < 30).all() and (idx[n_a:] >= 30).all()
             seen_child.extend(idx[n_a:])
@@ -187,7 +188,7 @@ class TestStratifiedBatches:
         adult = np.arange(500)
         child = np.arange(500, 1000)
         seen = []
-        for idx, n_a in _stratified_batches(rng, adult, child, 100):
+        for idx in _stratified_batches(rng, adult, child, 100):
             seen.extend(idx)
         assert sorted(seen) == list(range(1000))
 
@@ -474,7 +475,7 @@ class TestAdversarialTrain:
             lam = cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs,
                                                              cfg.lambda_shape)
             sums, crc = np.zeros(6), 0
-            for idx, _ in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
+            for idx in _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size):
                 x, y, dom = (view.frames[idx], view.adult_senone_labels[idx],
                              view.domain_labels[idx])
                 adapter.store.zero_grads()
@@ -727,9 +728,11 @@ class TestDiscriminatorOnly:
 def _bad_view(view, what):
     """A copy of view with one NaN adult frame, one adult senone label equal
     to K = 4, or one domain label 2, placed in the last adult row so that
-    a loop checking per batch would step first."""
+    a loop checking per batch would step first; or view without its rows."""
     frames, dom, labels = (view.frames.copy(), view.domain_labels.copy(),
                            view.adult_senone_labels.copy())
+    if what == "no_rows":
+        return TrainingView(frames[:0], dom[:0], labels[:0])
     last_adult = np.flatnonzero(dom == 0)[-1]
     if what == "nan_frame":
         frames[last_adult, 0] = np.nan
@@ -740,7 +743,8 @@ def _bad_view(view, what):
     return TrainingView(frames, dom, labels)
 
 
-BAD_INPUTS = [("nan_frame", NonFiniteError), ("label_K", ValueError), ("domain_2", ValueError)]
+BAD_INPUTS = [("nan_frame", NonFiniteError), ("label_K", ValueError), ("domain_2", ValueError),
+              ("no_rows", ValueError)]
 
 
 class TestInputCheckedBeforeFirstStep:
@@ -786,15 +790,18 @@ class TestInputCheckedBeforeFirstStep:
         assert disc.store.serialize() == before
 
     @pytest.mark.parametrize("what, error", [("nan_feature", NonFiniteError),
-                                             ("pron_0", ValueError), ("flu_6", ValueError)])
+                                             ("pron_0", ValueError), ("flu_6", ValueError),
+                                             ("no_rows", ValueError)])
     def test_assessment(self, what, error):
         feats, pron, flu = generate_assessment_corpus(300, seed=13)
         if what == "nan_feature":
             feats[-1, 0] = np.nan
         elif what == "pron_0":
             pron[-1] = 0
-        else:
+        elif what == "flu_6":
             flu[-1] = 6
+        else:
+            feats, pron, flu = feats[:0], pron[:0], flu[:0]
         net = AssessmentNetwork(input_dim=30, trunk_dims=(16,), levels=5)
         stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
         before = [store.serialize() for store in stores]
@@ -882,6 +889,18 @@ class TestTrainLog:
         back = TrainLog.read(path)
         assert back.trajectory_key() == log.trajectory_key()
         assert [r.seconds for r in back.records] == [0.01, 0.02]
+        # each column parses back to its field's type
+        assert back.records == log.records
+        types = [type(v) for v in dataclasses.astuple(back.records[0])]
+        assert types == [int] + [float] * 5 + [int] * 2
+
+    def test_header_names_the_columns(self, tmp_path):
+        path = tmp_path / "t.log"
+        TrainLog(records=[TrainLogRecord(0, 1.0, 1.0, 0.0, 0.5, 0.1, 3, 7)]).write(path)
+        assert path.read_text().splitlines() == [
+            "# epoch\tobjective\tsenone_ce\tdomain_loss\tdisc_acc\tseconds"
+            "\talpha_evals\talpha_checksum",
+            "0\t1.0\t1.0\t0.0\t0.5\t0.1\t3\t7"]
 
     def test_trajectory_key_ignores_wall_time(self):
         a = TrainLog(records=[TrainLogRecord(0, 1.0, 1.0, 0.0, 0.5, 0.123)])
