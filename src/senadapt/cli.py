@@ -24,12 +24,14 @@ stable code on failure:
        writes before it trains (pretrain am.bundle, adapt
        adapter_<mode>.bundle and disc_<mode>.bundle, eval report.tsv)
 
-pretrain also removes every adapter and discriminator bundle before it
-trains: they were trained against the acoustic model it replaces.
+gen removes every model bundle, trained on the corpus it replaces; pretrain
+removes every adapter and discriminator bundle before it trains, trained
+against the acoustic model it replaces. eval generates its assessment corpus
+from its own assess_n and seed.
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
-domains in every split, assessment levels in 1..5 on at least 50 rows.
+domains in every split.
 
 The three evaluation arms (DNN baseline, BAT, SAT) share the one pretrained
 acoustic-model bundle, so reported differences come from adaptation alone.
@@ -52,6 +54,10 @@ from .nn import FormatError, NonFiniteError
 
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
 EXIT_DIVERGED = 7
+
+# every bundle pretrain and adapt write; gen and pretrain remove them all
+MODEL_BUNDLES = ("am.bundle", "adapter_bat.bundle", "disc_bat.bundle",
+                 "adapter_sat.bundle", "disc_sat.bundle")
 
 
 def _scalar_keys(config_cls) -> dict:
@@ -226,13 +232,12 @@ def cmd_gen(cfg: dict) -> int:
         corpus = synthdata.generate_corpus(_gen_config(cfg))
     except ValueError as e:
         raise StageError(EXIT_CONFIG, f"{e}; nothing written") from None
-    feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
     out = _outdir(cfg)
+    for name in MODEL_BUNDLES:
+        (out / name).unlink(missing_ok=True)
     synthdata.save_corpus(corpus, out / "corpus.saco")
-    synthdata.save_assessment_corpus(out / "assess.saac", feats, pron, flu)
     _write_resolved(cfg, out, "gen")
-    print(f"wrote {out / 'corpus.saco'} ({corpus.frames.shape[0]} frames) "
-          f"and {out / 'assess.saac'}")
+    print(f"wrote {out / 'corpus.saco'} ({corpus.frames.shape[0]} frames)")
     return 0
 
 
@@ -242,8 +247,8 @@ def cmd_pretrain(cfg: dict) -> int:
     _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
-    for name in ("am", "adapter_bat", "disc_bat", "adapter_sat", "disc_sat"):
-        (out / f"{name}.bundle").unlink(missing_ok=True)
+    for name in MODEL_BUNDLES:
+        (out / name).unlink(missing_ok=True)
     log = _train("pretraining", training.pretrain_adult_am,
                  am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
                  lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
@@ -325,26 +330,23 @@ def cmd_eval(cfg: dict) -> int:
 
     with _finite_outputs():
         errors = _report_arms(out, corpus, am, report)
-    if "bat" in errors and "sat" in errors:
+    # a relative reduction is undefined at a zero baseline
+    if "bat" in errors and "sat" in errors and errors["bat"] > 0:
         report.set("senone_err.rel_reduction.sat_vs_bat",
                    evaluate.relative_reduction(errors["bat"], errors["sat"]))
     if "sat" in errors:
         report.set("senone_err.abs_reduction.sat_vs_dnn",
                    evaluate.absolute_reduction(errors["dnn"], errors["sat"]))
 
-    assess_path = out / "assess.saac"
-    if assess_path.exists():
-        feats, pron, flu = _load(assess_path, synthdata.load_assessment_corpus,
-                                 "assessment corpus", EXIT_NO_CORPUS)
-        n_train = int(0.8 * len(feats))
-        net = AssessmentNetwork(input_dim=feats.shape[1],
-                                rng=np.random.default_rng(cfg["seed"]))
-        _train("assessment training", training.train_assessment_network,
-               net, feats[:n_train], pron[:n_train], flu[:n_train],
-               epochs=cfg["assess_epochs"], lr=cfg["assess_lr"], seed=cfg["seed"])
-        for name, val in evaluate.assessment_metrics(
-                net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
-            report.set(f"assess.{name}", val)
+    feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
+    n_train = int(0.8 * len(feats))
+    net = AssessmentNetwork(input_dim=feats.shape[1], rng=np.random.default_rng(cfg["seed"]))
+    _train("assessment training", training.train_assessment_network,
+           net, feats[:n_train], pron[:n_train], flu[:n_train],
+           epochs=cfg["assess_epochs"], lr=cfg["assess_lr"], seed=cfg["seed"])
+    for name, val in evaluate.assessment_metrics(
+            net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
+        report.set(f"assess.{name}", val)
 
     evaluate.write_report(report, out / "report.tsv")
     _write_resolved(cfg, out, "eval")

@@ -13,7 +13,7 @@ nothing for child frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ SPLIT_NAMES = {"train": SPLIT_TRAIN, "dev": SPLIT_DEV, "test": SPLIT_TEST}
 
 DEFAULT_SHIFT_PROFILE = (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 5.0, 5.0)
 
-# fewest rows of an assessment corpus, generated or loaded
+# fewest rows of an assessment corpus; the generator and the run config check it
 MIN_ASSESS_N = 50
 # the level scale of the assessment corpus: levels run 1..ASSESS_LEVELS
 ASSESS_LEVELS = 5
@@ -212,8 +212,8 @@ def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
 
 # ---------------------------------------------------------------------------
 # corpus files: K and dim in the manifest, then frames f64, senone labels u32,
-# domain labels u8 and split tags u8; assessment features f64 and levels u8.
-# The loaders check the values too.
+# domain labels u8 and split tags u8. The loader checks the values too. The
+# assessment corpus has no file: eval generates it from its config.
 
 
 def save_corpus(corpus: SyntheticCorpus, path) -> None:
@@ -247,33 +247,10 @@ def load_corpus(path) -> SyntheticCorpus:
     return SyntheticCorpus(K, dim, frames, senones.astype(np.int32), domains, splits)
 
 
-def save_assessment_corpus(path, feats, pron, flu) -> None:
-    Path(path).write_bytes(pack_container("assessment", {}, {
-        "features": feats.astype("<f8"), "pron": pron.astype("u1"), "flu": flu.astype("u1")}))
-
-
-def load_assessment_corpus(path):
-    _, a = unpack_container(Path(path).read_bytes(), "assessment")
-    try:
-        n, dim = a["features"].shape
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"malformed assessment corpus: {e!r}") from e
-    if n < MIN_ASSESS_N:
-        raise FormatError(f"assessment corpus has {n} rows, fewer than {MIN_ASSESS_N}")
-    layout = {"features": ("<f8", (n, dim)), "pron": ("|u1", (n,)), "flu": ("|u1", (n,))}
-    if {k: (v.dtype.str, v.shape) for k, v in a.items()} != layout:
-        raise FormatError("assessment corpus arrays disagree in dtype or length")
-    if not np.isfinite(a["features"]).all():
-        raise FormatError("assessment features hold NaN or Inf")
-    for levels in (a["pron"], a["flu"]):
-        if ((levels < 1) | (levels > ASSESS_LEVELS)).any():
-            raise FormatError(f"assessment level outside 1..{ASSESS_LEVELS}")
-    return a["features"], a["pron"].astype(np.int64), a["flu"].astype(np.int64)
-
-
 def parse_flat_config(text: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; blank lines ignored."""
-    out = {}
+    """key=value lines; '#' starts a comment; blank lines ignored; a key
+    set twice is an error."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -281,5 +258,8 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         k, _, v = line.partition("=")
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k in out:
+            raise ValueError(f"key {k!r} set twice, on lines {lines[k]} and {lineno}")
+        out[k], lines[k] = v.strip(), lineno
     return out

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from senadapt import evaluate, training
 from senadapt.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -21,6 +22,7 @@ from senadapt.cli import (
 from senadapt.evaluate import read_report
 from senadapt.models import (
     AdaptationNetwork,
+    AssessmentNetwork,
     DomainDiscriminator,
     build_adult_am,
     load_bundle,
@@ -29,12 +31,13 @@ from senadapt.models import (
     save_bundle,
     save_discriminator,
 )
-from senadapt.nn import LayerSpec, Network, pack_container, unpack_container
+from senadapt.nn import CONTAINER_MAGIC, LayerSpec, Network, pack_container, unpack_container
 from senadapt.synthdata import (
     SPLIT_TRAIN,
-    load_assessment_corpus,
+    GeneratorConfig,
+    generate_assessment_corpus,
+    generate_corpus,
     load_corpus,
-    save_assessment_corpus,
     save_corpus,
 )
 from senadapt.training import TrainLog
@@ -53,6 +56,14 @@ pretrain_epochs = 5
 epochs = 3
 assess_epochs = 10
 """
+
+
+def small_with(extra: str) -> str:
+    """SMALL with the keys set in extra replaced by extra's lines."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in SMALL.splitlines(keepends=True)
+            if line.partition("=")[0].strip() not in keys]
+    return "".join(kept) + extra
 
 
 @pytest.fixture
@@ -82,6 +93,14 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("epochs=three\n")
         assert run("gen", "--config", str(path), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text(SMALL + "epochs = 5\n")
+        for stage in ALL_STAGES:
+            assert run(stage, "--config", str(path),
+                       "--out", str(tmp_path / "o")) == EXIT_CONFIG, stage
+        assert not (tmp_path / "o").exists()
 
     def test_overrides_win(self, small_cfg):
         cfg = load_run_config(small_cfg, {"seed": 42, "out_dir": "x"})
@@ -164,17 +183,47 @@ class TestPipeline:
         assert run("gen", "--config", small_cfg, "--out", str(out)) == 0
         corpus = load_corpus(out / "corpus.saco")
         assert corpus.frames.shape == (800, 8)
-        feats, pron, flu = load_assessment_corpus(out / "assess.saac")
-        assert feats.shape == (200, 30)
-        assert pron.min() >= 1 and flu.max() <= 5
+        assert sorted(p.name for p in out.iterdir()) == ["config.gen.resolved", "corpus.saco"]
 
     def test_same_seed_identical_outputs(self, small_cfg, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
             assert run("gen", "--config", small_cfg, "--out", out, "--seed", "5") == 0
             assert run("pretrain", "--config", small_cfg, "--out", out, "--seed", "5") == 0
-        for name in ("corpus.saco", "assess.saac", "am.bundle"):
+        for name in ("corpus.saco", "am.bundle"):
             assert filecmp.cmp(f"{a}/{name}", f"{b}/{name}", shallow=False), name
+
+    def test_assessment_rows_follow_the_eval_config(self, small_cfg, tmp_path):
+        # eval draws the assessment corpus from its own assess_n and seed
+        out = str(tmp_path / "run")
+        for stage in ("gen", "pretrain", "eval"):
+            assert run(stage, "--config", small_cfg, "--out", out, "--seed", "3") == 0
+        cfg = load_run_config(small_cfg, {"seed": 3})
+        feats, pron, flu = generate_assessment_corpus(cfg["assess_n"], 3)
+        n_train = int(0.8 * len(feats))
+        net = AssessmentNetwork(rng=np.random.default_rng(3))
+        training.train_assessment_network(net, feats[:n_train], pron[:n_train], flu[:n_train],
+                                          epochs=cfg["assess_epochs"], lr=cfg["assess_lr"],
+                                          seed=3)
+        expected = evaluate.assessment_metrics(net, feats[n_train:], pron[n_train:],
+                                               flu[n_train:])
+        metrics = read_report(tmp_path / "run" / "report.tsv").metrics
+        assert {k: v for k, v in metrics.items() if k.startswith("assess.")} == {
+            f"assess.{name}": val for name, val in expected.items()}
+
+    def test_zero_bat_error_reports_no_relative_reduction(self, tmp_path):
+        # unshifted, well-separated senones: the bat arm makes no child error,
+        # and a relative reduction over a zero baseline is undefined
+        cfg = tmp_path / "easy.cfg"
+        cfg.write_text(small_with("shift_profile = 0,0,0,0\nclass_separation = 12\n"))
+        out = tmp_path / "run"
+        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat"),
+                     ("adapt", "--mode", "sat"), ("eval",)):
+            assert run(*argv, "--config", str(cfg), "--out", str(out), "--seed", "0") == 0, argv
+        metrics = read_report(out / "report.tsv").metrics
+        assert metrics["senone_err.child.test.bat"] == 0.0
+        assert "senone_err.abs_reduction.sat_vs_dnn" in metrics
+        assert "senone_err.rel_reduction.sat_vs_bat" not in metrics
 
     def test_seed_changes_corpus(self, small_cfg, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -248,6 +297,17 @@ class TestExitCodes:
         assert not [k for k in read_report(tmp_path / "run" / "report.tsv").metrics
                     if k.endswith(".bat")]
 
+    def test_gen_removes_models_of_the_replaced_corpus(self, small_cfg, tmp_path):
+        # every model was trained on the corpus gen replaces; eval must not
+        # report them under the new corpus's seed
+        out = tmp_path / "run"
+        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat"),
+                     ("adapt", "--mode", "sat"), ("gen", "--seed", "2")):
+            assert run(*argv, "--config", small_cfg, "--out", str(out)) == 0
+        assert not list(out.glob("*.bundle"))
+        assert run("eval", "--config", small_cfg, "--out", str(out),
+                   "--seed", "2") == EXIT_NO_BUNDLE
+
     def test_out_under_a_regular_file(self, small_cfg, tmp_path):
         (tmp_path / "file").write_text("")
         for stage in ALL_STAGES:
@@ -273,8 +333,10 @@ def _am_matrices_disagree_with_manifest(out, cfg):
     save_bundle(out / "am.bundle", am.net.store, manifest)
 
 
-def _regenerate_corpus(out, cfg):
-    assert run("gen", "--config", cfg, "--out", str(out)) == 0
+def _dim_6_corpus(out, cfg):
+    corpus = generate_corpus(GeneratorConfig(K=4, dim=6, n_adult=400, n_child=400,
+                                             shift_profile=(0, 1, 2, 4)))
+    save_corpus(corpus, out / "corpus.saco")
 
 
 def _nan_adapter_weight(out, cfg):
@@ -348,21 +410,6 @@ def _nan_adult_training_frame(corpus):
     corpus.frames[np.flatnonzero(adult_train)[0], 2] = np.nan
 
 
-def _edit_assessment_corpus(edit):
-    def damage(out, cfg):
-        feats, pron, flu = load_assessment_corpus(out / "assess.saac")
-        edit(feats, pron, flu)
-        save_assessment_corpus(out / "assess.saac", feats, pron, flu)
-    return damage
-
-
-def _keep_assessment_rows(n):
-    def damage(out, cfg):
-        feats, pron, flu = load_assessment_corpus(out / "assess.saac")
-        save_assessment_corpus(out / "assess.saac", feats[:n], pron[:n], flu[:n])
-    return damage
-
-
 def _set(array_name, index, value):
     def edit(corpus):
         getattr(corpus, array_name)[index] = value
@@ -371,7 +418,8 @@ def _set(array_name, index, value):
 
 ALL_STAGES = ("gen", "pretrain", "adapt", "eval")
 
-# name -> (config lines appended to SMALL, damage to a gen+pretrain run, stages, code)
+# name -> (config lines that replace or extend SMALL's, damage to a gen+pretrain run,
+#          stages, code)
 PROBES = {
     "shift_profile_length_not_K": ("shift_profile = 0,1,2\n", None, ALL_STAGES, EXIT_CONFIG),
     "unknown_update_scheme": ("update_scheme = foo\n", None, ALL_STAGES, EXIT_CONFIG),
@@ -391,14 +439,13 @@ PROBES = {
     "split_without_dev_frames": ("split_train = 0.85\nsplit_dev = 0\nsplit_test = 0.15\n",
                                  None, ALL_STAGES, EXIT_CONFIG),
     "truncated_am_bundle": ("", _truncate("am.bundle"), ("adapt", "eval"), EXIT_NO_BUNDLE),
-    "truncated_assessment_corpus": ("", _truncate("assess.saac"), ("eval",), EXIT_NO_CORPUS),
     "dim_changed_after_pretrain": ("dim = 6\n", None, ("pretrain", "adapt", "eval"),
                                    EXIT_CONFIG),
     "truncated_corpus": ("", _truncate("corpus.saco"), ("pretrain", "adapt", "eval"),
                          EXIT_NO_CORPUS),
     "bundle_matrices_disagree_with_manifest": ("", _am_matrices_disagree_with_manifest,
                                                ("adapt", "eval"), EXIT_NO_BUNDLE),
-    "dim_changed_and_corpus_regenerated": ("dim = 6\n", _regenerate_corpus,
+    "dim_changed_and_corpus_regenerated": ("dim = 6\n", _dim_6_corpus,
                                            ("adapt", "eval"), EXIT_CONFIG),
     # well-formed files holding bad values
     "nan_adapter_weight": ("", _nan_adapter_weight, ("eval",), EXIT_NO_BUNDLE),
@@ -419,13 +466,6 @@ PROBES = {
                           ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
     "domain_label_7": ("", _edit_corpus(_set("domain_labels", 5, 7)),
                        ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
-    "nan_assessment_feature": ("", _edit_assessment_corpus(
-        lambda feats, pron, flu: feats.__setitem__((0, 0), np.nan)), ("eval",), EXIT_NO_CORPUS),
-    "assessment_level_6": ("", _edit_assessment_corpus(
-        lambda feats, pron, flu: flu.__setitem__(0, 6)), ("eval",), EXIT_NO_CORPUS),
-    "empty_assessment_corpus": ("", _keep_assessment_rows(0), ("eval",), EXIT_NO_CORPUS),
-    "assessment_corpus_of_one_row": ("", _keep_assessment_rows(1), ("eval",),
-                                     EXIT_NO_CORPUS),
     # training that saturates or overflows
     "saturating_pretrain_lr": ("pretrain_lr = 50\n", None, ("pretrain",), EXIT_DIVERGED),
     "saturating_adapter_lr": ("lr_adapter = 50\n", None, ("adapt",), EXIT_DIVERGED),
@@ -460,7 +500,7 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
     out = tmp_path / "run"
     shutil.copytree(pretrained_run, out)
     cfg = tmp_path / "probe.cfg"
-    cfg.write_text(SMALL + extra)
+    cfg.write_text(small_with(extra))
     if damage is not None:
         damage(out, str(cfg))
     for stage in stages:
@@ -468,9 +508,8 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
     assert not (out / "report.tsv").is_file()
 
 
-# every file kind eval reads; a seeded byte-mutation fuzz of each
-FUZZ_FILES = ("corpus.saco", "assess.saac", "am.bundle", "adapter_sat.bundle",
-              "disc_sat.bundle")
+# every file eval reads -> the seed of its byte-mutation fuzz
+FUZZ_FILES = {"corpus.saco": 0, "am.bundle": 2, "adapter_sat.bundle": 3, "disc_sat.bundle": 4}
 DOCUMENTED_EXITS = {0, EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN,
                     EXIT_NO_BUNDLE, EXIT_DIVERGED}
 
@@ -520,22 +559,28 @@ def _fuzz(cfg, path, seed, *stage):
     return failures
 
 
-@pytest.mark.parametrize("seed, name", enumerate(FUZZ_FILES), ids=FUZZ_FILES)
-def test_mutated_file_ends_in_documented_code(adapted_run, seed, name):
-    """eval reads all five file kinds: a truncated or bit-flipped file ends
-    in exit 0 or a code cli.py documents, never in an exception."""
+def test_fuzz_covers_every_container_file(adapted_run):
+    """A file kind a stage writes cannot escape the fuzz, nor a dropped one
+    linger in it."""
+    written = {p.name for p in (adapted_run / "run").iterdir()
+               if p.read_bytes().startswith(CONTAINER_MAGIC)}
+    assert written == set(FUZZ_FILES)
+
+
+@pytest.mark.parametrize("name, seed", FUZZ_FILES.items(), ids=list(FUZZ_FILES))
+def test_mutated_file_ends_in_documented_code(adapted_run, name, seed):
+    """eval reads all four files: a truncated or bit-flipped file ends in
+    exit 0 or a code cli.py documents, never in an exception."""
     assert not _fuzz(str(adapted_run / "small.cfg"), adapted_run / "run" / name, seed, "eval")
 
 
 # the files the training stages read, each with its own fuzz seed
-TRAINING_FUZZ = {"pretrain-corpus.saco": (("pretrain",), "corpus.saco"),
-                 "adapt_sat-corpus.saco": (("adapt", "--mode", "sat"), "corpus.saco"),
-                 "adapt_sat-am.bundle": (("adapt", "--mode", "sat"), "am.bundle")}
+TRAINING_FUZZ = {"pretrain-corpus.saco": (5, ("pretrain",), "corpus.saco"),
+                 "adapt_sat-corpus.saco": (6, ("adapt", "--mode", "sat"), "corpus.saco"),
+                 "adapt_sat-am.bundle": (7, ("adapt", "--mode", "sat"), "am.bundle")}
 
 
-@pytest.mark.parametrize("seed, stage, name",
-                         [(len(FUZZ_FILES) + i, *case)
-                          for i, case in enumerate(TRAINING_FUZZ.values())],
+@pytest.mark.parametrize("seed, stage, name", TRAINING_FUZZ.values(),
                          ids=list(TRAINING_FUZZ))
 def test_mutated_training_input_ends_in_documented_code(adapted_run, tmp_path, seed,
                                                         stage, name):

@@ -211,3 +211,7 @@ class TestFlatConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             parse_flat_config("just a line\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"'epochs' set twice, on lines 1 and 3"):
+            parse_flat_config("epochs = 3\nK = 4\nepochs = 5\n")
