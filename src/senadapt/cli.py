@@ -19,15 +19,13 @@ stable code on failure:
     7  training diverged or saturated: pretrain, adapt or eval's
        assessment training met a NaN or Inf, or the final epoch of pretrain
        or adapt has a mean senone CE on adult frames of at least ln K, no
-       better than a uniform guess; the log of a finished run is written,
-       and no output of the stage is left: each stage removes what it
-       writes before it trains (pretrain am.bundle, adapt
-       adapter_<mode>.bundle and disc_<mode>.bundle, eval report.tsv)
+       better than a uniform guess; the log and resolved config of a
+       finished run are written, and no other output of the stage is left
 
-gen removes every model bundle, trained on the corpus it replaces; pretrain
-removes every adapter and discriminator bundle before it trains, trained
-against the acoustic model it replaces. eval generates its assessment corpus
-from its own assess_n and seed.
+Before it trains or writes, each stage removes the files PIPELINE lists for
+it and for every later stage, but not a sibling adapt arm's: they were made
+from the inputs it replaces. eval generates its assessment corpus from its
+own assess_n and seed.
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
@@ -55,9 +53,15 @@ from .nn import FormatError, NonFiniteError
 EXIT_CONFIG, EXIT_IO, EXIT_NO_CORPUS, EXIT_UNFROZEN, EXIT_NO_BUNDLE = 2, 3, 4, 5, 6
 EXIT_DIVERGED = 7
 
-# every bundle pretrain and adapt write; gen and pretrain remove them all
-MODEL_BUNDLES = ("am.bundle", "adapter_bat.bundle", "disc_bat.bundle",
-                 "adapter_sat.bundle", "disc_sat.bundle")
+# The files each stage writes, in pipeline order. The stages of one step,
+# the two adapt arms, are siblings: neither reads the other's files.
+PIPELINE = (
+    {"gen": ("corpus.saco", "config.gen.resolved")},
+    {"pretrain": ("am.bundle", "pretrain.log", "config.pretrain.resolved")},
+    {f"adapt_{mode}": (f"adapter_{mode}.bundle", f"disc_{mode}.bundle", f"adapt_{mode}.log",
+                       f"config.adapt_{mode}.resolved") for mode in training.DISC_MODES},
+    {"eval": ("report.tsv", "config.eval.resolved")},
+)
 
 
 def _scalar_keys(config_cls) -> dict:
@@ -92,6 +96,18 @@ CONFIG_SCHEMA = {
     "assess_epochs": (int, 150),
     "assess_lr": (float, 0.05),
     "out_dir": (str, "run"),
+}
+
+# key -> (bound, test) for the keys whose config dataclass does not check them
+_BOUNDS = {
+    "seed": (">= 0", lambda v: v >= 0),
+    "pretrain_epochs": (">= 1", lambda v: v >= 1),
+    "pretrain_batch": (">= 1", lambda v: v >= 1),
+    "assess_epochs": (">= 1", lambda v: v >= 1),
+    "pretrain_lr": ("> 0", lambda v: v > 0),
+    "assess_lr": ("> 0", lambda v: v > 0),
+    "pretrain_momentum": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "assess_n": (f">= {synthdata.MIN_ASSESS_N}", lambda v: v >= synthdata.MIN_ASSESS_N),
 }
 
 
@@ -132,14 +148,9 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     for key in ("am_hidden", "adapter_hidden", "disc_hidden"):
         _int_list(cfg[key])
-    if not (cfg["seed"] >= 0 and cfg["pretrain_epochs"] >= 1 and cfg["pretrain_batch"] >= 1
-            and cfg["assess_epochs"] >= 1
-            and cfg["pretrain_lr"] > 0 and cfg["assess_lr"] > 0
-            and 0 <= cfg["pretrain_momentum"] < 1
-            and cfg["assess_n"] >= synthdata.MIN_ASSESS_N):
-        raise ConfigError("need seed >= 0, pretrain_epochs, pretrain_batch and assess_epochs "
-                          ">= 1, pretrain_lr and assess_lr > 0, pretrain_momentum in [0, 1), "
-                          f"assess_n >= {synthdata.MIN_ASSESS_N}")
+    for key, (bound, holds) in _BOUNDS.items():
+        if not holds(cfg[key]):
+            raise ConfigError(f"{key} must be {bound}, got {cfg[key]}")
     _gen_config(cfg).validate()
     _adv_config(cfg).validate()
     return cfg
@@ -227,14 +238,22 @@ def _write_resolved(cfg: dict, out: Path, stem: str) -> None:
     (out / f"config.{stem}.resolved").write_text(resolved_config_text(cfg))
 
 
+def _clear_from(out: Path, stage: str) -> None:
+    """Remove the files PIPELINE lists for stage and for every later step."""
+    step = next(i for i, stages in enumerate(PIPELINE) if stage in stages)
+    later = [name for stages in PIPELINE[step + 1:] for files in stages.values()
+             for name in files]
+    for name in (*PIPELINE[step][stage], *later):
+        (out / name).unlink(missing_ok=True)
+
+
 def cmd_gen(cfg: dict) -> int:
     try:
         corpus = synthdata.generate_corpus(_gen_config(cfg))
     except ValueError as e:
         raise StageError(EXIT_CONFIG, f"{e}; nothing written") from None
     out = _outdir(cfg)
-    for name in MODEL_BUNDLES:
-        (out / name).unlink(missing_ok=True)
+    _clear_from(out, "gen")
     synthdata.save_corpus(corpus, out / "corpus.saco")
     _write_resolved(cfg, out, "gen")
     print(f"wrote {out / 'corpus.saco'} ({corpus.frames.shape[0]} frames)")
@@ -247,8 +266,7 @@ def cmd_pretrain(cfg: dict) -> int:
     _check_dims(cfg, corpus)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
-    for name in MODEL_BUNDLES:
-        (out / name).unlink(missing_ok=True)
+    _clear_from(out, "pretrain")
     log = _train("pretraining", training.pretrain_adult_am,
                  am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
                  lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
@@ -279,8 +297,7 @@ def cmd_adapt(cfg: dict) -> int:
     adapter = models.AdaptationNetwork(cfg["dim"], _int_list(cfg["adapter_hidden"]), rng=rng)
     disc = models.DomainDiscriminator(cfg["dim"], _int_list(cfg["disc_hidden"]),
                                       mode=training.DISC_MODES[acfg.mode], K=cfg["K"], rng=rng)
-    for stem in ("adapter", "disc"):
-        (out / f"{stem}_{acfg.mode}.bundle").unlink(missing_ok=True)
+    _clear_from(out, f"adapt_{acfg.mode}")
     log = _train(f"adaptation ({acfg.mode})", training.adversarial_train,
                  adapter, am, disc, view, acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
@@ -319,7 +336,7 @@ def _report_arms(out: Path, corpus, am, report) -> dict:
 
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
-    (out / "report.tsv").unlink(missing_ok=True)
+    _clear_from(out, "eval")
     corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
     am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
                EXIT_NO_BUNDLE)

@@ -15,6 +15,8 @@ from senadapt.cli import (
     EXIT_NO_BUNDLE,
     EXIT_NO_CORPUS,
     EXIT_UNFROZEN,
+    PIPELINE,
+    ConfigError,
     load_run_config,
     main,
     resolved_config_text,
@@ -101,6 +103,18 @@ class TestConfig:
             assert run(stage, "--config", str(path),
                        "--out", str(tmp_path / "o")) == EXIT_CONFIG, stage
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, bound", [
+        ("seed", "-3", ">= 0"), ("pretrain_epochs", "0", ">= 1"),
+        ("pretrain_batch", "0", ">= 1"), ("assess_epochs", "0", ">= 1"),
+        ("pretrain_lr", "0.0", "> 0"), ("assess_lr", "-1.0", "> 0"),
+        ("pretrain_momentum", "1.0", "in [0, 1)"), ("assess_n", "10", ">= 50")])
+    def test_out_of_bound_value_names_its_key(self, tmp_path, key, value, bound):
+        path = tmp_path / "bad.cfg"
+        path.write_text(small_with(f"{key} = {value}\n"))
+        with pytest.raises(ConfigError) as e:
+            load_run_config(str(path), {})
+        assert str(e.value) == f"{key} must be {bound}, got {value}"
 
     def test_overrides_win(self, small_cfg):
         cfg = load_run_config(small_cfg, {"seed": 42, "out_dir": "x"})
@@ -317,6 +331,52 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("full")
+    (base / "small.cfg").write_text(SMALL)
+    for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat"),
+                 ("adapt", "--mode", "sat"), ("eval",)):
+        assert run(*argv, "--config", str(base / "small.cfg"), "--out", str(base / "run")) == 0
+    return base / "run"
+
+
+def test_pipeline_lists_every_file_a_stage_writes(full_run):
+    """A file a stage starts writing cannot escape the removal rule, nor a
+    dropped one linger in PIPELINE."""
+    listed = {name for stages in PIPELINE for files in stages.values() for name in files}
+    assert {p.name for p in full_run.iterdir()} == listed
+
+
+BY_GEN = {"corpus.saco", "config.gen.resolved"}
+BY_PRETRAIN = {"am.bundle", "pretrain.log", "config.pretrain.resolved"}
+
+
+def _by_adapt(mode):
+    return {f"adapter_{mode}.bundle", f"disc_{mode}.bundle", f"adapt_{mode}.log",
+            f"config.adapt_{mode}.resolved"}
+
+
+@pytest.mark.parametrize("argv, earlier, rewritten", [
+    (("gen", "--seed", "1"), set(), BY_GEN),
+    (("pretrain", "--seed", "1"), BY_GEN, BY_PRETRAIN),
+    (("adapt", "--mode", "bat"), BY_GEN | BY_PRETRAIN | _by_adapt("sat"), _by_adapt("bat")),
+], ids=["gen", "pretrain", "adapt_bat"])
+def test_rerun_stage_removes_what_later_stages_wrote(full_run, tmp_path, argv, earlier,
+                                                     rewritten):
+    """A stage run again over a full run removes every later stage's files,
+    which came from the inputs it replaces; an earlier stage's files, a
+    sibling adapt arm's and a user's own stay as they were."""
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    (out / "small.cfg").write_text(SMALL)
+    assert run(*argv, "--config", str(out / "small.cfg"), "--out", str(out)) == 0
+    assert {p.name for p in out.iterdir()} == earlier | rewritten | {"small.cfg"}
+    for name in earlier:
+        assert filecmp.cmp(out / name, full_run / name, shallow=False), name
+    assert (out / "small.cfg").read_text() == SMALL
 
 
 def _truncate(name):
