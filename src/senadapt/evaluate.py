@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .models import (AdaptationNetwork, AdultAcousticModel, AssessmentNetwork,
                      DomainDiscriminator)
 from .synthdata import SyntheticCorpus
 
-# hashed into every report fingerprint
-CODE_VERSION = "1"
+# hashed into every report fingerprint: the package version
+CODE_VERSION = __version__
 
 
 def senone_error_rate(predictions: np.ndarray, truth: np.ndarray) -> float:

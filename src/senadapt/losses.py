@@ -14,25 +14,28 @@ Three losses drive training:
 The combined objective is E = ce_sum/n - dom_sum/N: the adapter minimizes E
 (so it maximizes the domain loss) while the discriminator maximizes E.
 
-Two unchecked kernels do the arithmetic, one per target shape. The training
-loops call them once per batch: they check their whole input once per run
-and form integer rows, labels and domain columns once per batch.
+Two unchecked kernels do the arithmetic for training, one per target
+shape. The training loops call them once per batch: they check their whole
+input once per run and form integer rows, labels and domain columns once
+per batch. Each returns the loss gradient with respect to the softmax
+logits, for Network.backward(..., from_logits=True), in closed form:
 
-* ce_kernel(y, rows, cols): one target per row, for the acoustic model,
-  both assessment heads and the binary discriminator (over every row). It
-  returns the gradient with respect to the softmax logits, for
-  Network.backward(..., from_logits=True): per row s = g*y_l, y*(0.0 - s)
-  off the target and y_l*(g - s) on it, bit for bit the chained result.
-* senone_aware_domain_kernel(y, cols, alpha): K targets per row, so its
-  chained row sum fixes the bits; it returns the probability gradient.
+* ce_kernel(y, rows, cols): one target per row, for the acoustic model and
+  both assessment heads; (y - one-hot) / n on the given rows, 0 elsewhere.
+* senone_aware_domain_kernel(y, cols, alpha): K alpha-weighted targets per
+  row, for the discriminator in both modes (binary is K = 1, alpha = 1);
+  (y * sum(alpha) - alpha on the true-domain block) / N.
 
 The public senone_ce_loss, binary_domain_loss and senone_aware_domain_loss
 check their arguments (shapes, labels in range, a 0/1 domain indicator) and
-return the gradient with respect to the probability rows they were fed;
-chaining it through Network.backward's softmax Jacobian gives the logit
-gradient. binary_domain_loss is the joint kernel at K = 1 with alpha = 1.
+return the gradient with respect to the probability rows they were fed: the
+reference path, which Network.backward's softmax Jacobian chains to the
+kernels' gradient, up to rounding, where every target is at least 1e-12.
+binary_domain_loss is the senone-aware loss at K = 1 with alpha = 1.
 
-Log arguments are clamped at 1e-12.
+Loss values clamp their log arguments at 1e-12; the kernels' gradients do
+not read the clamp, so a target whose probability has saturated to 0 still
+gets its full push back.
 
 Column convention for joint discriminator outputs: columns [0, K) are
 (adult, senone k), columns [K, 2K) are (child, senone k). With K = 1 this
@@ -54,53 +57,46 @@ def _check_indicator(indicator: np.ndarray) -> np.ndarray:
     return indicator.astype(np.intp)
 
 
-def _target_terms(yl: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each target probability p = yl (the gathered y[rows, cols]), floored
-    at PROB_FLOOR, and d(-sum log p / n)/dp."""
-    p = np.maximum(yl, PROB_FLOOR)
-    return p, -1.0 / (n * p)
-
-
-def _one_target_logit_grad(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                           yl: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dLoss/dz of the softmax layer y = softmax(z), whose targets
-    y[rows, cols] are yl, when dLoss/dy is g at (rows, cols) and 0
-    elsewhere: per row s = g*y_l, y*(0.0 - s) off the
-    target, y_l*(g - s) on it. These are the bits of the chained path
-    (the probability gradient through Network.backward's softmax
-    Jacobian): its row sum adds only zeros to g*y_l, and 0.0 - s, unlike
-    -s, gives +0.0 on a row without a target, as 0.0 - 0.0 does there."""
-    s = np.zeros(len(y))
-    s[rows] = g * yl
-    gz = y * (0.0 - s)[:, None]
-    gz[rows, cols] = yl * (g - s[rows])
-    return gz
-
-
 def ce_kernel(y: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> tuple[float, np.ndarray]:
     """Unchecked cross-entropy of a softmax output y against one target
     column per given row: the mean -log y[rows, cols] and its gradient with
-    respect to the softmax logits (for Network.backward(...,
-    from_logits=True)). rows are distinct and non-empty, cols in range."""
+    respect to the softmax logits, (y - one-hot) / n on the given rows and
+    +0.0 elsewhere. rows are distinct and non-empty, cols in range."""
     n = len(rows)
-    yl = y[rows, cols]
-    p, g = _target_terms(yl, n)
-    return float(-np.log(p).sum() / n), _one_target_logit_grad(y, rows, cols, yl, g)
+    grad = np.zeros_like(y)
+    grad[rows] = y[rows]
+    grad[rows, cols] -= 1.0
+    grad /= n
+    return float(-np.log(np.maximum(y[rows, cols], PROB_FLOOR)).sum() / n), grad
 
 
 def senone_aware_domain_kernel(y: np.ndarray, cols: np.ndarray,
-                               alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+                               alpha: np.ndarray) -> tuple[float, np.ndarray]:
     """Unchecked senone-aware domain loss of a 2K-column joint output y
-    against each row's domain column: (per-frame loss, mean, d(mean)/dy).
-    The gradient stays in probability space: it has K targets per row."""
+    against each row's domain column: the mean and its gradient with respect
+    to the softmax logits, (y * sum(alpha) - alpha on the true-domain block)
+    / N. At K = 1 with alpha = 1 this is the binary domain loss."""
     N, K = y.shape[0], y.shape[1] // 2
-    # each frame's true-domain block of K columns, as (N, 2, K)[row, domain]
-    rows = np.arange(N)
-    p = np.maximum(y.reshape(N, 2, K)[rows, cols], PROB_FLOOR)
+    block = (np.arange(N), cols)  # true-domain block, as (N, 2, K)[row, domain]
+    p = np.maximum(y.reshape(N, 2, K)[block], PROB_FLOOR)
+    per_frame = -(alpha * np.log(p)).sum(axis=1)
+    grad = y * alpha.sum(axis=1, keepdims=True)
+    grad.reshape(N, 2, K)[block] -= alpha
+    grad /= N
+    return float(per_frame.sum() / N), grad
+
+
+def _domain_loss(y: np.ndarray, cols: np.ndarray,
+                 alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The public domain losses' arithmetic: the kernel's per-frame loss and
+    mean, and d(mean)/dy in place of its logit gradient."""
+    N, K = y.shape[0], y.shape[1] // 2
+    block = (np.arange(N), cols)
+    p = np.maximum(y.reshape(N, 2, K)[block], PROB_FLOOR)
     per_frame = -(alpha * np.log(p)).sum(axis=1)
     grad = np.zeros_like(y)
-    grad.reshape(N, 2, K)[rows, cols] = -alpha / (N * p)
+    grad.reshape(N, 2, K)[block] = -alpha / (N * p)
     return per_frame, float(per_frame.sum() / N), grad
 
 
@@ -121,9 +117,9 @@ def senone_ce_loss(posteriors: np.ndarray, labels: np.ndarray,
     lab = labels[rows].astype(np.intp)
     if (lab < 0).any() or (lab >= posteriors.shape[1]).any():
         raise ValueError("senone label out of range")
-    p, g = _target_terms(posteriors[rows, lab], n)
+    p = np.maximum(posteriors[rows, lab], PROB_FLOOR)
     grad = np.zeros_like(posteriors)
-    grad[rows, lab] = g
+    grad[rows, lab] = -1.0 / (n * p)
     return float(-np.log(p).sum() / n), grad
 
 
@@ -134,8 +130,7 @@ def binary_domain_loss(disc_out: np.ndarray,
     disc_out = np.asarray(disc_out, dtype=np.float64)
     if disc_out.ndim != 2 or disc_out.shape[1] != 2:
         raise ShapeError("binary domain loss expects a 2-column posterior matrix")
-    return senone_aware_domain_kernel(disc_out, _check_indicator(indicator),
-                                      np.ones((len(disc_out), 1)))
+    return _domain_loss(disc_out, _check_indicator(indicator), np.ones((len(disc_out), 1)))
 
 
 def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
@@ -153,4 +148,4 @@ def senone_aware_domain_loss(disc_out: np.ndarray, indicator: np.ndarray,
     if alpha.shape != (disc_out.shape[0], K):
         raise ShapeError(
             f"alpha shape {alpha.shape} incompatible with 2K={disc_out.shape[1]} output")
-    return senone_aware_domain_kernel(disc_out, _check_indicator(indicator), alpha)
+    return _domain_loss(disc_out, _check_indicator(indicator), alpha)

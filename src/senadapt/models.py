@@ -105,8 +105,9 @@ class AdaptationNetwork:
 
 
 class DomainDiscriminator:
-    """Adversary over adapted features: 2-way domain softmax in binary mode,
-    joint 2K-way (domain, senone) softmax in senone_aware mode."""
+    """Adversary over adapted features: a joint 2K-way (domain, senone)
+    softmax on the senone-aware domain loss. Binary mode is its K = 1 case,
+    a 2-way (adult, child) softmax with alpha = 1; its bundle records no K."""
 
     MODES = ("binary", "senone_aware")
 
@@ -134,23 +135,20 @@ class DomainDiscriminator:
     def loss_backward(self, feats: np.ndarray, domain_cols: np.ndarray,
                       alpha: np.ndarray | None, **backward):
         """One forward, domain loss and backward (keywords go to
-        Network.backward), with the loss self.mode names: senone-aware against
-        alpha, or binary, each row's cross-entropy against its domain column.
-        Returns the output, the mean domain loss and the input gradient."""
+        Network.backward): the senone-aware loss against alpha, or against
+        alpha = 1, the binary loss, when alpha is None. Returns the output,
+        the mean domain loss and the input gradient."""
         trace = self.net.forward(feats, check_input=False)
-        if self.mode == "senone_aware":
-            _, dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols,
-                                                                  alpha)
-        else:
-            dom_mean, grad = losses.ce_kernel(trace.output, np.arange(len(feats)), domain_cols)
-        feat_grad = self.net.backward(trace, grad, from_logits=self.mode == "binary",
-                                      **backward)
+        alpha = np.ones((len(feats), 1)) if alpha is None else alpha
+        dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols, alpha)
+        feat_grad = self.net.backward(trace, grad, from_logits=True, **backward)
         return trace.output, dom_mean, feat_grad
 
     def domain_probs(self, out: np.ndarray) -> np.ndarray:
         """The (adult, child) probability rows of an output of this
-        discriminator: a joint output is marginalized over senones."""
-        return marginal_domain_probs(out) if self.mode == "senone_aware" else out
+        discriminator, marginalized over its senones: a binary output comes
+        back unchanged."""
+        return marginal_domain_probs(out)
 
 
 class AssessmentNetwork:
@@ -174,12 +172,12 @@ class AssessmentNetwork:
         return t, p, f
 
     def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray, *,
-                 input_grad: bool = True, from_logits: bool = False) -> np.ndarray | None:
-        """grad_pron and grad_flu are taken as Network.backward takes them:
-        softmax-output gradients, or logit gradients with from_logits=True."""
+                 input_grad: bool = True) -> np.ndarray | None:
+        """grad_pron and grad_flu are the loss gradients with respect to each
+        head's softmax logits, as losses.ce_kernel returns them."""
         t, p, f = traces
-        gt = (self.head_pron.backward(p, grad_pron, from_logits=from_logits)
-              + self.head_flu.backward(f, grad_flu, from_logits=from_logits))
+        gt = (self.head_pron.backward(p, grad_pron, from_logits=True)
+              + self.head_flu.backward(f, grad_flu, from_logits=True))
         return self.trunk.backward(t, gt, input_grad=input_grad)
 
     def predict_levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,14 +22,15 @@ stays the default for every other caller.
 
 Network.backward never writes into the caller's upstream gradient; it works
 in place only on arrays it allocated itself. With from_logits=True the
-upstream is the gradient with respect to the top layer's pre-activation,
-for the losses' fused softmax kernels, and that layer's activation backward
-is skipped. With input_grad=False it stops
-after the first layer's parameter gradients and returns None, for callers
-that would discard dLoss/dInput; the parameter gradients are the same bits
-either way. With param_grads=False it forms only dLoss/dInput, the same bits
-as a full backward, and leaves the store's gradients untouched, for callers
-that would discard the parameter gradients.
+upstream is the gradient with respect to the top layer's pre-activation, as
+every training loss kernel returns it, and that layer's activation backward
+is skipped; only the public checked losses, the reference path, take the
+softmax Jacobian. With input_grad=False it stops after the first layer's
+parameter gradients and returns None, for callers that would discard
+dLoss/dInput; the parameter gradients are the same bits either way. With
+param_grads=False it forms only dLoss/dInput, the same bits as a full
+backward, and leaves the store's gradients untouched, for callers that
+would discard the parameter gradients.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 ACTIVATIONS = ("rectifier", "sigmoid", "identity", "softmax")
 
-# floor for log arguments inside losses and for probability clamping
+# floor for the log arguments of loss values; no training gradient reads it
 PROB_FLOOR = 1e-12
 
 CONTAINER_MAGIC = b"SENADAPT"
@@ -311,7 +312,7 @@ class Network:
 
         upstream is dLoss/dOutput, or with from_logits=True dLoss/dz of the
         top layer's pre-activation z, so that layer's activation backward is
-        skipped (the losses' fused softmax kernels hand that gradient over).
+        skipped (the losses' training kernels hand that gradient over).
         With param_grads=False, or on a frozen store, no parameter gradient
         is formed and the store's gradients are left as they are.
         """

@@ -419,7 +419,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)
-        net.backward(traces, g_p, g_f, input_grad=False, from_logits=True)
+        net.backward(traces, g_p, g_f, input_grad=False)
         for store in stores:
             sgd_step(store, lr, momentum)
         # the CE of both heads: each row counts twice

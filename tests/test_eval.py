@@ -1,9 +1,13 @@
 """Metric and report tests, including published-number arithmetic checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import senadapt
 from senadapt.evaluate import (
+    CODE_VERSION,
     MetricsReport,
     absolute_reduction,
     assessment_metrics,
@@ -194,3 +198,10 @@ class TestReports:
         assert a != config_fingerprint("a=1\n", 8)
         assert a == config_fingerprint("a=1\n", 7)
         assert len(a) == 16
+
+    def test_fingerprint_hashes_the_package_version(self):
+        # one home for the version: the package, which pyproject.toml reads
+        assert CODE_VERSION == senadapt.__version__
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'attr = "senadapt.__version__"' in pyproject
+        assert "\nversion = " not in pyproject.split("[project.scripts]")[0]

@@ -13,7 +13,7 @@ from senadapt.losses import (
     senone_ce_loss,
 )
 from senadapt.models import marginal_domain_probs
-from senadapt.nn import PROB_FLOOR, ShapeError, _activation_backward
+from senadapt.nn import PROB_FLOOR, ShapeError, _activation_backward, _softmax
 
 
 def naive_senone_aware_loss(disc_out, indicator, alpha):
@@ -300,31 +300,63 @@ def _chained(y, prob_grad):
     return _activation_backward("softmax", y, prob_grad, False)
 
 
+def _logsumexp(z):
+    m = z.max(axis=1)
+    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+
+
+def _central_differences(row_losses, z, h=1e-5):
+    """Central differences of row_losses(z).sum() with respect to z.
+    row_losses gives each row's term and z[i, j] moves only row i's, so one
+    column of steps covers every row."""
+    grad = np.zeros_like(z)
+    for j in range(z.shape[1]):
+        up, dn = z.copy(), z.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        grad[:, j] = (row_losses(up) - row_losses(dn)) / (2 * h)
+    return grad
+
+
+# a kernel's logit gradient against central differences of the unclamped
+# loss (log-softmax as z - logsumexp(z)), and against the chained public
+# path on rows whose targets are all at least PROB_FLOOR
+FD_TOL = 1e-7
+CHAINED_RTOL, CHAINED_ATOL = 1e-12, 1e-14
+
 FUSED_CASES = [(N, K, domains) for N in (1, 2, 3, 17, 64, 128) for K in (2, 10)
                for domains in ("mixed", "adult", "child")]
 
 
 @pytest.mark.parametrize("N, K, domains", FUSED_CASES)
 class TestFusedKernels:
-    """The kernels' logit gradients are the chained path's bits, signs of
-    zero included, with target probabilities of exactly 0 and below the
-    floor."""
+    """Each kernel's loss is the public loss's value, bit for bit, and its
+    logit gradient is the gradient of the unclamped loss at every target
+    probability, exactly 0 and below the floor included."""
 
     @staticmethod
     def batch(N, K, domains, width):
         rng = np.random.default_rng(1000 * N + K)
-        y = rng.dirichlet(np.full(width, 0.3), size=N)
-        r = rng.random(y.shape)
-        y[r < 0.1] = 0.0
-        y[(r >= 0.1) & (r < 0.2)] = 1e-14
+        z = rng.normal(scale=2.0, size=(N, width))
+        r = rng.random(z.shape)
+        z[r < 0.1] -= 800.0  # exp underflows: probability exactly 0
+        z[(r >= 0.1) & (r < 0.2)] -= 32.0  # probability about 1e-14
         dom = {"mixed": rng.integers(0, 2, N), "adult": np.zeros(N, int),
                "child": np.ones(N, int)}[domains]
         if domains == "mixed":
             dom[0] = 0  # at least one adult row
-        return rng, y, dom
+        return rng, z, _softmax(z), dom
+
+    @staticmethod
+    def check_gradient(grad, z, y, row_losses, prob_grad, floored_rows):
+        np.testing.assert_allclose(grad, _central_differences(row_losses, z), rtol=0,
+                                   atol=FD_TOL)
+        ok = ~floored_rows
+        np.testing.assert_allclose(grad[ok], _chained(y, prob_grad)[ok],
+                                   rtol=CHAINED_RTOL, atol=CHAINED_ATOL)
 
     def test_senone_ce(self, N, K, domains):
-        rng, y, dom = self.batch(N, K, domains, K)
+        rng, z, y, dom = self.batch(N, K, domains, K)
         labels = rng.integers(0, K, N)
         mask = dom == 0
         if not mask.any():
@@ -335,27 +367,70 @@ class TestFusedKernels:
         rows = np.flatnonzero(mask)
         got_loss, logit_grad = ce_kernel(y, rows, labels[rows])
         assert got_loss == loss
-        assert _same_bits(logit_grad, _chained(y, prob_grad))
+
+        def row_losses(zz):
+            return mask * (_logsumexp(zz) - zz[np.arange(N), labels]) / len(rows)
+
+        floored = mask & (y[np.arange(N), labels] < PROB_FLOOR)
+        self.check_gradient(logit_grad, z, y, row_losses, prob_grad, floored)
 
     def test_binary_domain(self, N, K, domains):
-        # the binary discriminator's loss: ce_kernel over every row
-        _, y, dom = self.batch(N, K, domains, 2)
+        # the binary discriminator's loss: the joint kernel at K = 1,
+        # alpha = 1, which is ce_kernel over every row bit for bit
+        _, z, y, dom = self.batch(N, K, domains, 2)
+        cols = dom.astype(np.intp)
         _, mean, prob_grad = binary_domain_loss(y, dom)
-        got_mean, logit_grad = ce_kernel(y, np.arange(N), dom.astype(np.intp))
+        got_mean, logit_grad = senone_aware_domain_kernel(y, cols, np.ones((N, 1)))
         assert got_mean == mean
-        assert _same_bits(logit_grad, _chained(y, prob_grad))
+        ce_mean, ce_grad = ce_kernel(y, np.arange(N), cols)
+        assert ce_mean == mean and _same_bits(logit_grad, ce_grad)
+
+        def row_losses(zz):
+            return (_logsumexp(zz) - zz[np.arange(N), cols]) / N
+
+        floored = y[np.arange(N), cols] < PROB_FLOOR
+        self.check_gradient(logit_grad, z, y, row_losses, prob_grad, floored)
 
     def test_senone_aware_domain(self, N, K, domains):
-        rng, y, dom = self.batch(N, K, domains, 2 * K)
-        alpha = rng.dirichlet(np.ones(K), size=N)
-        got = senone_aware_domain_kernel(y, dom.astype(np.intp), alpha)
-        want = senone_aware_domain_loss(y, dom, alpha)
-        assert _same_bits(got[0], want[0]) and got[1] == want[1]
-        assert _same_bits(got[2], want[2])
+        rng, z, y, dom = self.batch(N, K, domains, 2 * K)
+        # rows that do not sum to 1: the gradient scales y by each row's sum
+        alpha = rng.dirichlet(np.ones(K), size=N) * rng.uniform(0.5, 2.0, size=(N, 1))
+        cols = dom.astype(np.intp)
+        _, mean, prob_grad = senone_aware_domain_loss(y, dom, alpha)
+        got_mean, logit_grad = senone_aware_domain_kernel(y, cols, alpha)
+        assert got_mean == mean
+
+        def row_losses(zz):
+            block = zz.reshape(N, 2, K)[np.arange(N), cols]
+            return (alpha * (_logsumexp(zz)[:, None] - block)).sum(axis=1) / N
+
+        floored = (y.reshape(N, 2, K)[np.arange(N), cols] < PROB_FLOOR).any(axis=1)
+        self.check_gradient(logit_grad, z, y, row_losses, prob_grad, floored)
+
+
+@pytest.mark.parametrize("p", [1e-14, 0.0])
+def test_saturated_target_gets_its_full_gradient(p):
+    # below the 1e-12 floor the loss value is clamped, but the gradient is
+    # still the closed form: about -1/n on the target, not about 0
+    y = np.array([[p, 1.0 - p], [0.4, 0.6], [0.7, 0.3]])
+    _, gz = ce_kernel(y, np.array([0, 1]), np.array([0, 1]))
+    assert gz[0, 0] == pytest.approx((p - 1.0) / 2, rel=1e-15)
+    assert gz[0, 1] == pytest.approx((1.0 - p) / 2, rel=1e-15)
+
+    # a joint K = 2 row whose true (adult) block holds p, and a child row
+    joint = np.array([[p, p, 0.5, 0.5 - 2 * p], [0.1, 0.2, 0.3, 0.4]])
+    alpha = np.array([[0.75, 0.25], [0.5, 0.5]])
+    cols = np.array([0, 1])
+    _, gz = senone_aware_domain_kernel(joint, cols, alpha)
+    target = np.zeros_like(joint)
+    target[0, :2], target[1, 2:] = alpha[0], alpha[1]
+    want = (joint * alpha.sum(axis=1, keepdims=True) - target) / 2
+    np.testing.assert_allclose(gz, want, rtol=1e-15, atol=0)
+    assert gz[0, 0] == pytest.approx(-0.375, rel=1e-12)
 
 
 def test_masked_rows_are_positive_zero():
-    # writing -s for 0.0 - s would give -0.0 on every row without a target
+    # rows without a target get +0.0, as the chained path gives them
     y = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
     _, gz = ce_kernel(y, np.array([1]), np.array([0]))
     assert not np.signbit(gz[[0, 2]]).any() and not gz[[0, 2]].any()

@@ -108,6 +108,15 @@ class TestComposition:
         assert dom.shape == (20, 2)
         assert np.max(np.abs(dom.sum(axis=1) - 1.0)) <= 1e-9
 
+    def test_binary_domain_probs_are_the_output(self):
+        # binary is the joint layout at K = 1: marginalizing over its one
+        # senone returns the (adult, child) rows bit for bit
+        disc = DomainDiscriminator(5, [6], "binary", rng=np.random.default_rng(9))
+        out = np.vstack([disc.net.forward(self.x).output,
+                         [[0.0, 1.0], [1e-300, 1.0 - 1e-16], [5e-324, 1.0]]])
+        probs = disc.domain_probs(out)
+        assert probs.dtype == out.dtype and probs.tobytes() == out.tobytes()
+
     def test_marginalization_rejects_odd_width(self):
         with pytest.raises(ShapeError):
             marginal_domain_probs(np.full((2, 5), 0.2))

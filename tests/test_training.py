@@ -52,6 +52,28 @@ def am_error(am, frames, labels):
     return float((pred != labels).mean())
 
 
+# The reference loops' gradients with respect to a softmax layer's logits,
+# written out here apart from the loss kernels.
+
+
+def ce_logit_grad(y, rows, cols):
+    """d(mean -log y[rows, cols])/dz: (y - one-hot) / n on the given rows."""
+    onehot = np.zeros_like(y)
+    onehot[rows, cols] = 1.0
+    grad = np.zeros_like(y)
+    grad[rows] = y[rows] - onehot[rows]
+    return grad / len(rows)
+
+
+def domain_logit_grad(y, dom, alpha):
+    """d(mean senone-aware domain loss)/dz: (y * sum(alpha) - alpha on the
+    true-domain block) / N."""
+    N, K = alpha.shape
+    target = np.zeros_like(y)
+    target[np.arange(N)[:, None], dom.astype(np.intp)[:, None] * K + np.arange(K)] = alpha
+    return (y * alpha.sum(axis=1, keepdims=True) - target) / N
+
+
 class TestPretraining:
 
     def test_beats_nearest_mean_oracle(self):
@@ -116,7 +138,8 @@ class TestPretraining:
     @staticmethod
     def reference_pretrain(am, view, epochs, lr, seed, batch_size=128, momentum=0.9):
         """pretrain_adult_am as written before its backward pass stopped
-        forming the input gradient it throws away."""
+        forming the input gradient it throws away, on the written-out
+        logit gradient."""
         adult = np.flatnonzero(view.adult_mask)
         x_all, y_all = view.frames[adult], view.adult_senone_labels[adult]
         rng = np.random.default_rng(seed)
@@ -126,8 +149,9 @@ class TestPretraining:
             for idx in _minibatches(rng, adult.size, batch_size):
                 x, y = x_all[idx], y_all[idx]
                 trace = am.net.forward(x)
-                ce, grad = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
-                assert am.net.backward(trace, grad).shape == x.shape
+                ce, _ = losses.senone_ce_loss(trace.output, y, np.ones(len(y), bool))
+                grad = ce_logit_grad(trace.output, np.arange(len(y)), y)
+                assert am.net.backward(trace, grad, from_logits=True).shape == x.shape
                 sgd_step(am.net.store, lr, momentum)
                 ce_sum += ce * len(y)
                 correct += int((trace.output.argmax(axis=1) == y).sum())
@@ -443,28 +467,33 @@ class TestAdversarialTrain:
     @staticmethod
     def reference_train(adapter, am, disc, view, cfg):
         """adversarial_train as written before the discriminator phase and
-        the sat alpha stopped repeating work: each phase computes the full
-        batch gradients, the discriminator phase then zeroes the adapter's,
-        and alpha comes from a second acoustic-model forward."""
+        the sat alpha stopped repeating work, on the written-out logit
+        gradients: each phase computes the full batch gradients, the
+        discriminator phase then zeroes the adapter's, and alpha comes from a
+        second acoustic-model forward."""
         adult_idx = np.flatnonzero(view.adult_mask)
         child_idx = np.flatnonzero(~view.adult_mask)
 
         def batch_grads(x, y, dom, lam):
             at = adapter.forward(x)
             am_trace = am.net.forward(at.output)
-            ce, ce_grad = losses.senone_ce_loss(am_trace.output, y, dom == 0)
-            feat_grad = am.net.backward(am_trace, ce_grad)
+            ce, _ = losses.senone_ce_loss(am_trace.output, y, dom == 0)
+            adult = np.flatnonzero(dom == 0)
+            feat_grad = am.net.backward(am_trace, ce_logit_grad(am_trace.output, adult,
+                                                                y[adult]), from_logits=True)
             dt = disc.net.forward(at.output)
             evals, crc = 0, 0
             if cfg.mode == "sat":
                 alpha = am.posteriors(at.output if cfg.alpha_source == "adapted" else x)
                 evals, crc = alpha.shape[0], zlib.crc32(alpha.astype("<f8").tobytes())
-                _, dom_mean, dg = losses.senone_aware_domain_loss(dt.output, dom, alpha)
+                _, dom_mean, _ = losses.senone_aware_domain_loss(dt.output, dom, alpha)
+                dg = domain_logit_grad(dt.output, dom, alpha)
                 probs = marginal_domain_probs(dt.output)
             else:
-                _, dom_mean, dg = losses.binary_domain_loss(dt.output, dom)
+                _, dom_mean, _ = losses.binary_domain_loss(dt.output, dom)
+                dg = ce_logit_grad(dt.output, np.arange(len(dom)), dom)
                 probs = dt.output
-            adapter.backward(at, feat_grad - lam * disc.net.backward(dt, dg))
+            adapter.backward(at, feat_grad - lam * disc.net.backward(dt, dg, from_logits=True))
             n_a = int((dom == 0).sum())
             return (ce * n_a, dom_mean * len(x), n_a, len(x),
                     int((probs.argmax(axis=1) == dom).sum()), evals, crc)
@@ -682,8 +711,8 @@ class TestDiscriminatorOnly:
     @staticmethod
     def reference_train(disc, am, view, epochs, lr, seed, batch_size=128, momentum=0.0):
         """train_discriminator_only as written before it checked its input
-        once per run and handed the binary discriminator its logit gradient:
-        the public losses on every batch and a zero_grads per batch."""
+        once per run: the public losses' values and the written-out logit
+        gradients on every batch, and a zero_grads per batch."""
         rng = np.random.default_rng(seed)
         log = TrainLog()
         n = len(view.frames)
@@ -693,14 +722,16 @@ class TestDiscriminatorOnly:
                 x, dom = view.frames[idx], view.domain_labels[idx]
                 trace = disc.net.forward(x)
                 if disc.mode == "senone_aware":
-                    _, dom_mean, dom_grad = losses.senone_aware_domain_loss(
-                        trace.output, dom, am.posteriors(x))
+                    alpha = am.posteriors(x)
+                    _, dom_mean, _ = losses.senone_aware_domain_loss(trace.output, dom, alpha)
+                    dom_grad = domain_logit_grad(trace.output, dom, alpha)
                     probs = marginal_domain_probs(trace.output)
                 else:
-                    _, dom_mean, dom_grad = losses.binary_domain_loss(trace.output, dom)
+                    _, dom_mean, _ = losses.binary_domain_loss(trace.output, dom)
+                    dom_grad = ce_logit_grad(trace.output, np.arange(len(dom)), dom)
                     probs = trace.output
                 disc.store.zero_grads()
-                assert disc.net.backward(trace, dom_grad).shape == x.shape
+                assert disc.net.backward(trace, dom_grad, from_logits=True).shape == x.shape
                 sgd_step(disc.store, lr, momentum)
                 dom_sum += dom_mean * len(idx)
                 correct += int((probs.argmax(axis=1) == dom).sum())
@@ -841,7 +872,8 @@ class TestAssessmentTraining:
     def reference_train(net, features, pron, flu, epochs, lr, seed, batch_size=64,
                         momentum=0.9):
         """train_assessment_network as written before its trunk backward
-        stopped forming the input gradient it throws away."""
+        stopped forming the input gradient it throws away, on the
+        written-out logit gradients."""
         rng = np.random.default_rng(seed)
         n = len(features)
         stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
@@ -852,8 +884,10 @@ class TestAssessmentTraining:
                 yp, yf = pron[idx] - 1, flu[idx] - 1
                 traces = net.forward(features[idx])
                 _, p, f = traces
-                ce_p, g_p = losses.senone_ce_loss(p.output, yp, np.ones(len(idx), bool))
-                ce_f, g_f = losses.senone_ce_loss(f.output, yf, np.ones(len(idx), bool))
+                rows = np.arange(len(idx))
+                ce_p, _ = losses.senone_ce_loss(p.output, yp, np.ones(len(idx), bool))
+                ce_f, _ = losses.senone_ce_loss(f.output, yf, np.ones(len(idx), bool))
+                g_p, g_f = ce_logit_grad(p.output, rows, yp), ce_logit_grad(f.output, rows, yf)
                 for store in stores:
                     store.zero_grads()
                 assert net.backward(traces, g_p, g_f).shape == (len(idx), 30)
