@@ -11,11 +11,13 @@ stable code on failure:
        that is a directory, an --out under a regular file); every read
        failure has a code of its own below
     4  required corpus file missing or malformed
-    5  acoustic-model bundle is not frozen
+    5  acoustic-model bundle is not frozen (adapt or eval)
     6  required model bundle missing or malformed, holding matrices that
        do not fit the layers its kind defines for the numbers in its
        manifest (dim, hidden widths, K, mode), or holding a model that
-       gives non-finite outputs on the (finite) corpus in adapt or eval
+       gives non-finite outputs on the (finite) corpus in adapt or eval;
+       an adapt arm found with one of its two bundles, or a discriminator
+       that is not its arm's adversary for this corpus (mode, K)
     7  training diverged or saturated: pretrain, adapt or eval's
        assessment training met a NaN or Inf, or the final epoch of pretrain
        or adapt has a mean senone CE on adult frames of at least ln K, no
@@ -24,8 +26,10 @@ stable code on failure:
 
 Before it trains or writes, each stage removes the files PIPELINE lists for
 it and for every later stage, but not a sibling adapt arm's: they were made
-from the inputs it replaces. eval generates its assessment corpus from its
-own assess_n and seed.
+from the inputs it replaces. Each input has one reader, called in pipeline
+order: adapt and eval share the acoustic model's, and eval reads each adapt
+arm it finds whole. eval generates its assessment corpus from its own
+assess_n and seed.
 
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
@@ -188,26 +192,8 @@ def _load(path: Path, loader, what: str, code: int):
     """loader(path), or StageError(code) when the file is missing or malformed."""
     try:
         return loader(path)
-    except FileNotFoundError:
-        raise StageError(code, f"{what} missing: {path}") from None
     except (OSError, FormatError) as e:
-        raise StageError(code, f"{what} malformed: {path}: {e}") from None
-
-
-def _check_dims(cfg: dict, corpus, am=None) -> None:
-    """The config's dim and K must describe the corpus and acoustic model a stage reads."""
-    found = {(corpus.dim, corpus.K)} | ({(am.net.in_dim, am.K)} if am else set())
-    if found != {(cfg["dim"], cfg["K"])}:
-        raise StageError(EXIT_CONFIG, f"config (dim, K) = ({cfg['dim']}, {cfg['K']}) disagrees "
-                                      f"with the corpus or acoustic model: {sorted(found)}")
-
-
-def _train(what: str, train, *args, **kwargs) -> training.TrainLog:
-    """train(*args, **kwargs), with a NaN or Inf met in training as exit 7."""
-    try:
-        return train(*args, **kwargs)
-    except NonFiniteError as e:
-        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no output written") from None
+        raise StageError(code, f"cannot read the {what} {path}: {e}") from None
 
 
 @contextmanager
@@ -217,6 +203,48 @@ def _finite_outputs():
         yield
     except NonFiniteError as e:
         raise StageError(EXIT_NO_BUNDLE, f"a model bundle gives non-finite outputs: {e}") from None
+
+
+def _read_corpus(cfg: dict, out: Path) -> synthdata.SyntheticCorpus:
+    """corpus.saco, of the config's dim and K (exit 4 or 2)."""
+    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
+    if (corpus.dim, corpus.K) != (cfg["dim"], cfg["K"]):
+        raise StageError(EXIT_CONFIG, f"corpus (dim, K) {corpus.dim, corpus.K} is not the config's")
+    return corpus
+
+
+def _read_am(out: Path, corpus) -> models.AdultAcousticModel:
+    """am.bundle, frozen (else exit 5), of the corpus's dim and K (2), finite on it (6)."""
+    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle", EXIT_NO_BUNDLE)
+    if not am.frozen:
+        raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
+    if (am.net.in_dim, am.K) != (corpus.dim, corpus.K):
+        raise StageError(EXIT_CONFIG, f"AM (dim, K) {am.net.in_dim, am.K} is not the config's")
+    with _finite_outputs():
+        am.posteriors(corpus.frames)
+    return am
+
+
+def _read_arm(out: Path, mode: str, corpus) -> tuple | None:
+    """(adapter, discriminator) of an adapt arm, or None if neither bundle is there; exit 6
+    unless both load with the corpus's dim, the discriminator as the arm's adversary at K."""
+    paths = (out / f"adapter_{mode}.bundle", out / f"disc_{mode}.bundle")
+    if not any(p.exists() for p in paths):
+        return None
+    adapter = _load(paths[0], models.load_adapter, "adapter bundle", EXIT_NO_BUNDLE)
+    disc = _load(paths[1], models.load_discriminator, "discriminator bundle", EXIT_NO_BUNDLE)
+    if ({adapter.g.in_dim, disc.net.in_dim} != {corpus.dim} or disc.K not in (None, corpus.K)
+            or disc.mode != training.DISC_MODES[mode]):
+        raise StageError(EXIT_NO_BUNDLE, f"not a {mode} arm for (dim, K) {corpus.dim, corpus.K}")
+    return adapter, disc
+
+
+def _train(what: str, train, *args, **kwargs) -> training.TrainLog:
+    """train(*args, **kwargs), with a NaN or Inf met in training as exit 7."""
+    try:
+        return train(*args, **kwargs)
+    except NonFiniteError as e:
+        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no output written") from None
 
 
 def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
@@ -262,8 +290,7 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_pretrain(cfg: dict) -> int:
     out = _outdir(cfg)
-    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
-    _check_dims(cfg, corpus)
+    corpus = _read_corpus(cfg, out)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
     _clear_from(out, "pretrain")
@@ -283,15 +310,9 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def cmd_adapt(cfg: dict) -> int:
     out = _outdir(cfg)
-    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
-               EXIT_NO_BUNDLE)
-    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
-    if not am.frozen:
-        raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
-    _check_dims(cfg, corpus, am)
+    corpus = _read_corpus(cfg, out)
+    am = _read_am(out, corpus)
     view = corpus.training_view("train")
-    with _finite_outputs():
-        am.posteriors(view.frames)
     acfg = _adv_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     adapter = models.AdaptationNetwork(cfg["dim"], _int_list(cfg["adapter_hidden"]), rng=rng)
@@ -310,43 +331,31 @@ def cmd_adapt(cfg: dict) -> int:
     return 0
 
 
-def _report_arms(out: Path, corpus, am, report) -> dict:
+def _report_arms(corpus, am, arms: dict, report) -> dict:
     """Report every arm's child senone error and discriminator confusion."""
     errors = {"dnn": evaluate.child_senone_error(am, corpus, None)}
     report.set("senone_err.child.test.dnn", errors["dnn"])
-    test = corpus.subset("test")
-    for mode in training.DISC_MODES:
-        a_path = out / f"adapter_{mode}.bundle"
-        d_path = out / f"disc_{mode}.bundle"
-        if not a_path.exists():
-            continue
-        adapter = _load(a_path, models.load_adapter, "adapter bundle", EXIT_NO_BUNDLE)
-        disc = (_load(d_path, models.load_discriminator, "discriminator bundle",
-                      EXIT_NO_BUNDLE) if d_path.exists() else None)
-        if adapter.g.in_dim != corpus.dim or disc and disc.net.in_dim != corpus.dim:
-            raise StageError(EXIT_NO_BUNDLE, f"{mode} bundles do not take dim={corpus.dim}")
+    for mode, (adapter, disc) in arms.items():
         errors[mode] = evaluate.child_senone_error(am, corpus, adapter)
         report.set(f"senone_err.child.test.{mode}", errors[mode])
-        if disc:
-            acc, conf = evaluate.domain_confusion(disc, adapter, test)
-            report.set(f"disc_acc.test.{mode}", 100.0 * acc)
-            report.set(f"disc_conf.test.{mode}", conf)
+        acc, conf = evaluate.domain_confusion(disc, adapter, corpus.subset("test"))
+        report.set(f"disc_acc.test.{mode}", 100.0 * acc)
+        report.set(f"disc_conf.test.{mode}", conf)
     return errors
 
 
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
     _clear_from(out, "eval")
-    corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
-    am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle",
-               EXIT_NO_BUNDLE)
-    _check_dims(cfg, corpus, am)
+    corpus = _read_corpus(cfg, out)
+    am = _read_am(out, corpus)
+    arms = {mode: arm for mode in training.DISC_MODES if (arm := _read_arm(out, mode, corpus))}
     report = evaluate.MetricsReport(
         fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
         seed=cfg["seed"])
 
     with _finite_outputs():
-        errors = _report_arms(out, corpus, am, report)
+        errors = _report_arms(corpus, am, arms, report)
     # a relative reduction is undefined at a zero baseline
     if "bat" in errors and "sat" in errors and errors["bat"] > 0:
         report.set("senone_err.rel_reduction.sat_vs_bat",

@@ -399,10 +399,32 @@ def _dim_6_corpus(out, cfg):
     save_corpus(corpus, out / "corpus.saco")
 
 
+def _save_sat_disc(out, mode="senone_aware", K=4):
+    """Save a well-formed discriminator as the sat arm's."""
+    save_discriminator(out / "disc_sat.bundle", DomainDiscriminator(8, [12], mode, K=K))
+
+
 def _nan_adapter_weight(out, cfg):
     adapter = AdaptationNetwork(8, [12])
     adapter.store.flat_values[3] = np.nan
     save_adapter(out / "adapter_sat.bundle", adapter)
+    _save_sat_disc(out)
+
+
+def _adapter_without_its_discriminator(out, cfg):
+    save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, [12]))
+
+
+def _discriminator_without_its_adapter(out, cfg):
+    _save_sat_disc(out)
+
+
+def _sat_arm_with_discriminator(mode, K):
+    """A damage that saves a well-formed sat arm whose discriminator is mode over K."""
+    def damage(out, cfg):
+        save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, [12]))
+        _save_sat_disc(out, mode, K)
+    return damage
 
 
 def _disc_mode_binary_over_joint_output(out, cfg):
@@ -418,6 +440,7 @@ def _adapter_output_narrower_than_input(out, cfg):
     net = Network([LayerSpec(8, 12), LayerSpec(12, 7, "identity")])
     save_bundle(out / "adapter_sat.bundle", net.store, {
         "kind": "adapter", "dim": 8, "hidden": "12", "frozen": "false"})
+    _save_sat_disc(out)
 
 
 def _parent_format_disc_with_identity_top(out, cfg):
@@ -427,6 +450,11 @@ def _parent_format_disc_with_identity_top(out, cfg):
     save_bundle(out / "disc_sat.bundle", disc.store, {
         "kind": "discriminator", "layers": "8:12:rectifier:0.0;12:8:identity:0.0",
         "mode": "senone_aware", "K": 4, "frozen": "false"})
+
+
+def _unfrozen_am_bundle(out, cfg):
+    store, manifest = load_bundle(out / "am.bundle")
+    save_bundle(out / "am.bundle", store, {**manifest, "frozen": "false"})
 
 
 def _am_weights_overflow(out, cfg):
@@ -518,6 +546,17 @@ PROBES = {
                                            ("eval",), EXIT_NO_BUNDLE),
     "parent_format_disc_with_identity_top": ("", _parent_format_disc_with_identity_top,
                                              ("eval",), EXIT_NO_BUNDLE),
+    # an adapt arm is read whole: both bundles, the discriminator its arm's adversary
+    "adapter_without_its_discriminator": ("", _adapter_without_its_discriminator,
+                                          ("eval",), EXIT_NO_BUNDLE),
+    "discriminator_without_its_adapter": ("", _discriminator_without_its_adapter,
+                                          ("eval",), EXIT_NO_BUNDLE),
+    "binary_discriminator_in_the_sat_arm": ("", _sat_arm_with_discriminator("binary", None),
+                                            ("eval",), EXIT_NO_BUNDLE),
+    "sat_discriminator_over_another_K": ("", _sat_arm_with_discriminator("senone_aware", 3),
+                                         ("eval",), EXIT_NO_BUNDLE),
+    # adapt and eval read the acoustic model through one reader
+    "unfrozen_am_bundle": ("", _unfrozen_am_bundle, ("adapt", "eval"), EXIT_UNFROZEN),
     "nan_adult_training_frame": ("", _edit_corpus(_nan_adult_training_frame),
                                  ("pretrain", "adapt", "eval"), EXIT_NO_CORPUS),
     "senone_label_99": ("", _edit_corpus(_set("senone_labels", 5, 99)),
