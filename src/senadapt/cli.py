@@ -5,7 +5,8 @@ overrides, writes its resolved config next to its outputs, and exits with a
 stable code on failure:
 
     2  config error (unknown key, bad value, a dim/K that disagrees
-       with the corpus or the acoustic-model bundle, or generator settings
+       with the corpus or the acoustic-model bundle, hidden widths of a
+       bundle that disagree with the config's, or generator settings
        whose frames overflow to NaN or Inf)
     3  I/O error while writing outputs, in any stage (an output path
        that is a directory, an --out under a regular file); every read
@@ -213,29 +214,40 @@ def _read_corpus(cfg: dict, out: Path) -> synthdata.SyntheticCorpus:
     return corpus
 
 
-def _read_am(out: Path, corpus) -> models.AdultAcousticModel:
-    """am.bundle, frozen (else exit 5), of the corpus's dim and K (2), finite on it (6)."""
+def _check_hidden(cfg: dict, **nets) -> None:
+    """Exit 2 unless each network's hidden widths are those of its config key."""
+    for key, net in nets.items():
+        if (widths := [s.out_dim for s in net.layers[:-1]]) != _int_list(cfg[key]):
+            raise StageError(EXIT_CONFIG, f"a bundle's hidden widths {widths} are not "
+                                          f"the config's {key} = {cfg[key]}")
+
+
+def _read_am(cfg: dict, out: Path, corpus) -> models.AdultAcousticModel:
+    """am.bundle: frozen (else exit 5), of the config's dim, K and widths (2), finite (6)."""
     am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle", EXIT_NO_BUNDLE)
     if not am.frozen:
         raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
     if (am.net.in_dim, am.K) != (corpus.dim, corpus.K):
         raise StageError(EXIT_CONFIG, f"AM (dim, K) {am.net.in_dim, am.K} is not the config's")
+    _check_hidden(cfg, am_hidden=am.net)
     with _finite_outputs():
         am.posteriors(corpus.frames)
     return am
 
 
-def _read_arm(out: Path, mode: str, corpus) -> tuple | None:
+def _read_arm(cfg: dict, out: Path, mode: str, corpus) -> tuple | None:
     """(adapter, discriminator) of an adapt arm, or None if neither bundle is there; exit 6
-    unless both load with the corpus's dim, the discriminator as the arm's adversary at K."""
+    unless both load with the corpus's dim, the discriminator as the arm's adversary at K,
+    and exit 2 unless their hidden widths are the config's."""
     paths = (out / f"adapter_{mode}.bundle", out / f"disc_{mode}.bundle")
     if not any(p.exists() for p in paths):
         return None
     adapter = _load(paths[0], models.load_adapter, "adapter bundle", EXIT_NO_BUNDLE)
     disc = _load(paths[1], models.load_discriminator, "discriminator bundle", EXIT_NO_BUNDLE)
-    if ({adapter.g.in_dim, disc.net.in_dim} != {corpus.dim} or disc.K not in (None, corpus.K)
-            or disc.mode != training.DISC_MODES[mode]):
+    if ({adapter.g.in_dim, disc.net.in_dim} != {corpus.dim}
+            or not training.is_adversary(disc, mode, corpus.K)):
         raise StageError(EXIT_NO_BUNDLE, f"not a {mode} arm for (dim, K) {corpus.dim, corpus.K}")
+    _check_hidden(cfg, adapter_hidden=adapter.g, disc_hidden=disc.net)
     return adapter, disc
 
 
@@ -311,7 +323,7 @@ def cmd_pretrain(cfg: dict) -> int:
 def cmd_adapt(cfg: dict) -> int:
     out = _outdir(cfg)
     corpus = _read_corpus(cfg, out)
-    am = _read_am(out, corpus)
+    am = _read_am(cfg, out, corpus)
     view = corpus.training_view("train")
     acfg = _adv_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -348,8 +360,8 @@ def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
     _clear_from(out, "eval")
     corpus = _read_corpus(cfg, out)
-    am = _read_am(out, corpus)
-    arms = {mode: arm for mode in training.DISC_MODES if (arm := _read_arm(out, mode, corpus))}
+    am = _read_am(cfg, out, corpus)
+    arms = {m: arm for m in training.DISC_MODES if (arm := _read_arm(cfg, out, m, corpus))}
     report = evaluate.MetricsReport(
         fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
         seed=cfg["seed"])

@@ -156,13 +156,12 @@ class AssessmentNetwork:
     (pronunciation level, fluency level)."""
 
     def __init__(self, input_dim: int = 30, trunk_dims: tuple = (128, 128, 128),
-                 levels: int = ASSESS_LEVELS, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         width = trunk_dims[-1]
         self.trunk = Network(_stack(input_dim, trunk_dims[:-1], width, "rectifier"), rng=rng)
-        self.head_pron = Network(_stack(width, [], levels, "softmax"), rng=rng)
-        self.head_flu = Network(_stack(width, [], levels, "softmax"), rng=rng)
-        self.levels = levels
+        self.head_pron = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
+        self.head_flu = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
 
     def forward(self, x: np.ndarray, *, check_input: bool = True):
         t = self.trunk.forward(x, check_input=check_input)
@@ -181,7 +180,7 @@ class AssessmentNetwork:
         return self.trunk.backward(t, gt, input_grad=input_grad)
 
     def predict_levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Argmax level per head, on the 1..levels scale."""
+        """Argmax level per head, on the 1..ASSESS_LEVELS scale."""
         _, p, f = self.forward(x)
         return p.output.argmax(axis=1) + 1, f.output.argmax(axis=1) + 1
 

@@ -188,25 +188,24 @@ def generate_corpus(cfg: GeneratorConfig) -> SyntheticCorpus:
                            domains[order], tags[order])
 
 
-def generate_assessment_corpus(n: int, seed: int, dim: int = 30,
-                               levels: int = ASSESS_LEVELS, noise_std: float = 1.0):
+def generate_assessment_corpus(n: int, seed: int):
     """Correlated (pronunciation, fluency) level pairs with 30-dim features.
 
     A latent proficiency z is uniform over 1..5; pronunciation equals z and
     fluency is z plus noise in {-1, 0, +1} with probabilities 0.15/0.7/0.15,
-    clamped to 1..5. Features are a per-level Gaussian mean plus noise.
+    clamped to 1..5. Features are a per-level Gaussian mean plus unit noise.
 
     Returns (features, pron_levels, flu_levels).
     """
     if n < MIN_ASSESS_N:
         raise ValueError(f"assessment corpus needs n >= {MIN_ASSESS_N}")
     rng = np.random.default_rng(seed)
-    level_means = 3.0 * rng.standard_normal((levels, dim))
-    z = rng.integers(1, levels + 1, size=n)
+    level_means = 3.0 * rng.standard_normal((ASSESS_LEVELS, 30))
+    z = rng.integers(1, ASSESS_LEVELS + 1, size=n)
     pron = z.copy()
     jitter = rng.choice([-1, 0, 1], size=n, p=[0.15, 0.7, 0.15])
-    flu = np.clip(z + jitter, 1, levels)
-    feats = level_means[z - 1] + noise_std * rng.standard_normal((n, dim))
+    flu = np.clip(z + jitter, 1, ASSESS_LEVELS)
+    feats = level_means[z - 1] + rng.standard_normal((n, 30))
     return feats, pron.astype(np.int64), flu.astype(np.int64)
 
 

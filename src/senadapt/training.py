@@ -3,10 +3,12 @@
 Every trainer runs one SGD driver, _sgd_epochs: it zeroes the trainer's
 stores once per run (every sgd_step leaves its store's gradients at zero),
 runs the trainer's step over each epoch's minibatches and turns the epoch's
-running sums into its TrainLogRecord. A trainer checks its whole input once,
-before its first step (finite frames or features, domains in {0, 1}, senone
-labels in [0, K) on adult rows, assessment levels in range); its step then
-runs the losses' unchecked kernels and skips Network.forward's input check.
+running sums into its TrainLogRecord. A trainer checks its settings, its
+discriminator's pairing and its whole input before its first step (finite
+frames or features, domains in {0, 1}, senone labels in [0, K) on adult rows,
+assessment levels in range); its step then runs the losses' unchecked kernels
+and skips Network.forward's input check. The discriminator-only and assessment
+runs use fixed batch sizes and momenta.
 
 The min-max objective is realized two ways, selectable per config; one call
 of adversarial_batch_grads runs one whole batch of either:
@@ -44,10 +46,28 @@ import numpy as np
 from . import losses
 from .models import AdaptationNetwork, AdultAcousticModel, DomainDiscriminator
 from .nn import NonFiniteError, sgd_step
-from .synthdata import TrainingView
+from .synthdata import ASSESS_LEVELS, TrainingView
 
 
 DISC_MODES = {"bat": "binary", "sat": "senone_aware"}  # config mode -> its adversary
+
+
+def _check_sgd(what: str, epochs: int, lr: float, momentum: float = 0.0,
+               batch_size: int = 1) -> None:
+    """The settings every SGD run needs, checked before its first step."""
+    if epochs < 1:
+        raise ValueError(f"{what}: epochs must be at least 1, got {epochs}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"{what}: learning rate must be finite and positive, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"{what}: momentum must be in [0, 1), got {momentum}")
+    if batch_size < 1:
+        raise ValueError(f"{what}: batch size must be at least 1, got {batch_size}")
+
+
+def is_adversary(disc: DomainDiscriminator, mode: str | None, K: int) -> bool:
+    """Whether disc is mode's adversary (either mode's, for None) over K senones."""
+    return disc.K in (None, K) and (mode is None or disc.mode == DISC_MODES[mode])
 
 
 @dataclass
@@ -77,12 +97,8 @@ class AdversarialConfig:
             raise ValueError("reversal coefficient must be finite and nonnegative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if not (0 < self.lr_adapter < math.inf and 0 < self.lr_discriminator < math.inf):
-            raise ValueError("learning rates must be finite and positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+        _check_sgd("adapter", self.epochs, self.lr_adapter, self.momentum)
+        _check_sgd("discriminator", self.epochs, self.lr_discriminator, self.momentum)
 
 
 @dataclass
@@ -220,10 +236,7 @@ def pretrain_adult_am(am: AdultAcousticModel, view: TrainingView, epochs: int,
     """Supervised senone training on adult frames, then freeze the model."""
     if am.frozen:
         raise RuntimeError("acoustic model is already pretrained and frozen")
-    if epochs < 1:
-        raise ValueError("pretraining needs at least one epoch")
-    if not lr > 0:
-        raise ValueError(f"pretraining learning rate must be positive, got {lr}")
+    _check_sgd("pretraining", epochs, lr, momentum, batch_size)
     _check_view(view, am.K)
     adult = np.flatnonzero(view.adult_mask)
     if adult.size == 0:
@@ -272,14 +285,13 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
 
 def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
                      cfg: AdversarialConfig) -> None:
-    """A valid cfg, a frozen acoustic model, and the discriminator that
-    cfg.mode names."""
+    """A valid cfg, a frozen acoustic model, and cfg.mode's adversary over its K."""
     cfg.validate()
     if not am.frozen:
         raise RuntimeError("adversarial training requires a frozen acoustic model")
-    if disc.mode != DISC_MODES.get(cfg.mode):
-        raise ValueError(f"discriminator mode {disc.mode!r} does not match "
-                         f"config mode {cfg.mode!r}")
+    if not is_adversary(disc, cfg.mode, am.K):
+        raise ValueError(f"a {disc.mode} discriminator over K = {disc.K} is not the "
+                         f"{cfg.mode} adversary over the acoustic model's K = {am.K}")
 
 
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -364,14 +376,12 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
 
 def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                              view: TrainingView, epochs: int, lr: float,
-                             seed: int, batch_size: int = 128,
-                             momentum: float = 0.0) -> TrainLog:
-    """Train a discriminator on un-adapted features (adapter fixed at
-    identity); the reference point for domain-confusion measurements."""
-    if epochs < 1:
-        raise ValueError("discriminator training needs at least one epoch")
-    if not lr > 0:
-        raise ValueError(f"discriminator learning rate must be positive, got {lr}")
+                             seed: int) -> TrainLog:
+    """Train a discriminator on un-adapted features (adapter fixed at identity)
+    in batches of 128, without momentum: the domain-confusion reference."""
+    _check_sgd("discriminator training", epochs, lr)
+    if not is_adversary(disc, None, am.K):
+        raise ValueError(f"a discriminator over K = {disc.K}, an acoustic model over K = {am.K}")
     _check_view(view, am.K)
     if len(view.frames) == 0:
         raise ValueError("discriminator training corpus has no frames")
@@ -383,31 +393,27 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
         alpha = (am.net.forward(x, check_input=False).output
                  if disc.mode == "senone_aware" else None)
         out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), alpha, input_grad=False)
-        sgd_step(disc.store, lr, momentum)
+        sgd_step(disc.store, lr)
         return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
                            int((disc.domain_probs(out).argmax(axis=1) == dom).sum()))
 
     return _sgd_epochs(epochs, [disc.store],
-                       lambda: _minibatches(rng, len(view.frames), batch_size), step)
+                       lambda: _minibatches(rng, len(view.frames), 128), step)
 
 
 def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
                              flu: np.ndarray, epochs: int, lr: float,
-                             seed: int, batch_size: int = 64,
-                             momentum: float = 0.9) -> TrainLog:
-    """Joint training of the two-head assessment network; both heads use
-    softmax cross-entropy against their 1..5 level labels."""
-    if epochs < 1:
-        raise ValueError("assessment training needs at least one epoch")
-    if not lr > 0:
-        raise ValueError(f"assessment learning rate must be positive, got {lr}")
+                             seed: int) -> TrainLog:
+    """Joint training of the two-head assessment network in batches of 64 at
+    momentum 0.9; both heads use softmax CE against their 1..5 level labels."""
+    _check_sgd("assessment training", epochs, lr)
     if len(features) == 0:
         raise ValueError("assessment training corpus has no rows")
     if not np.isfinite(features).all():
         raise NonFiniteError("non-finite values in the assessment features")
     for levels in (pron, flu):
-        if ((levels < 1) | (levels > net.levels)).any():
-            raise ValueError(f"assessment levels must be in 1..{net.levels}")
+        if ((levels < 1) | (levels > ASSESS_LEVELS)).any():
+            raise ValueError(f"assessment levels must be in 1..{ASSESS_LEVELS}")
     rng = np.random.default_rng(seed)
     stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
 
@@ -421,10 +427,10 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)
         net.backward(traces, g_p, g_f, input_grad=False)
         for store in stores:
-            sgd_step(store, lr, momentum)
+            sgd_step(store, lr, 0.9)
         # the CE of both heads: each row counts twice
         return _BatchStats((ce_p + ce_f) * len(idx), 2 * len(idx), 0.0, len(idx),
                            int((p.output.argmax(axis=1) == yp).sum()))
 
     return _sgd_epochs(epochs, stores,
-                       lambda: _minibatches(rng, len(features), batch_size), step)
+                       lambda: _minibatches(rng, len(features), 64), step)

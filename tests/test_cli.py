@@ -3,6 +3,7 @@
 import filecmp
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,9 +400,9 @@ def _dim_6_corpus(out, cfg):
     save_corpus(corpus, out / "corpus.saco")
 
 
-def _save_sat_disc(out, mode="senone_aware", K=4):
+def _save_sat_disc(out, mode="senone_aware", K=4, hidden=(12,)):
     """Save a well-formed discriminator as the sat arm's."""
-    save_discriminator(out / "disc_sat.bundle", DomainDiscriminator(8, [12], mode, K=K))
+    save_discriminator(out / "disc_sat.bundle", DomainDiscriminator(8, list(hidden), mode, K=K))
 
 
 def _nan_adapter_weight(out, cfg):
@@ -419,12 +420,20 @@ def _discriminator_without_its_adapter(out, cfg):
     _save_sat_disc(out)
 
 
-def _sat_arm_with_discriminator(mode, K):
-    """A damage that saves a well-formed sat arm whose discriminator is mode over K."""
+def _sat_arm_with_discriminator(mode, K, hidden=(12,), adapter_hidden=(12,)):
+    """A damage that saves a well-formed sat arm whose discriminator is mode
+    over K, of these hidden widths."""
     def damage(out, cfg):
-        save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, [12]))
-        _save_sat_disc(out, mode, K)
+        save_adapter(out / "adapter_sat.bundle", AdaptationNetwork(8, list(adapter_hidden)))
+        _save_sat_disc(out, mode, K, hidden)
     return damage
+
+
+def _am_of_other_hidden_widths(out, cfg):
+    # a frozen, trained acoustic model that pretrain made under another am_hidden
+    other = Path(cfg).with_name("am_hidden_8.cfg")
+    other.write_text(small_with("am_hidden = 8\n"))
+    assert run("pretrain", "--config", str(other), "--out", str(out)) == 0
 
 
 def _disc_mode_binary_over_joint_output(out, cfg):
@@ -555,6 +564,14 @@ PROBES = {
                                             ("eval",), EXIT_NO_BUNDLE),
     "sat_discriminator_over_another_K": ("", _sat_arm_with_discriminator("senone_aware", 3),
                                          ("eval",), EXIT_NO_BUNDLE),
+    # bundles whose hidden widths are not the config's
+    "am_of_other_hidden_widths": ("", _am_of_other_hidden_widths, ("adapt", "eval"),
+                                  EXIT_CONFIG),
+    "sat_discriminator_of_other_hidden_widths": (
+        "", _sat_arm_with_discriminator("senone_aware", 4, hidden=(5,)), ("eval",), EXIT_CONFIG),
+    "sat_adapter_of_other_hidden_widths": (
+        "", _sat_arm_with_discriminator("senone_aware", 4, adapter_hidden=(12, 12)), ("eval",),
+        EXIT_CONFIG),
     # adapt and eval read the acoustic model through one reader
     "unfrozen_am_bundle": ("", _unfrozen_am_bundle, ("adapt", "eval"), EXIT_UNFROZEN),
     "nan_adult_training_frame": ("", _edit_corpus(_nan_adult_training_frame),

@@ -131,8 +131,7 @@ class TestAssessmentMetrics:
     def test_constant_middle_prediction_mse(self):
         # a net that always answers level 3 against uniform 1..5 truth:
         # MSE = (4 + 1 + 0 + 1 + 4) / 5 = 2.0, accuracy 20%
-        net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), levels=5,
-                                rng=np.random.default_rng(0))
+        net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), rng=np.random.default_rng(0))
         for store in (net.trunk.store, net.head_pron.store, net.head_flu.store):
             for n in store.names():
                 store.value(n)[...] = 0.0
@@ -146,8 +145,7 @@ class TestAssessmentMetrics:
         assert m["pron.accuracy"] == pytest.approx(20.0, abs=1e-12)
 
     def test_empty_rejected(self):
-        net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), levels=5,
-                                rng=np.random.default_rng(1))
+        net = AssessmentNetwork(input_dim=4, trunk_dims=(4,), rng=np.random.default_rng(1))
         with pytest.raises(ValueError):
             assessment_metrics(net, np.zeros((0, 4)), np.zeros(0), np.zeros(0))
 

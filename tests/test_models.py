@@ -254,8 +254,7 @@ class TestBundles:
 class TestAssessmentNetwork:
 
     def test_heads_shapes_and_normalization(self):
-        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), levels=5,
-                                rng=np.random.default_rng(2))
+        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), rng=np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(7, 10))
         _, p, f = net.forward(x)
         assert p.output.shape == (7, 5) and f.output.shape == (7, 5)
@@ -263,16 +262,14 @@ class TestAssessmentNetwork:
         assert np.allclose(f.output.sum(axis=1), 1.0)
 
     def test_predict_levels_on_scale(self):
-        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), levels=5,
-                                rng=np.random.default_rng(2))
+        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), rng=np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(25, 10))
         pron, flu = net.predict_levels(x)
         assert pron.min() >= 1 and pron.max() <= 5
         assert flu.min() >= 1 and flu.max() <= 5
 
     def test_heads_have_separate_parameters(self):
-        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), levels=5,
-                                rng=np.random.default_rng(2))
+        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), rng=np.random.default_rng(2))
         wp = net.head_pron.store.value("layer0.W")
         wf = net.head_flu.store.value("layer0.W")
         assert wp is not wf
@@ -280,8 +277,7 @@ class TestAssessmentNetwork:
         assert not np.any(net.head_flu.store.value("layer0.W") == 99.0)
 
     def test_backward_returns_input_gradient(self):
-        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), levels=5,
-                                rng=np.random.default_rng(2))
+        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), rng=np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(4, 10))
         traces = net.forward(x)
         g = net.backward(traces, np.ones((4, 5)), np.ones((4, 5)))
@@ -307,7 +303,7 @@ def test_wrapper_backward_without_input_grad(kind):
         trace = model.forward(x)
         upstreams = (rng.normal(size=(6, 10)),)
     else:
-        model = AssessmentNetwork(input_dim=10, trunk_dims=(8, 8), levels=5, rng=rng)
+        model = AssessmentNetwork(input_dim=10, trunk_dims=(8, 8), rng=rng)
         trace = model.forward(x)
         upstreams = (rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
     grads = []

@@ -198,7 +198,7 @@ class TestAssessmentCorpus:
             generate_assessment_corpus(10, seed=0)
 
     def test_feature_shape(self):
-        feats, _, _ = generate_assessment_corpus(120, seed=4, dim=30)
+        feats, _, _ = generate_assessment_corpus(120, seed=4)
         assert feats.shape == (120, 30)
 
 

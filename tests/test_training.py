@@ -102,14 +102,28 @@ class TestPretraining:
                               lr=0.1, seed=2)
         assert not am.frozen
 
-    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
     def test_non_positive_learning_rate_rejected(self, lr):
-        # a zero rate would freeze the untrained model as if pretrained
+        # a zero rate would freeze the untrained model as if pretrained; an
+        # infinite one is rejected before the first step, not met as a NaN
         corpus = small_corpus(seed=2)
         am = build_adult_am(8, [32], 4, rng=np.random.default_rng(2))
-        with pytest.raises(ValueError):
+        before = am.net.store.serialize()
+        with pytest.raises(ValueError, match="learning rate"):
             pretrain_adult_am(am, corpus.training_view("train"), epochs=1, lr=lr, seed=2)
-        assert not am.frozen
+        assert am.net.store.serialize() == before and not am.frozen
+
+    @pytest.mark.parametrize("batch_size, momentum, match", [
+        (0, 0.9, "batch"), (-1, 0.9, "batch"), (128, 1.0, "momentum")])
+    def test_bad_batch_size_or_momentum_rejected(self, batch_size, momentum, match):
+        # checked before the first step, as the rest of the run's settings
+        corpus = small_corpus(seed=2)
+        am = build_adult_am(8, [32], 4, rng=np.random.default_rng(2))
+        before = am.net.store.serialize()
+        with pytest.raises(ValueError, match=match):
+            pretrain_adult_am(am, corpus.training_view("train"), epochs=1, lr=0.1, seed=2,
+                              batch_size=batch_size, momentum=momentum)
+        assert am.net.store.serialize() == before and not am.frozen
 
     def test_pretrain_twice_rejected(self):
         corpus = small_corpus(seed=3)
@@ -351,6 +365,15 @@ class TestBatchGradients:
             adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
                                     AdversarialConfig(mode=cfg_mode), 1.0)
 
+    def test_adversary_over_another_K_rejected(self):
+        # a senone-aware discriminator over K = 3 cannot weigh the K = 4
+        # model's posteriors
+        adapter, _ = self.make_arms("sat")
+        disc = DomainDiscriminator(8, [12], "senone_aware", K=3, rng=np.random.default_rng(7))
+        with pytest.raises(ValueError, match="K = 3.*K = 4"):
+            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
+                                    AdversarialConfig(mode="sat"), 1.0)
+
     @pytest.mark.parametrize("field", ["update_scheme", "alpha_source"])
     def test_bad_config_rejected_on_the_checked_path(self, field):
         # an unchecked bad value would silently run gradient reversal or raw alpha
@@ -560,6 +583,15 @@ class TestAdversarialTrain:
             adversarial_train(adapter, self.am, disc, self.view,
                               AdversarialConfig(mode="sat"))
 
+    def test_adversary_over_another_K_rejected(self):
+        rng = np.random.default_rng(0)
+        adapter = AdaptationNetwork(8, [12], rng=rng)
+        disc = DomainDiscriminator(8, [12], "senone_aware", K=3, rng=rng)
+        before = (adapter.store.serialize(), disc.store.serialize())
+        with pytest.raises(ValueError, match="K = 3.*K = 4"):
+            adversarial_train(adapter, self.am, disc, self.view, AdversarialConfig(mode="sat"))
+        assert (adapter.store.serialize(), disc.store.serialize()) == before
+
     def test_unfrozen_am_rejected(self):
         am = build_adult_am(8, [16], 4, rng=np.random.default_rng(8))
         rng = np.random.default_rng(0)
@@ -697,15 +729,26 @@ class TestDiscriminatorOnly:
 
 
     @pytest.mark.parametrize("epochs, lr", [(0, 0.2), (-1, 0.2), (1, 0.0), (1, -0.2),
-                                            (1, math.nan)])
+                                            (1, math.nan), (1, math.inf)])
     def test_no_epochs_or_non_positive_learning_rate_rejected(self, epochs, lr):
-        # either would leave an untrained reference discriminator
+        # either would leave an untrained reference discriminator; an
+        # infinite rate is rejected before the first step, not met as a NaN
         view = small_corpus(seed=10).training_view("train")
         am = build_adult_am(8, [16], 4, rng=np.random.default_rng(10))
         disc = DomainDiscriminator(8, [16], "binary", rng=np.random.default_rng(10))
         before = disc.store.serialize()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epoch" if epochs < 1 else "learning rate"):
             train_discriminator_only(disc, am, view, epochs=epochs, lr=lr, seed=10)
+        assert disc.store.serialize() == before
+
+    def test_discriminator_over_another_K_rejected(self):
+        view = small_corpus(seed=10).training_view("train")
+        am = build_adult_am(8, [16], 4, rng=np.random.default_rng(10))
+        am.freeze()
+        disc = DomainDiscriminator(8, [16], "senone_aware", K=3, rng=np.random.default_rng(10))
+        before = disc.store.serialize()
+        with pytest.raises(ValueError, match="K = 3.*K = 4"):
+            train_discriminator_only(disc, am, view, epochs=1, lr=0.2, seed=10)
         assert disc.store.serialize() == before
 
     @staticmethod
@@ -741,17 +784,17 @@ class TestDiscriminatorOnly:
 
     @pytest.mark.parametrize("mode", ["binary", "senone_aware"])
     def test_matches_reference_loop(self, mode):
-        # momentum on, a batch size that leaves a short last batch:
-        # bit-identical trajectory and parameters
+        # the trainer's fixed batches of 128 leave a short last batch of 96
+        # of the 1,120 rows: bit-identical trajectory and parameters
         view = small_corpus(seed=11).training_view("train")
+        assert len(view.frames) % 128 == 96
         am = build_adult_am(8, [16], 4, rng=np.random.default_rng(11))
         pretrain_adult_am(am, view, epochs=3, lr=0.1, seed=11)
         runs = []
         for train in (train_discriminator_only, self.reference_train):
             disc = DomainDiscriminator(8, [12], mode, K=4 if mode == "senone_aware" else None,
                                        rng=np.random.default_rng(11))
-            log = train(disc, am, view, epochs=3, lr=0.2, seed=11, batch_size=100,
-                        momentum=0.5)
+            log = train(disc, am, view, epochs=3, lr=0.2, seed=11)
             runs.append((log.trajectory_key(), disc.store.serialize()))
         assert runs[0] == runs[1]
 
@@ -833,7 +876,7 @@ class TestInputCheckedBeforeFirstStep:
             flu[-1] = 6
         else:
             feats, pron, flu = feats[:0], pron[:0], flu[:0]
-        net = AssessmentNetwork(input_dim=30, trunk_dims=(16,), levels=5)
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(16,))
         stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
         before = [store.serialize() for store in stores]
         with pytest.raises(error):
@@ -845,8 +888,7 @@ class TestAssessmentTraining:
 
     def test_fits_easy_levels(self):
         feats, pron, flu = generate_assessment_corpus(600, seed=11)
-        net = AssessmentNetwork(input_dim=30, trunk_dims=(32,), levels=5,
-                                rng=np.random.default_rng(11))
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(32,), rng=np.random.default_rng(11))
         train_assessment_network(net, feats, pron, flu, epochs=40, lr=0.05,
                                  seed=11)
         p, f = net.predict_levels(feats)
@@ -857,16 +899,19 @@ class TestAssessmentTraining:
     def test_no_epochs_rejected(self, epochs):
         # zero epochs would leave an untrained network for eval to report on
         feats, pron, flu = generate_assessment_corpus(60, seed=11)
-        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,), levels=5)
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,))
         with pytest.raises(ValueError):
             train_assessment_network(net, feats, pron, flu, epochs=epochs, lr=0.05, seed=11)
 
-    @pytest.mark.parametrize("lr", [0.0, -0.05, math.nan])
+    @pytest.mark.parametrize("lr", [0.0, -0.05, math.nan, math.inf])
     def test_non_positive_learning_rate_rejected(self, lr):
         feats, pron, flu = generate_assessment_corpus(60, seed=11)
-        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,), levels=5)
-        with pytest.raises(ValueError):
+        net = AssessmentNetwork(input_dim=30, trunk_dims=(8,))
+        stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
+        before = [store.serialize() for store in stores]
+        with pytest.raises(ValueError, match="learning rate"):
             train_assessment_network(net, feats, pron, flu, epochs=1, lr=lr, seed=11)
+        assert [store.serialize() for store in stores] == before
 
     @staticmethod
     def reference_train(net, features, pron, flu, epochs, lr, seed, batch_size=64,
@@ -903,8 +948,7 @@ class TestAssessmentTraining:
         feats, pron, flu = generate_assessment_corpus(300, seed=12)
         runs = []
         for train in (train_assessment_network, self.reference_train):
-            net = AssessmentNetwork(input_dim=30, trunk_dims=(16, 16), levels=5,
-                                    rng=np.random.default_rng(12))
+            net = AssessmentNetwork(input_dim=30, trunk_dims=(16, 16), rng=np.random.default_rng(12))
             log = train(net, feats, pron, flu, epochs=4, lr=0.05, seed=12)
             runs.append((log.trajectory_key(), net.trunk.store.serialize(),
                          net.head_pron.store.serialize(), net.head_flu.store.serialize()))
