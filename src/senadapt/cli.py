@@ -19,11 +19,13 @@ stable code on failure:
        gives non-finite outputs on the (finite) corpus in adapt or eval;
        an adapt arm found with one of its two bundles, or a discriminator
        that is not its arm's adversary for this corpus (mode, K)
-    7  training diverged or saturated: pretrain, adapt or eval's
-       assessment training met a NaN or Inf, or the final epoch of pretrain
-       or adapt has a mean senone CE on adult frames of at least ln K, no
-       better than a uniform guess; the log and resolved config of a
-       finished run are written, and no other output of the stage is left
+    7  training diverged or saturated: a NaN or Inf met in a stage after
+       it has read its inputs, in training or in scoring what it trained
+       (no output of the stage is written), or a final epoch of pretrain
+       or adapt with a mean senone CE on adult frames of at least ln K, no
+       better than a uniform guess (the log and resolved config of the
+       finished run are written, and no other output of the stage is left);
+       a NaN or Inf of a loaded model is exit 6
 
 Before it trains or writes, each stage removes the files PIPELINE lists for
 it and for every later stage, but not a sibling adapt arm's: they were made
@@ -251,14 +253,6 @@ def _read_arm(cfg: dict, out: Path, mode: str, corpus) -> tuple | None:
     return adapter, disc
 
 
-def _train(what: str, train, *args, **kwargs) -> training.TrainLog:
-    """train(*args, **kwargs), with a NaN or Inf met in training as exit 7."""
-    try:
-        return train(*args, **kwargs)
-    except NonFiniteError as e:
-        raise StageError(EXIT_DIVERGED, f"{what} diverged: {e}; no output written") from None
-
-
 def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
     """Exit 7 unless the final epoch's mean senone CE beats a uniform guess."""
     ce = log.records[-1].senone_ce
@@ -306,16 +300,16 @@ def cmd_pretrain(cfg: dict) -> int:
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
     _clear_from(out, "pretrain")
-    log = _train("pretraining", training.pretrain_adult_am,
-                 am, corpus.training_view("train"), epochs=cfg["pretrain_epochs"],
-                 lr=cfg["pretrain_lr"], seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
-                 momentum=cfg["pretrain_momentum"])
+    log = training.pretrain_adult_am(am, corpus.training_view("train"),
+                                     epochs=cfg["pretrain_epochs"], lr=cfg["pretrain_lr"],
+                                     seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
+                                     momentum=cfg["pretrain_momentum"])
+    dev = corpus.subset("dev", "adult")
+    acc = float((am.posteriors(dev.frames).argmax(axis=1) == dev.senone_labels).mean())
     log.write(out / "pretrain.log")
     _write_resolved(cfg, out, "pretrain")
     _check_converged("pretraining", log, cfg["K"])
     models.save_adult_am(out / "am.bundle", am)
-    dev = corpus.subset("dev", "adult")
-    acc = float((am.posteriors(dev.frames).argmax(axis=1) == dev.senone_labels).mean())
     print(f"pretrained AM frozen; adult dev senone accuracy {acc:.3f}")
     return 0
 
@@ -331,8 +325,7 @@ def cmd_adapt(cfg: dict) -> int:
     disc = models.DomainDiscriminator(cfg["dim"], _int_list(cfg["disc_hidden"]),
                                       mode=training.DISC_MODES[acfg.mode], K=cfg["K"], rng=rng)
     _clear_from(out, f"adapt_{acfg.mode}")
-    log = _train(f"adaptation ({acfg.mode})", training.adversarial_train,
-                 adapter, am, disc, view, acfg)
+    log = training.adversarial_train(adapter, am, disc, view, acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
     _check_converged(f"adaptation ({acfg.mode})", log, cfg["K"])
@@ -379,9 +372,9 @@ def cmd_eval(cfg: dict) -> int:
     feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
     n_train = int(0.8 * len(feats))
     net = AssessmentNetwork(input_dim=feats.shape[1], rng=np.random.default_rng(cfg["seed"]))
-    _train("assessment training", training.train_assessment_network,
-           net, feats[:n_train], pron[:n_train], flu[:n_train],
-           epochs=cfg["assess_epochs"], lr=cfg["assess_lr"], seed=cfg["seed"])
+    training.train_assessment_network(net, feats[:n_train], pron[:n_train], flu[:n_train],
+                                      epochs=cfg["assess_epochs"], lr=cfg["assess_lr"],
+                                      seed=cfg["seed"])
     for name, val in evaluate.assessment_metrics(
             net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
         report.set(f"assess.{name}", val)
@@ -423,6 +416,10 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except NonFiniteError as e:  # a loaded model's NaN or Inf is exit 6, in _finite_outputs
+        stage = f"adapt ({cfg['mode']})" if args.command == "adapt" else args.command
+        print(f"error: {stage} diverged: {e}; no output written", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as e:  # every read goes through _load: this is a failed write
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -18,11 +18,8 @@ import numpy as np
 
 from . import __version__
 from .models import (AdaptationNetwork, AdultAcousticModel, AssessmentNetwork,
-                     DomainDiscriminator)
+                     DomainDiscriminator, marginal_domain_probs)
 from .synthdata import SyntheticCorpus
-
-# hashed into every report fingerprint: the package version
-CODE_VERSION = __version__
 
 
 def senone_error_rate(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -55,7 +52,7 @@ def domain_confusion(disc: DomainDiscriminator, adapter: AdaptationNetwork | Non
     if doms.size < 2:
         raise ValueError("domain confusion needs frames from both domains")
     feats = corpus.frames if adapter is None else adapter.apply(corpus.frames)
-    probs = disc.domain_probs(disc.net.forward(feats).output)
+    probs = marginal_domain_probs(disc.net.forward(feats).output)
     pred = probs.argmax(axis=1)
     acc = float((pred == corpus.domain_labels).mean())
     confidence = float(probs.max(axis=1).mean())
@@ -104,9 +101,10 @@ class MetricsReport:
 
 
 def config_fingerprint(config_text: str, seed: int) -> str:
+    """Hash of the config text, the seed and the package version."""
     h = hashlib.sha256()
     h.update(config_text.encode("utf-8"))
-    h.update(f"|seed={seed}|v={CODE_VERSION}".encode())
+    h.update(f"|seed={seed}|v={__version__}".encode())
     return h.hexdigest()[:16]
 
 

@@ -85,7 +85,6 @@ class AdaptationNetwork:
             # zero the final layer so the adapter starts as the exact identity
             for name in self.g.store.names()[-2:]:
                 self.g.store.value(name)[...] = 0.0
-        self.dim = dim
 
     @property
     def store(self) -> ParameterStore:
@@ -95,26 +94,28 @@ class AdaptationNetwork:
         inner = self.g.forward(x, check_input=check_input)
         return AdapterTrace(inner=inner, output=inner.activations[0] + inner.output)
 
-    def backward(self, trace: AdapterTrace, upstream: np.ndarray, *,
-                 input_grad: bool = True) -> np.ndarray | None:
-        g = self.g.backward(trace.inner, upstream, input_grad=input_grad)
-        return None if g is None else upstream + g
+    def backward(self, trace: AdapterTrace, upstream: np.ndarray) -> None:
+        """Accumulate g's parameter gradients for dLoss/dOutput = upstream."""
+        self.g.backward(trace.inner, upstream, input_grad=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).output
 
 
+# config mode -> its adversary's discriminator mode
+DISC_MODES = {"bat": "binary", "sat": "senone_aware"}
+
+
 class DomainDiscriminator:
     """Adversary over adapted features: a joint 2K-way (domain, senone)
     softmax on the senone-aware domain loss. Binary mode is its K = 1 case,
-    a 2-way (adult, child) softmax with alpha = 1; its bundle records no K."""
-
-    MODES = ("binary", "senone_aware")
+    a 2-way (adult, child) softmax with alpha = 1; its bundle records no K.
+    marginal_domain_probs reads (adult, child) rows off either output."""
 
     def __init__(self, input_dim: int, hidden_dims: list[int], mode: str,
                  K: int | None = None, rng: np.random.Generator | None = None,
                  store: ParameterStore | None = None):
-        if mode not in self.MODES:
+        if mode not in DISC_MODES.values():
             raise ValueError(f"unknown discriminator mode {mode!r}")
         if mode == "senone_aware":
             if K is None or K < 1:
@@ -144,12 +145,6 @@ class DomainDiscriminator:
         feat_grad = self.net.backward(trace, grad, from_logits=True, **backward)
         return trace.output, dom_mean, feat_grad
 
-    def domain_probs(self, out: np.ndarray) -> np.ndarray:
-        """The (adult, child) probability rows of an output of this
-        discriminator, marginalized over its senones: a binary output comes
-        back unchanged."""
-        return marginal_domain_probs(out)
-
 
 class AssessmentNetwork:
     """Shared rectifier trunk with two 5-way softmax heads
@@ -170,14 +165,14 @@ class AssessmentNetwork:
         f = self.head_flu.forward(t.output, check_input=False)
         return t, p, f
 
-    def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray, *,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """grad_pron and grad_flu are the loss gradients with respect to each
-        head's softmax logits, as losses.ce_kernel returns them."""
+    def backward(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
+        """Accumulate every parameter gradient. grad_pron and grad_flu are the
+        loss gradients with respect to each head's softmax logits, as
+        losses.ce_kernel returns them."""
         t, p, f = traces
         gt = (self.head_pron.backward(p, grad_pron, from_logits=True)
               + self.head_flu.backward(f, grad_flu, from_logits=True))
-        return self.trunk.backward(t, gt, input_grad=input_grad)
+        self.trunk.backward(t, gt, input_grad=False)
 
     def predict_levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Argmax level per head, on the 1..ASSESS_LEVELS scale."""

@@ -10,6 +10,8 @@ contiguous float64 arena, all its gradients in a second of the same layout
 and its momentum velocity (allocated by the first optimizer step) in a
 third, and every parameter name maps to a view into them. The layout is
 fixed at construction, from one dict of matrices, so no view can go stale.
+serialize() is a snapshot of the value arena's bytes, not a file format:
+a store reaches a file only inside a model bundle.
 An optimizer step is a few whole-arena operations, the same element-wise
 arithmetic as a loop over the names. A frozen store still propagates input
 gradients through its network but discards parameter gradients, which is
@@ -113,19 +115,9 @@ class ParameterStore:
     def zero_grads(self) -> None:
         self.flat_grads.fill(0.0)
 
-    def num_params(self) -> int:
-        return self.flat_values.size
-
     def serialize(self) -> bytes:
-        return pack_container("params", {}, {n: self._view(self.flat_values, n)
-                                             for n in self._layout})
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ParameterStore":
-        try:
-            return cls(unpack_container(blob, "params")[1])
-        except ShapeError as e:
-            raise FormatError(str(e)) from e
+        """The value arena's bytes: a snapshot to compare a store with itself."""
+        return self.flat_values.tobytes()
 
 
 def pack_container(kind: str, manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:

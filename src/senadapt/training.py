@@ -44,12 +44,10 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .models import AdaptationNetwork, AdultAcousticModel, DomainDiscriminator
+from .models import (DISC_MODES, AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
+                     marginal_domain_probs)
 from .nn import NonFiniteError, sgd_step
 from .synthdata import ASSESS_LEVELS, TrainingView
-
-
-DISC_MODES = {"bat": "binary", "sat": "senone_aware"}  # config mode -> its adversary
 
 
 def _check_sgd(what: str, epochs: int, lr: float, momentum: float = 0.0,
@@ -336,12 +334,12 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
             at.output, domain_cols, alpha)
     ce, ce_grad = losses.ce_kernel(am_trace.output, adult_rows, senone_labels[adult_rows])
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
-    adapter.backward(at, feat_grad - lam * feat_grad_dom, input_grad=False)
+    adapter.backward(at, feat_grad - lam * feat_grad_dom)
 
     n_adult = len(adult_rows)
     alpha_evals, alpha_crc = (0, 0) if alpha is None else (len(alpha), _alpha_checksum(alpha))
     return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
-                       int((disc.domain_probs(disc_out).argmax(axis=1) == domain).sum()),
+                       int((marginal_domain_probs(disc_out).argmax(axis=1) == domain).sum()),
                        alpha_evals, alpha_crc)
 
 
@@ -395,7 +393,7 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
         out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), alpha, input_grad=False)
         sgd_step(disc.store, lr)
         return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
-                           int((disc.domain_probs(out).argmax(axis=1) == dom).sum()))
+                           int((marginal_domain_probs(out).argmax(axis=1) == dom).sum()))
 
     return _sgd_epochs(epochs, [disc.store],
                        lambda: _minibatches(rng, len(view.frames), 128), step)
@@ -425,7 +423,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)
-        net.backward(traces, g_p, g_f, input_grad=False)
+        net.backward(traces, g_p, g_f)
         for store in stores:
             sgd_step(store, lr, 0.9)
         # the CE of both heads: each row counts twice

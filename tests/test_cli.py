@@ -588,6 +588,10 @@ PROBES = {
     "overflowing_pretrain_lr": ("pretrain_lr = 1e300\n", None, ("pretrain",), EXIT_DIVERGED),
     "overflowing_assessment_lr": ("assess_lr = 1e100\n", _stale_report, ("eval",),
                                   EXIT_DIVERGED),
+    # one step finishes finite, and scoring the trained heads meets the overflow
+    "assessment_overflow_met_in_scoring": ("assess_n = 50\nassess_epochs = 1\n"
+                                           "assess_lr = 1e300\n", None, ("eval",),
+                                           EXIT_DIVERGED),
     # outputs that cannot be written
     "directory_in_place_of_pretrain_log": ("", _directory_in_place_of("pretrain.log"),
                                            ("pretrain",), EXIT_IO),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import senadapt
+from senadapt import evaluate
 from senadapt.evaluate import (
-    CODE_VERSION,
     MetricsReport,
     absolute_reduction,
     assessment_metrics,
@@ -197,9 +197,11 @@ class TestReports:
         assert a == config_fingerprint("a=1\n", 7)
         assert len(a) == 16
 
-    def test_fingerprint_hashes_the_package_version(self):
+    def test_fingerprint_hashes_the_package_version(self, monkeypatch):
         # one home for the version: the package, which pyproject.toml reads
-        assert CODE_VERSION == senadapt.__version__
+        before = config_fingerprint("a=1\n", 7)
+        monkeypatch.setattr(evaluate, "__version__", senadapt.__version__ + ".1")
+        assert config_fingerprint("a=1\n", 7) != before
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         assert 'attr = "senadapt.__version__"' in pyproject
         assert "\nversion = " not in pyproject.split("[project.scripts]")[0]

@@ -22,16 +22,12 @@ from senadapt.models import (
 from senadapt.nn import FormatError, LayerSpec, Network, ShapeError, pack_container
 
 
-def param_count(store):
-    return store.num_params()
-
-
 class TestConstruction:
 
     def test_am_param_count_small(self):
         # 4 -> 3 -> 2: (4*3 + 3) + (3*2 + 2) = 23
         am = build_adult_am(4, [3], 2, rng=np.random.default_rng(0))
-        assert am.net.store.num_params() == 23
+        assert am.net.store.flat_values.size == 23
 
     def test_am_rejects_single_senone(self):
         with pytest.raises(ValueError):
@@ -41,9 +37,9 @@ class TestConstruction:
         # production-shaped network: wide input, six wide hidden layers
         am = build_adult_am(1320, [2048] * 6, 512, rng=np.random.default_rng(0))
         expect = (1320 * 2048 + 2048) + 5 * (2048 * 2048 + 2048) + (2048 * 512 + 512)
-        assert am.net.store.num_params() == expect
+        assert am.net.store.flat_values.size == expect
         blob = am.net.store.serialize()
-        assert len(blob) > 8 * expect
+        assert len(blob) == 8 * expect
 
     def test_adapter_dim_preserving(self):
         ad = AdaptationNetwork(12, [8], rng=np.random.default_rng(1))
@@ -114,7 +110,7 @@ class TestComposition:
         disc = DomainDiscriminator(5, [6], "binary", rng=np.random.default_rng(9))
         out = np.vstack([disc.net.forward(self.x).output,
                          [[0.0, 1.0], [1e-300, 1.0 - 1e-16], [5e-324, 1.0]]])
-        probs = disc.domain_probs(out)
+        probs = marginal_domain_probs(out)
         assert probs.dtype == out.dtype and probs.tobytes() == out.tobytes()
 
     def test_marginalization_rejects_odd_width(self):
@@ -171,7 +167,7 @@ class TestBundles:
         back = load_adapter(path)
         x = np.random.default_rng(5).normal(size=(8, 7))
         assert np.array_equal(back.apply(x), ad.apply(x))
-        assert back.dim == 7
+        assert back.g.in_dim == 7
 
     def test_discriminator_round_trip(self, tmp_path):
         for mode, K in (("binary", None), ("senone_aware", 4)):
@@ -275,42 +271,3 @@ class TestAssessmentNetwork:
         assert wp is not wf
         wp[...] = 99.0
         assert not np.any(net.head_flu.store.value("layer0.W") == 99.0)
-
-    def test_backward_returns_input_gradient(self):
-        net = AssessmentNetwork(input_dim=10, trunk_dims=(16,), rng=np.random.default_rng(2))
-        x = np.random.default_rng(3).normal(size=(4, 10))
-        traces = net.forward(x)
-        g = net.backward(traces, np.ones((4, 5)), np.ones((4, 5)))
-        assert g.shape == (4, 10)
-        assert np.all(np.isfinite(g))
-
-
-def _stores(model):
-    if isinstance(model, AdaptationNetwork):
-        return [model.store]
-    return [model.trunk.store, model.head_pron.store, model.head_flu.store]
-
-
-@pytest.mark.parametrize("kind", ["adapter", "assessment"])
-def test_wrapper_backward_without_input_grad(kind):
-    # input_grad=False returns None and leaves every parameter gradient as
-    # the default call forms it
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(6, 10))
-    if kind == "adapter":
-        model = AdaptationNetwork(10, [8], rng=rng)
-        model.store.value("layer1.W")[...] = rng.normal(size=(8, 10))
-        trace = model.forward(x)
-        upstreams = (rng.normal(size=(6, 10)),)
-    else:
-        model = AssessmentNetwork(input_dim=10, trunk_dims=(8, 8), rng=rng)
-        trace = model.forward(x)
-        upstreams = (rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
-    grads = []
-    for input_grad in (True, False):
-        for store in _stores(model):
-            store.zero_grads()
-        g = model.backward(trace, *upstreams, input_grad=input_grad)
-        assert (g is None) == (not input_grad)
-        grads.append([s.grad(n).copy() for s in _stores(model) for n in s.names()])
-    assert all(np.array_equal(a, b) for a, b in zip(*grads))

@@ -935,7 +935,7 @@ class TestAssessmentTraining:
                 g_p, g_f = ce_logit_grad(p.output, rows, yp), ce_logit_grad(f.output, rows, yf)
                 for store in stores:
                     store.zero_grads()
-                assert net.backward(traces, g_p, g_f).shape == (len(idx), 30)
+                net.backward(traces, g_p, g_f)
                 for store in stores:
                     sgd_step(store, lr, momentum)
                 ce_sum += (ce_p + ce_f) * len(idx)
