@@ -56,14 +56,14 @@ class GeneratorConfig:
             raise ValueError("shift_profile length must equal K")
         if not all(0 <= s < np.inf for s in self.shift_profile):
             raise ValueError("shift magnitudes must be finite and nonnegative")
-        if self.within_class_std <= 0:
-            raise ValueError("within_class_std must be positive")
+        if not 0 < self.within_class_std < np.inf:
+            raise ValueError("within_class_std must be finite and positive")
         if self.n_adult < self.K or self.n_child < self.K:
             raise ValueError("need at least one frame per senone per domain")
         if not (0.0 <= self.shift_coherence <= 1.0):
             raise ValueError("shift_coherence must be in [0, 1]")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be positive")
+        if not 0 < self.class_separation < np.inf:
+            raise ValueError("class_separation must be finite and positive")
         if (len(self.split_fractions) != 3 or abs(sum(self.split_fractions) - 1.0) > 1e-9
                 or not all(0 <= f <= 1 for f in self.split_fractions)):
             raise ValueError("split_fractions must be three values in [0, 1] summing to 1")

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import time
-import zlib
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -107,8 +106,6 @@ class TrainLogRecord:
     domain_loss: float
     disc_acc: float
     seconds: float
-    alpha_evals: int = 0
-    alpha_checksum: int = 0
 
     def to_line(self) -> str:
         return "\t".join(map(repr, astuple(self)))
@@ -157,10 +154,6 @@ def lambda_schedule(epoch: int, total: int, shape: str = "ramp") -> float:
     raise ValueError(f"unknown schedule shape {shape!r}")
 
 
-def _alpha_checksum(alpha: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(alpha, dtype="<f8").tobytes())
-
-
 def _minibatches(rng: np.random.Generator, n: int, batch_size: int):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -187,15 +180,13 @@ def _check_view(view: TrainingView, K: int) -> None:
 @dataclass
 class _BatchStats:
     """One batch's share of its epoch's TrainLogRecord: senone CE summed over
-    n_ce labelled rows, domain loss summed and correct predictions counted
-    over all n rows, and the sat alpha counters."""
+    n_ce labelled rows, and domain loss summed and correct predictions counted
+    over all n rows."""
     ce_sum: float
     n_ce: int
     dom_sum: float
     n: int
     correct: int
-    alpha_evals: int = 0
-    alpha_checksum: int = 0
 
 
 def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
@@ -209,7 +200,7 @@ def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
     for epoch in range(epochs):
         t0 = time.perf_counter()
         ce = dom = 0.0
-        n_ce = n = correct = evals = crc = 0
+        n_ce = n = correct = 0
         for batch in batches():
             s = step(epoch, batch)
             ce += s.ce_sum
@@ -217,14 +208,11 @@ def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
             dom += s.dom_sum
             n += s.n
             correct += s.correct
-            evals += s.alpha_evals
-            if s.alpha_evals:  # a sat batch: chain its alpha checksum
-                crc = zlib.crc32(s.alpha_checksum.to_bytes(4, "little"), crc)
         ce_mean = ce / n_ce if n_ce else 0.0
         # without senone rows the objective is -(domain loss), a zero loss giving -0.0
         log.records.append(TrainLogRecord(
             epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
-            correct / n, time.perf_counter() - t0, evals, crc))
+            correct / n, time.perf_counter() - t0))
     return log
 
 
@@ -337,10 +325,8 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     adapter.backward(at, feat_grad - lam * feat_grad_dom)
 
     n_adult = len(adult_rows)
-    alpha_evals, alpha_crc = (0, 0) if alpha is None else (len(alpha), _alpha_checksum(alpha))
     return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
-                       int((marginal_domain_probs(disc_out).argmax(axis=1) == domain).sum()),
-                       alpha_evals, alpha_crc)
+                       int((marginal_domain_probs(disc_out).argmax(axis=1) == domain).sum()))
 
 
 def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,

@@ -110,8 +110,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             # 40 frames per (domain, senone) group: train and dev round to 20 each
             GeneratorConfig(n_adult=400, n_child=400, split_fractions=(0.49, 0.49, 0.02)).validate()
-        with pytest.raises(ValueError):
-            GeneratorConfig(within_class_std=0.0).validate()
+        for key in ("within_class_std", "class_separation"):
+            for bad in (0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=key):
+                    GeneratorConfig(**{key: bad}).validate()
         with pytest.raises(ValueError):
             GeneratorConfig(shift_profile=(math.nan,) * 10).validate()
         with pytest.raises(ValueError):
