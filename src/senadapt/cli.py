@@ -6,8 +6,9 @@ stable code on failure:
 
     2  config error (unknown key, bad value, a dim/K that disagrees
        with the corpus or the acoustic-model bundle, hidden widths of a
-       bundle that disagree with the config's, or generator settings
-       whose frames overflow to NaN or Inf)
+       bundle that disagree with the config's, generator settings
+       whose frames overflow to NaN or Inf, or sizes this host cannot
+       allocate)
     3  I/O error while writing outputs, in any stage (an output path
        that is a directory, an --out under a regular file); every read
        failure has a code of its own below
@@ -282,10 +283,7 @@ def _clear_from(out: Path, stage: str) -> None:
 
 
 def cmd_gen(cfg: dict) -> int:
-    try:
-        corpus = synthdata.generate_corpus(_gen_config(cfg))
-    except ValueError as e:
-        raise StageError(EXIT_CONFIG, f"{e}; nothing written") from None
+    corpus = synthdata.generate_corpus(_gen_config(cfg))
     out = _outdir(cfg)
     _clear_from(out, "gen")
     synthdata.save_corpus(corpus, out / "corpus.saco")
@@ -420,6 +418,9 @@ def main(argv=None) -> int:
         stage = f"adapt ({cfg['mode']})" if args.command == "adapt" else args.command
         print(f"error: {stage} diverged: {e}; no output written", file=sys.stderr)
         return EXIT_DIVERGED
+    except (MemoryError, ValueError) as e:  # a size or setting the config checks let by
+        print(f"config error: {args.command}: {e}; no output written", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as e:  # every read goes through _load: this is a failed write
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

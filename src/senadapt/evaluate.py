@@ -118,26 +118,23 @@ def write_report(report: MetricsReport, path) -> None:
 
 
 def read_report(path) -> MetricsReport:
-    fingerprint, seed = None, None
-    metrics = {}
+    """A report as write_report writes it: one fingerprint and one seed
+    header line, other comment lines, and one finite value per metric."""
+    header, metrics = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if not line:
+            comment = line.startswith("#")
+            parts = (line[1:].strip() if comment else line).split("\t")
+            if not line or comment and parts[0] not in ("fingerprint", "seed"):
                 continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split("\t")
-                if parts[0] == "fingerprint":
-                    fingerprint = parts[1]
-                elif parts[0] == "seed":
-                    seed = int(parts[1])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"malformed report line {lineno}: {raw!r}")
-            metrics[parts[0]] = float(parts[1])
-    if fingerprint is None or seed is None:
+            fields = header if comment else metrics
+            if len(parts) != 2 or parts[0] in fields:
+                raise ValueError(f"malformed or repeated report line {lineno}: {raw!r}")
+            fields[parts[0]] = parts[1]
+    if header.keys() != {"fingerprint", "seed"}:
         raise ValueError("report is missing its fingerprint/seed header")
-    report = MetricsReport(fingerprint=fingerprint, seed=seed)
-    report.metrics = metrics
+    report = MetricsReport(fingerprint=header["fingerprint"], seed=int(header["seed"]))
+    for name, value in metrics.items():
+        report.set(name, value)
     return report

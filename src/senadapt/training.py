@@ -28,10 +28,10 @@ Both leave the frozen acoustic model's parameters untouched; it only relays
 input gradients from the senone loss to the adapter.
 
 adversarial_batch_grads derives a batch's targets from its labels: the adult
-rows, their senone labels and the domain column of every row. Called on its
-own it checks the labels, the config and the models first. adversarial_train
-has checked all of them once per run and passes checked=True, so its batches
-skip those checks and the input check on the frames.
+rows, their senone labels and the domain column of every row. It checks
+nothing, as the loss kernels it calls check nothing: adversarial_train checks
+the config, the models, the labels and the frames once per run, and its
+batches each hold an adult frame.
 """
 
 from __future__ import annotations
@@ -160,21 +160,17 @@ def _minibatches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start : start + batch_size]
 
 
-def _check_labels(senone_labels: np.ndarray, domain: np.ndarray, K: int) -> None:
-    if not ((domain == 0) | (domain == 1)).all():
-        raise ValueError("domain labels must be 0 (adult) or 1 (child)")
-    adult = senone_labels[domain == 0]
-    if ((adult < 0) | (adult >= K)).any():
-        raise ValueError("senone label out of range")
-
-
 def _check_view(view: TrainingView, K: int) -> None:
     """A training run's whole input, checked once before its first step:
     finite frames, domains in {0, 1} and senone labels in [0, K) on adult
     rows. The run then skips these checks on every batch."""
     if not np.isfinite(view.frames).all():
         raise NonFiniteError("non-finite values in the training frames")
-    _check_labels(view.adult_senone_labels, view.domain_labels, K)
+    if not ((view.domain_labels == 0) | (view.domain_labels == 1)).all():
+        raise ValueError("domain labels must be 0 (adult) or 1 (child)")
+    adult = view.adult_senone_labels[view.adult_mask]
+    if ((adult < 0) | (adult >= K)).any():
+        raise ValueError("senone label out of range")
 
 
 @dataclass
@@ -269,49 +265,30 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
         yield np.concatenate([a, c])
 
 
-def _check_adversary(am: AdultAcousticModel, disc: DomainDiscriminator,
-                     cfg: AdversarialConfig) -> None:
-    """A valid cfg, a frozen acoustic model, and cfg.mode's adversary over its K."""
-    cfg.validate()
-    if not am.frozen:
-        raise RuntimeError("adversarial training requires a frozen acoustic model")
-    if not is_adversary(disc, cfg.mode, am.K):
-        raise ValueError(f"a {disc.mode} discriminator over K = {disc.K} is not the "
-                         f"{cfg.mode} adversary over the acoustic model's K = {am.K}")
-
-
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
-                            cfg: AdversarialConfig, lam: float, *,
-                            checked: bool = False) -> _BatchStats:
-    """Run one batch of cfg.update_scheme, leaving the adapter's step to the
-    caller.
+                            cfg: AdversarialConfig, lam: float) -> _BatchStats:
+    """Unchecked run of one batch of cfg.update_scheme, leaving the adapter's
+    step to the caller. The batch holds an adult row (the CE mean divides by
+    their count); adversarial_train checks the rest once per run.
 
     Adapter gradients are those of [CE mean - lam * domain loss mean];
     discriminator gradients descend the domain loss mean. Under
     gradient_reversal both stores accumulate their gradients and neither is
     stepped. Under alternating the discriminator takes its sgd_step here,
     and the adapter gradients are formed against the stepped discriminator.
-    checked=True means a training run has checked the labels, cfg and the
-    models; the frames then skip the input check.
     """
-    if not checked:
-        senone_labels, domain = np.asarray(senone_labels), np.asarray(domain)
-        _check_labels(senone_labels, domain, am.K)
-        _check_adversary(am, disc, cfg)
     adult_rows = np.flatnonzero(domain == 0)
-    if adult_rows.size == 0:
-        raise ValueError("batch has no adult frames; the objective divides by n")
     domain_cols = domain.astype(np.intp)
 
-    at = adapter.forward(x, check_input=not checked)
+    at = adapter.forward(x, check_input=False)
     am_trace = am.net.forward(at.output, check_input=False)
     alpha = None
     if disc.mode == "senone_aware":
         # constants: computed once per batch, no grad
         alpha = (am_trace.output if cfg.alpha_source == "adapted" else
-                 am.net.forward(x, check_input=not checked).output)
+                 am.net.forward(x, check_input=False).output)
     if cfg.update_scheme == "alternating":
         disc.loss_backward(at.output, domain_cols, alpha, input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
@@ -333,7 +310,12 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
                       disc: DomainDiscriminator, view: TrainingView,
                       cfg: AdversarialConfig) -> TrainLog:
     """Min-max training of adapter (argmin E) against discriminator (argmax E)."""
-    _check_adversary(am, disc, cfg)
+    cfg.validate()
+    if not am.frozen:
+        raise RuntimeError("adversarial training requires a frozen acoustic model")
+    if not is_adversary(disc, cfg.mode, am.K):
+        raise ValueError(f"a {disc.mode} discriminator over K = {disc.K} is not the "
+                         f"{cfg.mode} adversary over the acoustic model's K = {am.K}")
     _check_view(view, am.K)
     adult_idx = np.flatnonzero(view.adult_mask)
     child_idx = np.flatnonzero(~view.adult_mask)
@@ -346,8 +328,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     def step(epoch, idx):
         stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
                                         view.adult_senone_labels[idx],
-                                        view.domain_labels[idx], cfg, lams[epoch],
-                                        checked=True)
+                                        view.domain_labels[idx], cfg, lams[epoch])
         if cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)

@@ -533,6 +533,16 @@ PROBES = {
     "generated_frames_overflow": ("within_class_std = 1e308\nclass_separation = 10\n", None,
                                   ("gen",), EXIT_CONFIG),
     "assessment_corpus_too_small": ("assess_n = 10\n", None, ALL_STAGES, EXIT_CONFIG),
+    # sizes no host can allocate: each exceeds a 48-bit user address space,
+    # so the allocation fails at once and touches no memory
+    "unallocatable_dim": ("dim = 70368744177664\n", None, ("gen",), EXIT_CONFIG),
+    "unallocatable_am_hidden": ("am_hidden = 70368744177664\n", None, ("pretrain",),
+                                EXIT_CONFIG),
+    "unallocatable_adapter_hidden": ("adapter_hidden = 70368744177664\n", None, ("adapt",),
+                                     EXIT_CONFIG),
+    "unallocatable_assess_n": ("assess_n = 70368744177664\n", None, ("eval",), EXIT_CONFIG),
+    "am_hidden_past_the_array_size_limit": ("am_hidden = 2305843009213693952\n", None,
+                                            ("pretrain",), EXIT_CONFIG),
     "split_without_dev_frames": ("split_train = 0.85\nsplit_dev = 0\nsplit_test = 0.15\n",
                                  None, ALL_STAGES, EXIT_CONFIG),
     "truncated_am_bundle": ("", _truncate("am.bundle"), ("adapt", "eval"), EXIT_NO_BUNDLE),

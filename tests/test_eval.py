@@ -190,6 +190,28 @@ class TestReports:
         with pytest.raises(ValueError):
             read_report(path)
 
+    def test_header_line_without_value_rejected(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("# fingerprint\n# seed\t0\nerr\t1.0\n")
+        with pytest.raises(ValueError):
+            read_report(path)
+
+    @pytest.mark.parametrize("repeated", ["err\t2.0\n", "# seed\t5\n"], ids=["metric", "seed"])
+    def test_repeated_line_rejected(self, tmp_path, repeated):
+        # write_report writes each header and each metric once
+        path = tmp_path / "r.tsv"
+        path.write_text("# fingerprint\tabc\n# seed\t0\nerr\t1.0\n" + repeated)
+        with pytest.raises(ValueError, match="repeated"):
+            read_report(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_in_file_rejected(self, tmp_path, value):
+        # reading shares write_report's rule: every value is finite
+        path = tmp_path / "r.tsv"
+        path.write_text(f"# fingerprint\tabc\n# seed\t0\nerr\t{value}\n")
+        with pytest.raises(ValueError, match="not finite"):
+            read_report(path)
+
     def test_fingerprint_sensitivity(self):
         a = config_fingerprint("a=1\n", 7)
         assert a != config_fingerprint("a=2\n", 7)

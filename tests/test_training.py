@@ -348,51 +348,6 @@ class TestBatchGradients:
                                 self.dom, cfg, 1.0)
         assert self.am.net.store.serialize() == before
 
-    def test_unfrozen_am_rejected(self):
-        am = build_adult_am(8, [16], 4, rng=np.random.default_rng(6))
-        adapter, disc = self.make_arms("bat")
-        cfg = AdversarialConfig(mode="bat")
-        with pytest.raises(RuntimeError):
-            adversarial_batch_grads(adapter, am, disc, self.x, self.y,
-                                    self.dom, cfg, 1.0)
-
-    @pytest.mark.parametrize("cfg_mode, disc_mode", [("bat", "sat"), ("sat", "bat")])
-    def test_adversary_mismatch_rejected(self, cfg_mode, disc_mode):
-        # the config's mode and the discriminator's must name one adversary
-        adapter, disc = self.make_arms(disc_mode)
-        with pytest.raises(ValueError):
-            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
-                                    AdversarialConfig(mode=cfg_mode), 1.0)
-
-    def test_adversary_over_another_K_rejected(self):
-        # a senone-aware discriminator over K = 3 cannot weigh the K = 4
-        # model's posteriors
-        adapter, _ = self.make_arms("sat")
-        disc = DomainDiscriminator(8, [12], "senone_aware", K=3, rng=np.random.default_rng(7))
-        with pytest.raises(ValueError, match="K = 3.*K = 4"):
-            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
-                                    AdversarialConfig(mode="sat"), 1.0)
-
-    @pytest.mark.parametrize("field", ["update_scheme", "alpha_source"])
-    def test_bad_config_rejected_on_the_checked_path(self, field):
-        # an unchecked bad value would silently run gradient reversal or raw alpha
-        adapter, disc = self.make_arms("sat")
-        cfg = AdversarialConfig(mode="sat", **{field: "bogus"})
-        with pytest.raises(ValueError, match=field.replace("_", ".")):
-            adversarial_batch_grads(adapter, self.am, disc, self.x, self.y, self.dom,
-                                    cfg, 1.0)
-
-    def test_all_child_batch_rejected(self):
-        adapter, disc = self.make_arms("bat")
-        cfg = AdversarialConfig(mode="bat")
-        child = self.view.domain_labels == 1
-        x = self.view.frames[child][:16]
-        y = self.view.adult_senone_labels[child][:16]
-        dom = np.ones(16, dtype=np.uint8)
-        with pytest.raises(ValueError):
-            adversarial_batch_grads(adapter, self.am, disc, x, y, dom, cfg,
-                                    1.0)
-
     @pytest.mark.parametrize("update_scheme", ["gradient_reversal", "alternating"])
     @pytest.mark.parametrize("alpha_source, mode, am_forwards", [
         ("adapted", "bat", 1), ("adapted", "sat", 1), ("raw", "sat", 2)])
@@ -557,22 +512,42 @@ class TestAdversarialTrain:
         b = self.run_once("sat", seed=4)[2]
         assert a.trajectory_key() == b.trajectory_key()
 
-    def test_mode_mismatch_rejected(self):
+    def assert_rejected_before_first_step(self, cfg, disc_mode="senone_aware", K=4,
+                                          view=None, match=None):
+        """adversarial_train raises ValueError and leaves both stores as built."""
         rng = np.random.default_rng(0)
         adapter = AdaptationNetwork(8, [12], rng=rng)
-        disc = DomainDiscriminator(8, [12], "binary", rng=rng)
-        with pytest.raises(ValueError):
-            adversarial_train(adapter, self.am, disc, self.view,
-                              AdversarialConfig(mode="sat"))
+        disc = DomainDiscriminator(8, [12], disc_mode, K=K, rng=rng)
+        before = (adapter.store.serialize(), disc.store.serialize())
+        with pytest.raises(ValueError, match=match):
+            adversarial_train(adapter, self.am, disc, view or self.view, cfg)
+        assert (adapter.store.serialize(), disc.store.serialize()) == before
+
+    def test_mode_mismatch_rejected(self):
+        # the config's mode and the discriminator's must name one adversary,
+        # in either direction
+        self.assert_rejected_before_first_step(AdversarialConfig(mode="sat"), "binary", None)
+        self.assert_rejected_before_first_step(AdversarialConfig(mode="bat"), "senone_aware", 4)
 
     def test_adversary_over_another_K_rejected(self):
-        rng = np.random.default_rng(0)
-        adapter = AdaptationNetwork(8, [12], rng=rng)
-        disc = DomainDiscriminator(8, [12], "senone_aware", K=3, rng=rng)
-        before = (adapter.store.serialize(), disc.store.serialize())
-        with pytest.raises(ValueError, match="K = 3.*K = 4"):
-            adversarial_train(adapter, self.am, disc, self.view, AdversarialConfig(mode="sat"))
-        assert (adapter.store.serialize(), disc.store.serialize()) == before
+        # a senone-aware discriminator over K = 3 cannot weigh the K = 4
+        # model's posteriors
+        self.assert_rejected_before_first_step(AdversarialConfig(mode="sat"), K=3,
+                                               match="K = 3.*K = 4")
+
+    @pytest.mark.parametrize("field", ["update_scheme", "alpha_source"])
+    def test_bad_config_rejected_before_the_first_step(self, field):
+        # unchecked, a bad value would silently run gradient reversal or raw alpha
+        self.assert_rejected_before_first_step(
+            AdversarialConfig(mode="sat", **{field: "bogus"}), match=field.replace("_", "."))
+
+    def test_child_only_view_rejected(self):
+        # every batch needs an adult row: the senone CE mean divides by their count
+        child = ~self.view.adult_mask
+        view = TrainingView(self.view.frames[child], self.view.domain_labels[child],
+                            self.view.adult_senone_labels[child])
+        self.assert_rejected_before_first_step(AdversarialConfig(mode="sat"), view=view,
+                                               match="both domains")
 
     def test_unfrozen_am_rejected(self):
         am = build_adult_am(8, [16], 4, rng=np.random.default_rng(8))
