@@ -141,20 +141,24 @@ def pack_container(kind: str, manifest: dict, arrays: dict[str, np.ndarray]) -> 
 
 def unpack_container(blob: bytes, kind: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Inverse of pack_container: (manifest, arrays), both in file order.
-    Raises FormatError unless blob is exactly one container of this kind."""
+    Raises FormatError unless blob is exactly one container of this kind
+    and names each key once."""
     start = len(CONTAINER_MAGIC) + 4
     if blob[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC or len(blob) < start:
         raise FormatError("bad magic: not a senadapt container")
     end = start + int.from_bytes(blob[start - 4 : start], "little")
     if end > len(blob):
         raise FormatError("container header runs past the end of the file")
-    manifest, specs = {}, {}
+    manifest, specs, seen = {}, {}, set()
     try:
         lines = blob[start:end].decode("utf-8").split("\n")
         for line in lines[1:]:
             key, sep, value = line.partition("=")
             if not sep or not key.startswith(("meta.", "array.")):
                 raise ValueError(f"bad line {line!r}")
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
             if key.startswith("meta."):
                 manifest[key[5:]] = value
                 continue

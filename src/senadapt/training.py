@@ -25,7 +25,10 @@ of adversarial_batch_grads runs one whole batch of either:
   discriminator pass forms only its input gradient.
 
 Both leave the frozen acoustic model's parameters untouched; it only relays
-input gradients from the senone loss to the adapter.
+input gradients from the senone loss to the adapter. The senone-aware domain
+loss weighs each frame by alpha: the frozen model's posteriors on the adapted
+features, from the senone CE's forward, as CDAN (Long et al., 2018) conditions
+its adversary on the classifier's predictions for the features being aligned.
 
 adversarial_batch_grads derives a batch's targets from its labels: the adult
 rows, their senone labels and the domain column of every row. It checks
@@ -78,7 +81,7 @@ class AdversarialConfig:
     epochs: int = 30
     batch_size: int = 128
     seed: int = 0
-    alpha_source: str = "adapted"           # | "raw"
+    alpha_source: str = "adapted"           # only value; goes with ROADMAP item 3
     lambda_shape: str = "ramp"              # | "constant"
 
     def validate(self) -> None:
@@ -86,8 +89,8 @@ class AdversarialConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.update_scheme not in ("gradient_reversal", "alternating"):
             raise ValueError(f"unknown update scheme {self.update_scheme!r}")
-        if self.alpha_source not in ("adapted", "raw"):
-            raise ValueError(f"unknown alpha_source {self.alpha_source!r}")
+        if self.alpha_source != "adapted":
+            raise ValueError(f"alpha_source must be 'adapted', got {self.alpha_source!r}")
         if self.lambda_shape not in ("ramp", "constant"):
             raise ValueError(f"unknown lambda shape {self.lambda_shape!r}")
         if not (0 <= self.reversal_coefficient < math.inf):
@@ -284,11 +287,8 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
 
     at = adapter.forward(x, check_input=False)
     am_trace = am.net.forward(at.output, check_input=False)
-    alpha = None
-    if disc.mode == "senone_aware":
-        # constants: computed once per batch, no grad
-        alpha = (am_trace.output if cfg.alpha_source == "adapted" else
-                 am.net.forward(x, check_input=False).output)
+    # the senone CE's posteriors weigh the senone-aware domain loss: constants, no grad
+    alpha = am_trace.output if disc.mode == "senone_aware" else None
     if cfg.update_scheme == "alternating":
         disc.loss_backward(at.output, domain_cols, alpha, input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)

@@ -466,6 +466,16 @@ def _unfrozen_am_bundle(out, cfg):
     save_bundle(out / "am.bundle", store, {**manifest, "frozen": "false"})
 
 
+def _am_frozen_twice(out, cfg):
+    # "false", then the "true" that pack_container wrote: a reader keeping
+    # the last line would read a frozen model
+    path = out / "am.bundle"
+    blob = path.read_bytes()
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header = blob[12:end].replace(b"meta.frozen=true", b"meta.frozen=false\nmeta.frozen=true")
+    path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[end:])
+
+
 def _am_weights_overflow(out, cfg):
     # finite parameters whose forward overflows, as a flipped exponent bit
     # makes them
@@ -520,6 +530,7 @@ ALL_STAGES = ("gen", "pretrain", "adapt", "eval")
 PROBES = {
     "shift_profile_length_not_K": ("shift_profile = 0,1,2\n", None, ALL_STAGES, EXIT_CONFIG),
     "unknown_update_scheme": ("update_scheme = foo\n", None, ALL_STAGES, EXIT_CONFIG),
+    "raw_alpha_source": ("alpha_source = raw\n", None, ALL_STAGES, EXIT_CONFIG),
     "non_integer_hidden_width": ("adapter_hidden = 8,x\n", None, ALL_STAGES, EXIT_CONFIG),
     "nan_learning_rate": ("lr_adapter = nan\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_adversarial_epochs": ("epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
@@ -557,6 +568,7 @@ PROBES = {
     # well-formed files holding bad values
     "nan_adapter_weight": ("", _nan_adapter_weight, ("eval",), EXIT_NO_BUNDLE),
     "am_matrix_stored_as_u4": ("", _am_matrix_stored_as_u4, ("adapt", "eval"), EXIT_NO_BUNDLE),
+    "am_frozen_twice": ("", _am_frozen_twice, ("adapt", "eval"), EXIT_NO_BUNDLE),
     "am_weights_overflow": ("", _am_weights_overflow, ("adapt", "eval"), EXIT_NO_BUNDLE),
     # well-formed bundles holding models their wrappers cannot run
     "disc_mode_binary_over_joint_output": ("", _disc_mode_binary_over_joint_output,

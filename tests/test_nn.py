@@ -397,8 +397,14 @@ class TestSerialization:
                    for k in arrays)
         bad_dtype = blob.replace(b"u1 2", b"i1 2")
         past_end = blob[:len(CONTAINER_MAGIC)] + (1 << 20).to_bytes(4, "little") + blob[12:]
+        # pack_container writes each key once, so a second line is damage,
+        # not an override of the first
+        repeated = [CONTAINER_MAGIC + len(h).to_bytes(4, "little") + h + blob[12 + len(header):]
+                    for h in (header.replace(b"meta.K=4", b"meta.K=3\nmeta.K=4"),
+                              header + b"\narray.tags=u1 2")]
         for bad, kind in ((blob[:-1], "demo"), (blob + b"\x00", "demo"),
-                          (blob, "corpus"), (bad_dtype, "demo"), (past_end, "demo")):
+                          (blob, "corpus"), (bad_dtype, "demo"), (past_end, "demo"),
+                          *((r, "demo") for r in repeated)):
             with pytest.raises(FormatError):
                 unpack_container(bad, kind)
         with pytest.raises(ValueError):

@@ -350,12 +350,11 @@ class TestBatchGradients:
 
     @pytest.mark.parametrize("update_scheme", ["gradient_reversal", "alternating"])
     @pytest.mark.parametrize("alpha_source, mode, am_forwards", [
-        ("adapted", "bat", 1), ("adapted", "sat", 1), ("raw", "sat", 2)])
+        ("adapted", "bat", 1), ("adapted", "sat", 1)])
     def test_batch_shares_one_forward(self, alpha_source, mode, am_forwards, update_scheme):
         # one batch (the whole view in one batch, one epoch): one adapter
         # forward, shared by both phases under alternating, and the frozen
-        # model run once for the senone CE and alpha plus, for raw alpha,
-        # once on the raw frames
+        # model run once for the senone CE and alpha
         adapter, disc = self.make_arms(mode)
         cfg = AdversarialConfig(mode=mode, alpha_source=alpha_source, epochs=1,
                                 update_scheme=update_scheme,
@@ -373,8 +372,7 @@ class TestBatchGradients:
         adversarial_train(adapter, self.am, disc, self.view, cfg)
         assert calls == {"adapter": 1, "am": am_forwards}
 
-    @pytest.mark.parametrize("alpha_source, mode", [("adapted", "bat"), ("adapted", "sat"),
-                                                    ("raw", "sat")])
+    @pytest.mark.parametrize("alpha_source, mode", [("adapted", "bat"), ("adapted", "sat")])
     def test_alternating_batch(self, alpha_source, mode):
         # one alternating call steps the discriminator as a gradient-reversal
         # call's gradients would, then forms the adapter gradients and
@@ -447,7 +445,7 @@ class TestAdversarialTrain:
                                                                 y[adult]), from_logits=True)
             dt = disc.net.forward(at.output)
             if cfg.mode == "sat":
-                alpha = am.posteriors(at.output if cfg.alpha_source == "adapted" else x)
+                alpha = am.posteriors(at.output)
                 _, dom_mean, _ = losses.senone_aware_domain_loss(dt.output, dom, alpha)
                 dg = domain_logit_grad(dt.output, dom, alpha)
                 probs = marginal_domain_probs(dt.output)
@@ -490,8 +488,7 @@ class TestAdversarialTrain:
         return log
 
     @pytest.mark.parametrize("scheme", ["alternating", "gradient_reversal"])
-    @pytest.mark.parametrize("mode, alpha_source", [("bat", "adapted"), ("sat", "adapted"),
-                                                    ("sat", "raw")])
+    @pytest.mark.parametrize("mode, alpha_source", [("bat", "adapted"), ("sat", "adapted")])
     def test_matches_reference_loop(self, mode, alpha_source, scheme):
         # bit-identical trajectories and parameters, on any platform
         cfg = AdversarialConfig(mode=mode, update_scheme=scheme, alpha_source=alpha_source,
@@ -537,7 +534,7 @@ class TestAdversarialTrain:
 
     @pytest.mark.parametrize("field", ["update_scheme", "alpha_source"])
     def test_bad_config_rejected_before_the_first_step(self, field):
-        # unchecked, a bad value would silently run gradient reversal or raw alpha
+        # unchecked, a bad value would silently run gradient reversal or adapted alpha
         self.assert_rejected_before_first_step(
             AdversarialConfig(mode="sat", **{field: "bogus"}), match=field.replace("_", "."))
 
@@ -581,6 +578,7 @@ class TestAdversarialTrain:
                     AdversarialConfig(lr_discriminator=float("nan")),
                     AdversarialConfig(momentum=1.0),
                     AdversarialConfig(alpha_source="mixed"),
+                    AdversarialConfig(alpha_source="raw"),
                     AdversarialConfig(lambda_shape="step")):
             with pytest.raises(ValueError):
                 bad.validate()
