@@ -1,8 +1,8 @@
 """Batch command-line pipeline: gen -> pretrain -> adapt -> eval.
 
-Each subcommand reads a flat key=value config file, applies --seed/--out
-overrides, writes its resolved config next to its outputs, and exits with a
-stable code on failure:
+Each subcommand reads a flat key=value config file, applies the --seed (and
+adapt's --mode) override, writes its outputs and its resolved config in the
+--out directory, and exits with a stable code on failure:
 
     2  config error (unknown key, bad value, a dim/K that disagrees
        with the corpus or the acoustic-model bundle, hidden widths of a
@@ -72,15 +72,19 @@ PIPELINE = (
 )
 
 
-def _scalar_keys(config_cls) -> dict:
+def _scalar_keys(config_cls, leave_out=()) -> dict:
     """key -> (caster, default) for each field of a config dataclass but its
-    seed (a key of its own) and its tuple fields (spelled out below)."""
+    seed (a key of its own), its tuple fields (spelled out below) and the
+    fields left out."""
     return {f.name: (type(f.default), f.default) for f in dataclasses.fields(config_cls)
-            if f.name != "seed" and not isinstance(f.default, tuple)}
+            if f.name not in ("seed", *leave_out) and not isinstance(f.default, tuple)}
 
 
 _GEN_KEYS = _scalar_keys(synthdata.GeneratorConfig)
-_ADV_KEYS = _scalar_keys(training.AdversarialConfig)
+# the CLI runs gradient reversal with alpha from the adapted features: the
+# other settings of these two fields are for library callers
+_ADV_KEYS = _scalar_keys(training.AdversarialConfig,
+                         leave_out=("update_scheme", "alpha_source"))
 _GEN_DEFAULTS = synthdata.GeneratorConfig()
 
 # key -> (caster, default). The key order, the dataclasses' field order
@@ -103,7 +107,6 @@ CONFIG_SCHEMA = {
     **_ADV_KEYS,
     "assess_epochs": (int, 150),
     "assess_lr": (float, 0.05),
-    "out_dir": (str, "run"),
 }
 
 # key -> (bound, test) for the keys whose config dataclass does not check them
@@ -165,12 +168,6 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
 
 def resolved_config_text(cfg: dict) -> str:
     return "".join(f"{k}={cfg[k]}\n" for k in CONFIG_SCHEMA)
-
-
-def fingerprint_config_text(cfg: dict) -> str:
-    """Resolved config minus out_dir: where results land must not change
-    what experiment they identify."""
-    return "".join(f"{k}={cfg[k]}\n" for k in CONFIG_SCHEMA if k != "out_dir")
 
 
 def _int_list(text: str) -> list[int]:
@@ -263,12 +260,6 @@ def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
                                         "no bundle written")
 
 
-def _outdir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_resolved(cfg: dict, out: Path, stem: str) -> None:
     (out / f"config.{stem}.resolved").write_text(resolved_config_text(cfg))
 
@@ -282,9 +273,9 @@ def _clear_from(out: Path, stage: str) -> None:
         (out / name).unlink(missing_ok=True)
 
 
-def cmd_gen(cfg: dict) -> int:
+def cmd_gen(cfg: dict, out: Path) -> int:
     corpus = synthdata.generate_corpus(_gen_config(cfg))
-    out = _outdir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     _clear_from(out, "gen")
     synthdata.save_corpus(corpus, out / "corpus.saco")
     _write_resolved(cfg, out, "gen")
@@ -292,8 +283,8 @@ def cmd_gen(cfg: dict) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: dict) -> int:
-    out = _outdir(cfg)
+def cmd_pretrain(cfg: dict, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     corpus = _read_corpus(cfg, out)
     rng = np.random.default_rng(cfg["seed"])
     am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
@@ -312,8 +303,8 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
-def cmd_adapt(cfg: dict) -> int:
-    out = _outdir(cfg)
+def cmd_adapt(cfg: dict, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     corpus = _read_corpus(cfg, out)
     am = _read_am(cfg, out, corpus)
     view = corpus.training_view("train")
@@ -347,14 +338,14 @@ def _report_arms(corpus, am, arms: dict, report) -> dict:
     return errors
 
 
-def cmd_eval(cfg: dict) -> int:
-    out = _outdir(cfg)
+def cmd_eval(cfg: dict, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     _clear_from(out, "eval")
     corpus = _read_corpus(cfg, out)
     am = _read_am(cfg, out, corpus)
     arms = {m: arm for m in training.DISC_MODES if (arm := _read_arm(cfg, out, m, corpus))}
     report = evaluate.MetricsReport(
-        fingerprint=evaluate.config_fingerprint(fingerprint_config_text(cfg), cfg["seed"]),
+        fingerprint=evaluate.config_fingerprint(resolved_config_text(cfg), cfg["seed"]),
         seed=cfg["seed"])
 
     with _finite_outputs():
@@ -392,14 +383,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="override output directory")
+        p.add_argument("--out", default="run", help="output directory (default: run)")
         if name == "adapt":
             p.add_argument("--mode", choices=tuple(training.DISC_MODES), default=None)
     args = parser.parse_args(argv)
 
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
+    overrides = {"seed": args.seed, "mode": getattr(args, "mode", None)}
     try:
         cfg = load_run_config(args.config, overrides)
     except (ConfigError, ValueError) as e:
@@ -410,7 +399,7 @@ def main(argv=None) -> int:
     try:
         # overflow and NaN are reported by the stages' own finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            return handler(cfg)
+            return handler(cfg, Path(args.out))
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -58,8 +58,8 @@ class GeneratorConfig:
             raise ValueError("shift magnitudes must be finite and nonnegative")
         if not 0 < self.within_class_std < np.inf:
             raise ValueError("within_class_std must be finite and positive")
-        if self.n_adult < self.K or self.n_child < self.K:
-            raise ValueError("need at least one frame per senone per domain")
+        if not all(self.K <= n < 2**63 for n in (self.n_adult, self.n_child)):
+            raise ValueError("n_adult and n_child must each be in [K, 2**63)")
         if not (0.0 <= self.shift_coherence <= 1.0):
             raise ValueError("shift_coherence must be in [0, 1]")
         if not 0 < self.class_separation < np.inf:

@@ -10,8 +10,8 @@ assessment levels in range); its step then runs the losses' unchecked kernels
 and skips Network.forward's input check. The discriminator-only and assessment
 runs use fixed batch sizes and momenta.
 
-The min-max objective is realized two ways, selectable per config; one call
-of adversarial_batch_grads runs one whole batch of either:
+The min-max objective is realized two ways, selectable per AdversarialConfig;
+one call of adversarial_batch_grads runs one whole batch of either:
 
 * gradient_reversal: one pass. The discriminator receives the gradient
   descending the mean domain loss; the adapter receives the gradient of

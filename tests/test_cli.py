@@ -118,8 +118,8 @@ class TestConfig:
         assert str(e.value) == f"{key} must be {bound}, got {value}"
 
     def test_overrides_win(self, small_cfg):
-        cfg = load_run_config(small_cfg, {"seed": 42, "out_dir": "x"})
-        assert cfg["seed"] == 42 and cfg["out_dir"] == "x" and cfg["K"] == 4
+        cfg = load_run_config(small_cfg, {"seed": 42, "mode": "bat"})
+        assert cfg["seed"] == 42 and cfg["mode"] == "bat" and cfg["K"] == 4
 
     def test_negative_seed_flag_rejected(self, tmp_path):
         for stage in ALL_STAGES:
@@ -157,17 +157,14 @@ class TestConfig:
             "pretrain_momentum=0.9\n"
             "mode=sat\n"
             "reversal_coefficient=1.0\n"
-            "update_scheme=gradient_reversal\n"
             "lr_adapter=0.05\n"
             "lr_discriminator=0.2\n"
             "momentum=0.0\n"
             "epochs=30\n"
             "batch_size=128\n"
-            "alpha_source=adapted\n"
             "lambda_shape=ramp\n"
             "assess_epochs=150\n"
-            "assess_lr=0.05\n"
-            "out_dir=run\n")
+            "assess_lr=0.05\n")
 
 
 class TestPipeline:
@@ -201,11 +198,13 @@ class TestPipeline:
         assert sorted(p.name for p in out.iterdir()) == ["config.gen.resolved", "corpus.saco"]
 
     def test_same_seed_identical_outputs(self, small_cfg, tmp_path):
+        # the resolved configs too: where a run lives is no part of its config
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
             assert run("gen", "--config", small_cfg, "--out", out, "--seed", "5") == 0
             assert run("pretrain", "--config", small_cfg, "--out", out, "--seed", "5") == 0
-        for name in ("corpus.saco", "am.bundle"):
+        for name in ("corpus.saco", "am.bundle", "config.gen.resolved",
+                     "config.pretrain.resolved"):
             assert filecmp.cmp(f"{a}/{name}", f"{b}/{name}", shallow=False), name
 
     def test_assessment_rows_follow_the_eval_config(self, small_cfg, tmp_path):
@@ -531,6 +530,11 @@ PROBES = {
     "shift_profile_length_not_K": ("shift_profile = 0,1,2\n", None, ALL_STAGES, EXIT_CONFIG),
     "unknown_update_scheme": ("update_scheme = foo\n", None, ALL_STAGES, EXIT_CONFIG),
     "raw_alpha_source": ("alpha_source = raw\n", None, ALL_STAGES, EXIT_CONFIG),
+    # library-only fields and the directory --out names are no config keys
+    "alternating_update_scheme": ("update_scheme = alternating\n", None, ALL_STAGES,
+                                  EXIT_CONFIG),
+    "adapted_alpha_source": ("alpha_source = adapted\n", None, ALL_STAGES, EXIT_CONFIG),
+    "out_dir_in_config": ("out_dir = elsewhere\n", None, ALL_STAGES, EXIT_CONFIG),
     "non_integer_hidden_width": ("adapter_hidden = 8,x\n", None, ALL_STAGES, EXIT_CONFIG),
     "nan_learning_rate": ("lr_adapter = nan\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_adversarial_epochs": ("epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
@@ -554,6 +558,9 @@ PROBES = {
     "unallocatable_assess_n": ("assess_n = 70368744177664\n", None, ("eval",), EXIT_CONFIG),
     "am_hidden_past_the_array_size_limit": ("am_hidden = 2305843009213693952\n", None,
                                             ("pretrain",), EXIT_CONFIG),
+    # 2**70 frames: a count past int64, rejected before anything is allocated
+    "frame_count_past_int64": ("n_adult = 1180591620717411303424\n", None, ALL_STAGES,
+                               EXIT_CONFIG),
     "split_without_dev_frames": ("split_train = 0.85\nsplit_dev = 0\nsplit_test = 0.15\n",
                                  None, ALL_STAGES, EXIT_CONFIG),
     "truncated_am_bundle": ("", _truncate("am.bundle"), ("adapt", "eval"), EXIT_NO_BUNDLE),
