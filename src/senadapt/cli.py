@@ -22,11 +22,11 @@ adapt's --mode) override, writes its outputs and its resolved config in the
        that is not its arm's adversary for this corpus (mode, K)
     7  training diverged or saturated: a NaN or Inf met in a stage after
        it has read its inputs, in training or in scoring what it trained
-       (no output of the stage is written), or a final epoch of pretrain
-       or adapt with a mean senone CE on adult frames of at least ln K, no
-       better than a uniform guess (the log and resolved config of the
-       finished run are written, and no other output of the stage is left);
-       a NaN or Inf of a loaded model is exit 6
+       (no output of the stage is written), or a final epoch no better than
+       a uniform guess: a mean CE of at least ln K on adult senones in pretrain
+       or adapt, or of ln 5 on the levels in eval's assessment training (the
+       resolved config and any log are written, no other output of the stage
+       is left); a NaN or Inf of a loaded model is exit 6
 
 Before it trains or writes, each stage removes the files PIPELINE lists for
 it and for every later stage, but not a sibling adapt arm's: they were made
@@ -251,13 +251,13 @@ def _read_arm(cfg: dict, out: Path, mode: str, corpus) -> tuple | None:
     return adapter, disc
 
 
-def _check_converged(what: str, log: training.TrainLog, K: int) -> None:
-    """Exit 7 unless the final epoch's mean senone CE beats a uniform guess."""
+def _check_converged(cfg: dict, out: Path, stem: str, what: str, log, n: int) -> None:
+    """Exit 7, resolved config written, unless the final mean CE beats a uniform guess over n."""
     ce = log.records[-1].senone_ce
-    if not ce < math.log(K):
-        raise StageError(EXIT_DIVERGED, f"{what} diverged or saturated: final-epoch senone "
-                                        f"CE {ce:.4g} >= ln K = {math.log(K):.4g}; "
-                                        "no bundle written")
+    if not ce < math.log(n):
+        _write_resolved(cfg, out, stem)
+        raise StageError(EXIT_DIVERGED, f"{what} diverged or saturated: final-epoch mean "
+                                        f"CE {ce:.4g} >= ln {n} = {math.log(n):.4g}")
 
 
 def _write_resolved(cfg: dict, out: Path, stem: str) -> None:
@@ -296,8 +296,8 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
     dev = corpus.subset("dev", "adult")
     acc = float((am.posteriors(dev.frames).argmax(axis=1) == dev.senone_labels).mean())
     log.write(out / "pretrain.log")
+    _check_converged(cfg, out, "pretrain", "pretraining", log, cfg["K"])
     _write_resolved(cfg, out, "pretrain")
-    _check_converged("pretraining", log, cfg["K"])
     models.save_adult_am(out / "am.bundle", am)
     print(f"pretrained AM frozen; adult dev senone accuracy {acc:.3f}")
     return 0
@@ -316,8 +316,8 @@ def cmd_adapt(cfg: dict, out: Path) -> int:
     _clear_from(out, f"adapt_{acfg.mode}")
     log = training.adversarial_train(adapter, am, disc, view, acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
+    _check_converged(cfg, out, f"adapt_{acfg.mode}", f"adaptation ({acfg.mode})", log, cfg["K"])
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
-    _check_converged(f"adaptation ({acfg.mode})", log, cfg["K"])
     models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
     models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
     print(f"adversarial training ({acfg.mode}) done; "
@@ -361,9 +361,10 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
     n_train = int(0.8 * len(feats))
     net = AssessmentNetwork(input_dim=feats.shape[1], rng=np.random.default_rng(cfg["seed"]))
-    training.train_assessment_network(net, feats[:n_train], pron[:n_train], flu[:n_train],
-                                      epochs=cfg["assess_epochs"], lr=cfg["assess_lr"],
-                                      seed=cfg["seed"])
+    log = training.train_assessment_network(net, feats[:n_train], pron[:n_train],
+                                            flu[:n_train], epochs=cfg["assess_epochs"],
+                                            lr=cfg["assess_lr"], seed=cfg["seed"])
+    _check_converged(cfg, out, "eval", "assessment training", log, synthdata.ASSESS_LEVELS)
     for name, val in evaluate.assessment_metrics(
             net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
         report.set(f"assess.{name}", val)

@@ -7,8 +7,8 @@ running sums into its TrainLogRecord. A trainer checks its settings, its
 discriminator's pairing and its whole input before its first step (finite
 frames or features, domains in {0, 1}, senone labels in [0, K) on adult rows,
 assessment levels in range); its step then runs the losses' unchecked kernels
-and skips Network.forward's input check. The discriminator-only and assessment
-runs use fixed batch sizes and momenta.
+and skips Network.forward's input check. The discriminator-only run trains
+the binary reference; it and the assessment run use fixed batch sizes and momenta.
 
 The min-max objective is realized two ways, selectable per AdversarialConfig;
 one call of adversarial_batch_grads runs one whole batch of either:
@@ -65,9 +65,9 @@ def _check_sgd(what: str, epochs: int, lr: float, momentum: float = 0.0,
         raise ValueError(f"{what}: batch size must be at least 1, got {batch_size}")
 
 
-def is_adversary(disc: DomainDiscriminator, mode: str | None, K: int) -> bool:
-    """Whether disc is mode's adversary (either mode's, for None) over K senones."""
-    return disc.K in (None, K) and (mode is None or disc.mode == DISC_MODES[mode])
+def is_adversary(disc: DomainDiscriminator, mode: str, K: int) -> bool:
+    """Whether disc is the adversary of mode ("bat" or "sat") over K senones."""
+    return disc.K in (None, K) and disc.mode == DISC_MODES[mode]
 
 
 @dataclass
@@ -342,11 +342,11 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
 def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                              view: TrainingView, epochs: int, lr: float,
                              seed: int) -> TrainLog:
-    """Train a discriminator on un-adapted features (adapter fixed at identity)
-    in batches of 128, without momentum: the domain-confusion reference."""
+    """Train the binary domain-confusion reference, the bat adversary of an identity
+    adapter, on un-adapted features in batches of 128, without momentum."""
     _check_sgd("discriminator training", epochs, lr)
-    if not is_adversary(disc, None, am.K):
-        raise ValueError(f"a discriminator over K = {disc.K}, an acoustic model over K = {am.K}")
+    if not is_adversary(disc, "bat", am.K):
+        raise ValueError(f"the reference discriminator is binary, not {disc.mode}")
     _check_view(view, am.K)
     if len(view.frames) == 0:
         raise ValueError("discriminator training corpus has no frames")
@@ -355,12 +355,10 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
     def step(epoch, idx):
         x = view.frames[idx]
         dom = view.domain_labels[idx]
-        alpha = (am.net.forward(x, check_input=False).output
-                 if disc.mode == "senone_aware" else None)
-        out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), alpha, input_grad=False)
+        out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), None, input_grad=False)
         sgd_step(disc.store, lr)
         return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
-                           int((marginal_domain_probs(out).argmax(axis=1) == dom).sum()))
+                           int((out.argmax(axis=1) == dom).sum()))
 
     return _sgd_epochs(epochs, [disc.store],
                        lambda: _minibatches(rng, len(view.frames), 128), step)

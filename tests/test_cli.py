@@ -299,6 +299,20 @@ class TestExitCodes:
         assert run("pretrain", "--config", str(bad), "--out", str(out)) == EXIT_DIVERGED
         assert not (out / "am.bundle").exists()
 
+    def test_saturated_assessment_writes_its_config_and_no_report(self, small_cfg, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "run"
+        for stage in ("gen", "pretrain"):
+            assert run(stage, "--config", small_cfg, "--out", str(out)) == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(small_with("assess_lr = 0.15\n"))
+        assert run("eval", "--config", str(bad), "--out", str(out)) == EXIT_DIVERGED
+        assert not (out / "report.tsv").exists()
+        assert (out / "config.eval.resolved").read_text() == resolved_config_text(
+            load_run_config(str(bad), {}))
+        err = capsys.readouterr().err
+        assert "assessment training diverged or saturated" in err and "bundle" not in err
+
     def test_pretrain_removes_bundles_of_the_replaced_model(self, small_cfg, tmp_path):
         # adapter and discriminator bundles were trained against the acoustic
         # model pretrain replaces; eval must not report them as its arms
@@ -617,6 +631,8 @@ PROBES = {
     "overflowing_pretrain_lr": ("pretrain_lr = 1e300\n", None, ("pretrain",), EXIT_DIVERGED),
     "overflowing_assessment_lr": ("assess_lr = 1e100\n", _stale_report, ("eval",),
                                   EXIT_DIVERGED),
+    # the assessment heads end no better than a uniform guess over the 5 levels
+    "assessment_saturated": ("assess_lr = 0.15\n", _stale_report, ("eval",), EXIT_DIVERGED),
     # one step finishes finite, and scoring the trained heads meets the overflow
     "assessment_overflow_met_in_scoring": ("assess_n = 50\nassess_epochs = 1\n"
                                            "assess_lr = 1e300\n", None, ("eval",),
