@@ -320,8 +320,10 @@ def cmd_adapt(cfg: dict, out: Path) -> int:
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
     models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
     models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
+    where = "on a second process" if log.second_process else "in process"
     print(f"adversarial training ({acfg.mode}) done; "
-          f"final discriminator accuracy {log.records[-1].disc_acc:.3f}")
+          f"final discriminator accuracy {log.records[-1].disc_acc:.3f}; "
+          f"discriminator half ran {where}")
     return 0
 
 

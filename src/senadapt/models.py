@@ -133,17 +133,16 @@ class DomainDiscriminator:
     def store(self) -> ParameterStore:
         return self.net.store
 
-    def loss_backward(self, feats: np.ndarray, domain_cols: np.ndarray,
+    def loss_backward(self, trace: ForwardTrace, domain_cols: np.ndarray,
                       alpha: np.ndarray | None, **backward):
-        """One forward, domain loss and backward (keywords go to
-        Network.backward): the senone-aware loss against alpha, or against
-        alpha = 1, the binary loss, when alpha is None. Returns the output,
-        the mean domain loss and the input gradient."""
-        trace = self.net.forward(feats, check_input=False)
-        alpha = np.ones((len(feats), 1)) if alpha is None else alpha
+        """The domain loss and backward of trace, the caller's forward of this
+        network (keywords go to Network.backward): the senone-aware loss
+        against alpha, or against alpha = 1, the binary loss, when alpha is
+        None. The forward is the caller's, so that it can run before alpha
+        is known. Returns the mean domain loss and the input gradient."""
+        alpha = np.ones((len(trace.output), 1)) if alpha is None else alpha
         dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols, alpha)
-        feat_grad = self.net.backward(trace, grad, from_logits=True, **backward)
-        return trace.output, dom_mean, feat_grad
+        return dom_mean, self.net.backward(trace, grad, from_logits=True, **backward)
 
 
 class AssessmentNetwork:

@@ -35,11 +35,42 @@ rows, their senone labels and the domain column of every row. It checks
 nothing, as the loss kernels it calls check nothing: adversarial_train checks
 the config, the models, the labels and the frames once per run, and its
 batches each hold an adult frame.
+
+Where the discriminator half runs. Under gradient_reversal the discriminator
+and the frozen acoustic model are two heads on the adapter's output: within
+a batch neither waits for the other until both gradients reach the adapter.
+So when the host has a core to spare, adversarial_train forks one worker per
+run (_DiscWorker), and the worker owns the discriminator. Per batch the
+caller hands it the adapter's output and the domain columns, and for sat then
+alpha after the acoustic-model forward. The worker runs the discriminator
+forward as soon as the features arrive, then the domain loss, the backward
+and the discriminator's sgd_step, and hands back the feature gradient, the
+mean domain loss and the count of correct domain calls. Meanwhile the caller
+runs the acoustic-model forward, the senone CE and its backward. At the end
+of the run the worker's discriminator values, gradients and velocity are
+copied into the caller's store in place.
+
+The host decides, not a setting (_second_core_free): the worker runs on Linux
+when the process's affinity mask holds at least two CPUs and the process has
+one OS thread. With a second thread, most often a BLAS thread pool, the batch
+runs in process, as it always does under alternating; forking only a
+single-threaded process is also what keeps the fork safe. The bits are the
+same on both paths: both run _domain_half on the same float64 bytes, each
+store takes the same sgd_step after the same gradients, and the hand-offs
+copy bytes only. The hand-offs poll fork-context semaphores with
+acquire(False), never a blocking wait: a process woken from a blocking wait
+on every hand-off lost more than the second core gave (ROADMAP, "Measured").
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -123,6 +154,8 @@ class TrainLogRecord:
 @dataclass
 class TrainLog:
     records: list[TrainLogRecord] = field(default_factory=list)
+    # whether a forked worker ran the discriminator half; not written to the file
+    second_process: bool = False
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -188,30 +221,33 @@ class _BatchStats:
     correct: int
 
 
-def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
+def _sgd_epochs(epochs: int, stores, batches, step,
+                around=contextlib.nullcontext()) -> TrainLog:
     """The one training loop. Each epoch sums the _BatchStats that
     step(epoch, batch) returns for every batch batches() yields, and logs
-    them with the epoch's wall time."""
+    them with the epoch's wall time. The epochs run inside the context
+    manager around, entered once the stores are zeroed."""
     for store in stores:
         # every sgd_step leaves its store's gradients at zero
         store.zero_grads()
     log = TrainLog()
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        ce = dom = 0.0
-        n_ce = n = correct = 0
-        for batch in batches():
-            s = step(epoch, batch)
-            ce += s.ce_sum
-            n_ce += s.n_ce
-            dom += s.dom_sum
-            n += s.n
-            correct += s.correct
-        ce_mean = ce / n_ce if n_ce else 0.0
-        # without senone rows the objective is -(domain loss), a zero loss giving -0.0
-        log.records.append(TrainLogRecord(
-            epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
-            correct / n, time.perf_counter() - t0))
+    with around:
+        for epoch in range(epochs):
+            t0 = time.perf_counter()
+            ce = dom = 0.0
+            n_ce = n = correct = 0
+            for batch in batches():
+                s = step(epoch, batch)
+                ce += s.ce_sum
+                n_ce += s.n_ce
+                dom += s.dom_sum
+                n += s.n
+                correct += s.correct
+            ce_mean = ce / n_ce if n_ce else 0.0
+            # without senone rows the objective is -(domain loss), a zero loss giving -0.0
+            log.records.append(TrainLogRecord(
+                epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
+                correct / n, time.perf_counter() - t0))
     return log
 
 
@@ -268,10 +304,23 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
         yield np.concatenate([a, c])
 
 
+def _domain_half(disc: DomainDiscriminator, trace, domain: np.ndarray,
+                 alpha: np.ndarray | None, **backward) -> tuple[float, np.ndarray | None, int]:
+    """The discriminator's half of a batch after its forward trace: the
+    domain loss against alpha and its backward (keywords go to
+    Network.backward). Returns the mean domain loss, the feature gradient
+    and the count of correct domain calls. The in-process batch, the worker
+    and the reference discriminator's run all call it."""
+    dom_mean, feat_grad = disc.loss_backward(trace, domain.astype(np.intp), alpha, **backward)
+    correct = int((marginal_domain_probs(trace.output).argmax(axis=1) == domain).sum())
+    return dom_mean, feat_grad, correct
+
+
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
-                            cfg: AdversarialConfig, lam: float) -> _BatchStats:
+                            cfg: AdversarialConfig, lam: float, *,
+                            worker: _DiscWorker | None = None) -> _BatchStats:
     """Unchecked run of one batch of cfg.update_scheme, leaving the adapter's
     step to the caller. The batch holds an adult row (the CE mean divides by
     their count); adversarial_train checks the rest once per run.
@@ -281,29 +330,240 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     gradient_reversal both stores accumulate their gradients and neither is
     stepped. Under alternating the discriminator takes its sgd_step here,
     and the adapter gradients are formed against the stepped discriminator.
+    With a worker (gradient_reversal only) the worker's discriminator takes
+    the gradients and its sgd_step, and disc is left as it is.
     """
     adult_rows = np.flatnonzero(domain == 0)
-    domain_cols = domain.astype(np.intp)
 
     at = adapter.forward(x, check_input=False)
+    if worker is not None:
+        worker.hand_features(at.output, domain)
     am_trace = am.net.forward(at.output, check_input=False)
     # the senone CE's posteriors weigh the senone-aware domain loss: constants, no grad
     alpha = am_trace.output if disc.mode == "senone_aware" else None
-    if cfg.update_scheme == "alternating":
-        disc.loss_backward(at.output, domain_cols, alpha, input_grad=False)
+    if worker is not None:
+        worker.hand_alpha(alpha)
+    elif cfg.update_scheme == "alternating":
+        _domain_half(disc, disc.net.forward(at.output, check_input=False), domain, alpha,
+                     input_grad=False)
         sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-        disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
-            at.output, domain_cols, alpha, param_grads=False)
+        dom_mean, feat_grad_dom, correct = _domain_half(
+            disc, disc.net.forward(at.output, check_input=False), domain, alpha,
+            param_grads=False)
     else:
-        disc_out, dom_mean, feat_grad_dom = disc.loss_backward(
-            at.output, domain_cols, alpha)
+        dom_mean, feat_grad_dom, correct = _domain_half(
+            disc, disc.net.forward(at.output, check_input=False), domain, alpha)
     ce, ce_grad = losses.ce_kernel(am_trace.output, adult_rows, senone_labels[adult_rows])
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
+    if worker is not None:
+        dom_mean, feat_grad_dom, correct = worker.result()
     adapter.backward(at, feat_grad - lam * feat_grad_dom)
 
     n_adult = len(adult_rows)
-    return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x),
-                       int((marginal_domain_probs(disc_out).argmax(axis=1) == domain).sum()))
+    return _BatchStats(ce * n_adult, n_adult, dom_mean * len(x), len(x), correct)
+
+
+def _second_core_free() -> bool:
+    """Whether a forked worker may run the discriminator half: on Linux,
+    with at least two CPUs in this process's affinity mask and one OS thread
+    in this process. This is the one place that observes the host."""
+    if sys.platform != "linux":
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _largest_stratified_batch(batch_size: int) -> int:
+    """An upper bound on the rows of a _stratified_batches batch. A batch
+    with its own adult share holds at most batch_size + 1 rows (each pool's
+    bounds round down), and a batch whose adult frames are re-drawn holds
+    c + ceil(c / 3) rows for c <= batch_size child rows."""
+    return batch_size + -(-batch_size // 3)
+
+
+# polls of a semaphore between two yields of the CPU (about 10 us), and
+# yields between two checks that the other process lives (about 1 ms)
+_POLLS_PER_YIELD = 100
+_YIELDS_PER_CHECK = 100
+# room for a worker's pickled exception
+_ERROR_BYTES = 1 << 16
+
+
+def _take(sem, alive) -> bool:
+    """Take sem by polling acquire(False), never a blocking wait. Each round
+    of polls ends in a yield of the CPU, which returns at once when no other
+    process waits for it, and runs the other process of the pair when the
+    scheduler has put both on one CPU. Gives up, returning False, once
+    alive() is false and sem still cannot be taken."""
+    while True:
+        for _ in range(_YIELDS_PER_CHECK):
+            for _ in range(_POLLS_PER_YIELD):
+                if sem.acquire(False):
+                    return True
+            os.sched_yield()
+        if not alive():
+            return sem.acquire(False)
+
+
+class _DiscWorker:
+    """A forked process that owns disc through one gradient-reversal run and
+    runs the discriminator half of each batch (see the module docstring).
+
+    Entering forks it, after the run's stores are zeroed. A normal exit
+    copies its discriminator values, gradients and velocity into disc.store
+    in place; every exit kills and reaps it, so an error leaves disc as it
+    was before the run. Hand-offs go through one shared anonymous mmap,
+    guarded by three semaphores: features (and the finish order), alpha, and
+    the worker's reply. A worker error is relayed and raised as its own type;
+    a dead worker raises RuntimeError; a worker whose parent died exits.
+    """
+
+    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig, capacity: int):
+        self.disc, self.cfg, self.capacity = disc, cfg, capacity
+        self.pid: int | None = None
+
+    def __enter__(self) -> "_DiscWorker":
+        # imported here: multiprocessing adds about 10 ms to every CLI start
+        import multiprocessing
+
+        rows, dim, params = self.capacity, self.disc.net.in_dim, self.disc.store.flat_values.size
+        regions = {"rows": (np.int64, (1,)), "reply": (np.float64, (2,)),
+                   "error_len": (np.int64, (1,)), "feats": (np.float64, (rows, dim)),
+                   "domain": (np.int64, (rows,)), "alpha": (np.float64, (rows, self.disc.K or 0)),
+                   "grad": (np.float64, (rows, dim)), "store": (np.float64, (3, params)),
+                   "error": (np.uint8, (_ERROR_BYTES,))}
+        # each region on its own cache lines: the two processes write different ones
+        offsets, size = {}, 0
+        for name, (dtype, shape) in regions.items():
+            offsets[name] = size
+            size += -(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 64) * 64
+        self._mm = mmap.mmap(-1, size)
+        try:
+            self._a = {name: np.frombuffer(self._mm, dtype, int(np.prod(shape)),
+                                           offsets[name]).reshape(shape)
+                       for name, (dtype, shape) in regions.items()}
+            ctx = multiprocessing.get_context("fork")
+            self._features, self._alpha, self._reply = (ctx.Semaphore(0) for _ in range(3))
+            parent = os.getpid()
+            pid = os.fork()
+        except BaseException:
+            self._close()
+            raise
+        if pid == 0:
+            self._serve(parent)
+        self.pid = pid
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._finish()
+        finally:
+            self._close()
+
+    # -- the caller's side -------------------------------------------------
+
+    def hand_features(self, feats: np.ndarray, domain: np.ndarray) -> None:
+        n, a = len(feats), self._a
+        a["feats"][:n] = feats
+        a["domain"][:n] = domain
+        a["rows"][0] = n
+        self._features.release()
+
+    def hand_alpha(self, alpha: np.ndarray | None) -> None:
+        if alpha is not None:
+            self._a["alpha"][: len(alpha)] = alpha
+            self._alpha.release()
+
+    def result(self) -> tuple[float, np.ndarray, int]:
+        """The mean domain loss, the feature gradient and the count of
+        correct domain calls of the batch last handed over."""
+        self._await_reply()
+        dom_mean, correct = self._a["reply"]
+        return float(dom_mean), self._a["grad"][: self._a["rows"][0]].copy(), int(correct)
+
+    def _await_reply(self) -> None:
+        if not _take(self._reply, self._worker_alive):
+            raise RuntimeError(f"the discriminator worker ended without a reply "
+                               f"(wait status {self._status})")
+        n = int(self._a["error_len"][0])
+        if n:
+            raise pickle.loads(self._a["error"][:n].tobytes())
+
+    def _worker_alive(self) -> bool:
+        pid, self._status = os.waitpid(self.pid, os.WNOHANG)
+        if pid:
+            self.pid = None  # reaped
+        return not pid
+
+    def _finish(self) -> None:
+        self._a["rows"][0] = 0
+        self._features.release()
+        self._await_reply()
+        store = self.disc.store
+        if store._velocity is None:
+            store._velocity = np.empty_like(store.flat_values)
+        for mine, theirs in zip((store.flat_values, store.flat_grads, store._velocity),
+                                self._a["store"]):
+            mine[...] = theirs
+
+    def _close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self._a = None  # the views, before the map they look into
+        try:
+            self._mm.close()
+        except BufferError:  # a traceback still holds a view: the map goes with it
+            pass
+
+    # -- the worker's side, in the forked child ----------------------------
+
+    def _serve(self, parent: int) -> None:
+        """Run batches until the finish order; never returns."""
+        code = 0
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            a, disc, cfg = self._a, self.disc, self.cfg
+
+            def parent_alive():
+                return os.getppid() == parent
+
+            while _take(self._features, parent_alive):
+                n = int(a["rows"][0])
+                if n == 0:
+                    store = disc.store
+                    a["store"][:] = store.flat_values, store.flat_grads, store._velocity
+                    self._reply.release()
+                    break
+                trace = disc.net.forward(a["feats"][:n], check_input=False)
+                alpha = None
+                if disc.mode == "senone_aware":
+                    if not _take(self._alpha, parent_alive):
+                        break
+                    alpha = a["alpha"][:n]
+                dom_mean, feat_grad, correct = _domain_half(disc, trace, a["domain"][:n], alpha)
+                a["grad"][:n] = feat_grad
+                a["reply"][:] = dom_mean, correct
+                self._reply.release()
+                sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+        except BaseException as e:  # every failure is relayed, then the worker exits
+            code = 1
+            try:
+                blob = pickle.dumps(e)
+                pickle.loads(blob)  # the caller raises what it can rebuild
+            except Exception:
+                blob = b""
+            if not 0 < len(blob) <= _ERROR_BYTES:
+                blob = pickle.dumps(RuntimeError(f"discriminator worker: {e!r}"[:1000]))
+            self._a["error"][: len(blob)] = np.frombuffer(blob, np.uint8)
+            self._a["error_len"][0] = len(blob)
+            self._reply.release()
+        finally:
+            os._exit(code)
 
 
 def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -324,19 +584,25 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     rng = np.random.default_rng(cfg.seed)
     lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
             for epoch in range(cfg.epochs)]
+    worker = None
+    if cfg.update_scheme == "gradient_reversal" and _second_core_free():
+        worker = _DiscWorker(disc, cfg, _largest_stratified_batch(cfg.batch_size))
 
     def step(epoch, idx):
         stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
                                         view.adult_senone_labels[idx],
-                                        view.domain_labels[idx], cfg, lams[epoch])
-        if cfg.update_scheme == "gradient_reversal":
+                                        view.domain_labels[idx], cfg, lams[epoch],
+                                        worker=worker)
+        if worker is None and cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
         return stats
 
-    return _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
-                       lambda: _stratified_batches(rng, adult_idx, child_idx,
-                                                   cfg.batch_size), step)
+    log = _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
+                      lambda: _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size),
+                      step, worker or contextlib.nullcontext())
+    log.second_process = worker is not None
+    return log
 
 
 def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
@@ -353,12 +619,11 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
     rng = np.random.default_rng(seed)
 
     def step(epoch, idx):
-        x = view.frames[idx]
-        dom = view.domain_labels[idx]
-        out, dom_mean, _ = disc.loss_backward(x, dom.astype(np.intp), None, input_grad=False)
+        trace = disc.net.forward(view.frames[idx], check_input=False)
+        dom_mean, _, correct = _domain_half(disc, trace, view.domain_labels[idx], None,
+                                            input_grad=False)
         sgd_step(disc.store, lr)
-        return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx),
-                           int((out.argmax(axis=1) == dom).sum()))
+        return _BatchStats(0.0, 0, dom_mean * len(idx), len(idx), correct)
 
     return _sgd_epochs(epochs, [disc.store],
                        lambda: _minibatches(rng, len(view.frames), 128), step)

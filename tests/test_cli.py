@@ -629,6 +629,9 @@ PROBES = {
     "saturating_pretrain_lr": ("pretrain_lr = 50\n", None, ("pretrain",), EXIT_DIVERGED),
     "saturating_adapter_lr": ("lr_adapter = 50\n", None, ("adapt",), EXIT_DIVERGED),
     "overflowing_pretrain_lr": ("pretrain_lr = 1e300\n", None, ("pretrain",), EXIT_DIVERGED),
+    # met by the discriminator, on the worker where the host gives adapt one
+    "overflowing_discriminator_lr": ("lr_discriminator = 1e300\n", None, ("adapt",),
+                                     EXIT_DIVERGED),
     "overflowing_assessment_lr": ("assess_lr = 1e100\n", _stale_report, ("eval",),
                                   EXIT_DIVERGED),
     # the assessment heads end no better than a uniform guess over the 5 levels
@@ -671,6 +674,8 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
     for stage in stages:
         assert run(stage, "--config", str(cfg), "--out", str(out)) == code, stage
     assert not (out / "report.tsv").is_file()
+    if damage is None:  # the pretrained run holds no adapt arm, and a failed adapt writes none
+        assert not list(out.glob("*_*.bundle"))
 
 
 # every file eval reads -> the seed of its byte-mutation fuzz

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib.util
 import math
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,33 @@ class TestBatchGradients:
         assert stats == ref_stats
 
 
+def use_worker(monkeypatch, on: bool) -> None:
+    """Make adversarial_train see a host with (on) or without a free second
+    core, whatever this host is."""
+    monkeypatch.setattr(training, "_second_core_free", lambda: on)
+
+
+# Forced onto a host whose BLAS runs a thread pool, the worker is forked from
+# a threaded process, which the selection rule never does and which Python
+# 3.12+ warns of; OpenBLAS's own fork handlers keep that child sound.
+FORKS_ANY_HOST = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+
+REFERENCE_CASES = (
+    [pytest.param(*case, False, id="-".join(case)) for case in (
+        ("bat", "alternating", "ramp"), ("bat", "gradient_reversal", "ramp"),
+        ("sat", "alternating", "ramp"), ("sat", "gradient_reversal", "ramp"),
+        ("sat", "gradient_reversal", "constant"))]
+    + [pytest.param(*case, True, id="-".join(case) + "-worker", marks=FORKS_ANY_HOST)
+       for case in (("bat", "gradient_reversal", "ramp"), ("sat", "gradient_reversal", "ramp"),
+                    ("sat", "gradient_reversal", "constant"))])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestAdversarialTrain:
 
     def setup_method(self):
@@ -484,12 +513,11 @@ class TestAdversarialTrain:
                 correct / n_t, 0.0))
         return log
 
-    @pytest.mark.parametrize("mode, scheme, lambda_shape", [
-        ("bat", "alternating", "ramp"), ("bat", "gradient_reversal", "ramp"),
-        ("sat", "alternating", "ramp"), ("sat", "gradient_reversal", "ramp"),
-        ("sat", "gradient_reversal", "constant")])
-    def test_matches_reference_loop(self, mode, scheme, lambda_shape):
-        # bit-identical trajectories and parameters, on any platform
+    @pytest.mark.parametrize("mode, scheme, lambda_shape, worker", REFERENCE_CASES)
+    def test_matches_reference_loop(self, monkeypatch, mode, scheme, lambda_shape, worker):
+        # bit-identical trajectories and parameters, on any platform, with
+        # the discriminator half in process or on the worker
+        use_worker(monkeypatch, worker)
         cfg = AdversarialConfig(mode=mode, update_scheme=scheme, lambda_shape=lambda_shape,
                                 epochs=3, momentum=0.5, seed=2)
         runs = []
@@ -500,7 +528,8 @@ class TestAdversarialTrain:
                                        K=4 if mode == "sat" else None, rng=rng)
             log = train(adapter, self.am, disc, self.view, cfg)
             runs.append((log.trajectory_key(), adapter.store.serialize(),
-                         disc.store.serialize()))
+                         disc.store.serialize(), disc.store.flat_grads.tobytes(),
+                         disc.store._velocity.tobytes()))
         assert runs[0] == runs[1]
 
     def test_trajectory_deterministic(self):
@@ -581,6 +610,125 @@ class TestAdversarialTrain:
                     AdversarialConfig(lambda_shape="step")):
             with pytest.raises(ValueError):
                 bad.validate()
+
+
+class TestDiscriminatorWorker:
+    """The discriminator half of a gradient-reversal batch on a forked
+    worker: which runs fork one, and every way a run can end reaps it."""
+
+    def setup_method(self):
+        self.view = small_corpus(seed=8).training_view("train")
+        self.am = build_adult_am(8, [16], 4, rng=np.random.default_rng(8))
+        pretrain_adult_am(self.am, self.view, epochs=2, lr=0.1, seed=8)
+
+    def train(self, mode="sat", **cfg):
+        rng = np.random.default_rng(0)
+        adapter = AdaptationNetwork(8, [12], rng=rng)
+        disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
+                                   K=4 if mode == "sat" else None, rng=rng)
+        return adversarial_train(adapter, self.am, disc, self.view,
+                                 AdversarialConfig(mode=mode, epochs=2, **cfg))
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @FORKS_ANY_HOST
+    @pytest.mark.parametrize("scheme, free, forks", [("gradient_reversal", True, 1),
+                                                     ("gradient_reversal", False, 0),
+                                                     ("alternating", True, 0)])
+    def test_forks_one_worker_per_gradient_reversal_run(self, monkeypatch, scheme, free,
+                                                        forks):
+        use_worker(monkeypatch, free)
+        counted = self.count_forks(monkeypatch)
+        log = self.train(update_scheme=scheme)
+        assert len(counted) == forks
+        assert log.second_process == (forks == 1)
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    @pytest.mark.parametrize("cpus, threads, forks", [(2, 1, 1), (1, 1, 0), (2, 2, 0)])
+    def test_host_rule(self, monkeypatch, cpus, threads, forks):
+        # a second CPU in the affinity mask and one OS thread: only then a worker
+        listdir = os.listdir
+        monkeypatch.setattr(training.sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "listdir", lambda path: [str(i) for i in range(threads)]
+                            if path == "/proc/self/task" else listdir(path))
+        counted = self.count_forks(monkeypatch)
+        self.train()
+        assert len(counted) == forks
+        assert_no_child_left()
+
+    def test_largest_stratified_batch_fits(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n_adult, n_child = rng.integers(1, 600, size=2)
+            batch_size = int(rng.integers(2, 200))
+            largest = max(len(b) for b in _stratified_batches(
+                rng, np.arange(n_adult), np.arange(n_adult, n_adult + n_child), batch_size))
+            assert largest <= training._largest_stratified_batch(batch_size)
+
+    @FORKS_ANY_HOST
+    @pytest.mark.parametrize("mode", ["bat", "sat"])
+    def test_nan_on_the_worker_raises_in_the_caller(self, monkeypatch, mode):
+        # the first discriminator step overflows its weights; the worker's next
+        # forward meets the NaN, and the caller's disc is as it was built
+        use_worker(monkeypatch, True)
+        rng = np.random.default_rng(0)
+        adapter = AdaptationNetwork(8, [12], rng=rng)
+        disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
+                                   K=4 if mode == "sat" else None, rng=rng)
+        before = disc.store.serialize()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            adversarial_train(adapter, self.am, disc, self.view,
+                              AdversarialConfig(mode=mode, epochs=2, lr_discriminator=1e300))
+        assert disc.store.serialize() == before
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_error_between_the_hand_offs_reaps_the_worker(self, monkeypatch):
+        # the acoustic-model forward of a sat batch runs after the features
+        # are handed over and before alpha is
+        use_worker(monkeypatch, True)
+        forward, calls = self.am.net.forward, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(self.am.net, "forward", failing)
+        with pytest.raises(KeyboardInterrupt):
+            self.train("sat")
+        assert len(calls) == 3
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_killed_worker_raises(self, monkeypatch):
+        use_worker(monkeypatch, True)
+        hand, calls = training._DiscWorker.hand_features, []
+
+        def killing(worker, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(worker.pid, signal.SIGKILL)
+            return hand(worker, *args)
+
+        monkeypatch.setattr(training._DiscWorker, "hand_features", killing)
+        with pytest.raises(RuntimeError, match="worker ended"):
+            self.train("bat")
+        assert_no_child_left()
 
 
 class TestBenchmarkTracer:
