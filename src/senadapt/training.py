@@ -420,15 +420,16 @@ class _DiscWorker:
     a dead worker raises RuntimeError; a worker whose parent died exits.
     """
 
-    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig, capacity: int):
-        self.disc, self.cfg, self.capacity = disc, cfg, capacity
+    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig):
+        self.disc, self.cfg = disc, cfg
         self.pid: int | None = None
 
     def __enter__(self) -> "_DiscWorker":
         # imported here: multiprocessing adds about 10 ms to every CLI start
         import multiprocessing
 
-        rows, dim, params = self.capacity, self.disc.net.in_dim, self.disc.store.flat_values.size
+        rows = _largest_stratified_batch(self.cfg.batch_size)
+        dim, params = self.disc.net.in_dim, self.disc.store.flat_values.size
         regions = {"rows": (np.int64, (1,)), "reply": (np.float64, (2,)),
                    "error_len": (np.int64, (1,)), "feats": (np.float64, (rows, dim)),
                    "domain": (np.int64, (rows,)), "alpha": (np.float64, (rows, self.disc.K or 0)),
@@ -586,7 +587,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
             for epoch in range(cfg.epochs)]
     worker = None
     if cfg.update_scheme == "gradient_reversal" and _second_core_free():
-        worker = _DiscWorker(disc, cfg, _largest_stratified_batch(cfg.batch_size))
+        worker = _DiscWorker(disc, cfg)
 
     def step(epoch, idx):
         stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
