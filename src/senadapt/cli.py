@@ -303,6 +303,11 @@ def cmd_pretrain(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _where(log: training.TrainLog) -> str:
+    """Where a run's forked-worker half ran, for a stage's last line."""
+    return "on a second process" if log.second_process else "in process"
+
+
 def cmd_adapt(cfg: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus = _read_corpus(cfg, out)
@@ -320,10 +325,9 @@ def cmd_adapt(cfg: dict, out: Path) -> int:
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
     models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
     models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
-    where = "on a second process" if log.second_process else "in process"
     print(f"adversarial training ({acfg.mode}) done; "
           f"final discriminator accuracy {log.records[-1].disc_acc:.3f}; "
-          f"discriminator half ran {where}")
+          f"discriminator half ran {_where(log)}")
     return 0
 
 
@@ -373,7 +377,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
 
     evaluate.write_report(report, out / "report.tsv")
     _write_resolved(cfg, out, "eval")
-    print(f"wrote {out / 'report.tsv'} with {len(report.metrics)} metrics")
+    print(f"wrote {out / 'report.tsv'} with {len(report.metrics)} metrics; "
+          f"assessment parameter half ran {_where(log)}")
     return 0
 
 

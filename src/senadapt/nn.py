@@ -12,10 +12,12 @@ third, and every parameter name maps to a view into them. The layout is
 fixed at construction, from one dict of matrices, so no view can go stale.
 serialize() is a snapshot of the value arena's bytes, not a file format:
 a store reaches a file only inside a model bundle.
-An optimizer step is a few whole-arena operations, the same element-wise
-arithmetic as a loop over the names. A frozen store still propagates input
-gradients through its network but discards parameter gradients, which is
-how the fixed adult acoustic model participates in adversarial training.
+An optimizer step is a few element-wise operations on a span of the arenas,
+by default the whole of them: the same arithmetic as a loop over the names,
+so stepping a store layer by layer (Network.layer_span) gives the same bits
+as stepping it whole. A frozen store still propagates input gradients
+through its network but discards parameter gradients, which is how the
+fixed adult acoustic model participates in adversarial training.
 
 Network.forward checks its output for NaN and Inf, and its input unless the
 caller passes check_input=False: the training loops do for frames they
@@ -32,7 +34,9 @@ parameter gradients and returns None, for callers that would discard
 dLoss/dInput; the parameter gradients are the same bits either way. With
 param_grads=False it forms only dLoss/dInput, the same bits as a full
 backward, and leaves the store's gradients untouched, for callers that
-would discard the parameter gradients.
+would discard the parameter gradients. The chain itself is
+Network.preactivation_grads, which forms one layer's gradient at a time,
+for a caller that hands each on as soon as it exists.
 """
 
 from __future__ import annotations
@@ -320,41 +324,65 @@ class Network:
         if upstream.shape != trace.output.shape:
             raise ShapeError(
                 f"upstream grad shape {upstream.shape} != output shape {trace.output.shape}")
+        accumulate = param_grads and not self.store.frozen
+        for i, gz in self.preactivation_grads(trace, upstream, from_logits=from_logits):
+            if i < 0:
+                return gz
+            if accumulate:
+                self.accumulate_layer_grads(i, trace.activations[i], gz)
+            if i == 0 and not input_grad:
+                return None
+
+    def preactivation_grads(self, trace: ForwardTrace, upstream: np.ndarray, *,
+                            from_logits: bool = False):
+        """Unchecked: yield (i, dLoss/dz_i) for each layer i from the top
+        down, where z_i is layer i's pre-activation, then (-1, dLoss/dInput).
+        Each is formed only when the caller asks for it, so a caller that
+        stops early forms no more of the chain. upstream is as for backward
+        and is never written to; a yielded gradient is not written to after."""
         g = upstream
         owned = False  # whether g was allocated here and may be overwritten
-        accumulate = param_grads and not self.store.frozen
         top = len(self.layers) - 1
         for i in range(top, -1, -1):
-            W, _, gW, gb = self._params[i]
             if i == top and from_logits:
                 gz = g
             else:
                 gz = _activation_backward(self.layers[i].activation,
                                           trace.activations[i + 1], g, owned)
-            if accumulate:
-                gW += trace.activations[i].T @ gz
-                gb += gz.sum(axis=0, keepdims=True)
-            if i == 0 and not input_grad:
-                return None
-            g, owned = gz @ W.T, True
-        return g
+            yield i, gz
+            g, owned = gz @ self._params[i][0].T, True
+        yield -1, g
+
+    def accumulate_layer_grads(self, i: int, x: np.ndarray, gz: np.ndarray) -> None:
+        """Add layer i's parameter gradients for input x and pre-activation
+        gradient gz (Network.preactivation_grads) to the store's gradients."""
+        _, _, gW, gb = self._params[i]
+        gW += x.T @ gz
+        gb += gz.sum(axis=0, keepdims=True)
+
+    def layer_span(self, i: int) -> slice:
+        """Layer i's parameters in the store's arenas: its W, then its b."""
+        (w, _), (b, _) = (self.store._layout[self._pname(i, kind)] for kind in "Wb")
+        return slice(w.start, b.stop)
 
 
-def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0) -> None:
-    """theta <- theta - lr * v with v <- momentum * v + grad; zeros grads after."""
+def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0,
+             span: slice = slice(None)) -> None:
+    """theta <- theta - lr * v with v <- momentum * v + grad on the span of the
+    store's arenas (by default all of them); zeros those grads after."""
     if store.frozen:
         raise FrozenStoreError("sgd_step on a frozen parameter store")
     if not (learning_rate >= 0):
         raise ValueError("learning rate must be nonnegative")
     if not (0.0 <= momentum < 1.0):
         raise ValueError("momentum must be in [0, 1)")
-    v = store._velocity
-    if v is None:
-        v = store._velocity = np.zeros_like(store.flat_values)
+    if store._velocity is None:
+        store._velocity = np.zeros_like(store.flat_values)
+    v, g, theta = store._velocity[span], store.flat_grads[span], store.flat_values[span]
     v *= momentum
-    v += store.flat_grads
-    store.flat_values -= learning_rate * v
-    store.flat_grads.fill(0.0)
+    v += g
+    theta -= learning_rate * v
+    g.fill(0.0)
 
 
 def finite_diff_gradient(net: Network, x: np.ndarray, loss_fn, h: float = 1e-5) -> dict:

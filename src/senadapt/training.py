@@ -6,8 +6,9 @@ runs the trainer's step over each epoch's minibatches and turns the epoch's
 running sums into its TrainLogRecord. A trainer checks its settings, its
 discriminator's pairing and its whole input before its first step (finite
 frames or features, domains in {0, 1}, senone labels in [0, K) on adult rows,
-assessment levels in range); its step then runs the losses' unchecked kernels
-and skips Network.forward's input check. The discriminator-only run trains
+assessment levels in range, one level of each kind per feature row); its
+step then runs the losses' unchecked kernels and skips Network.forward's
+input check. The discriminator-only run trains
 the binary reference; it and the assessment run use fixed batch sizes and momenta.
 
 The min-max objective is realized two ways, selectable per AdversarialConfig;
@@ -36,30 +37,48 @@ nothing, as the loss kernels it calls check nothing: adversarial_train checks
 the config, the models, the labels and the frames once per run, and its
 batches each hold an adult frame.
 
-Where the discriminator half runs. Under gradient_reversal the discriminator
-and the frozen acoustic model are two heads on the adapter's output: within
-a batch neither waits for the other until both gradients reach the adapter.
-So when the host has a core to spare, adversarial_train forks one worker per
-run (_DiscWorker), and the worker owns the discriminator. Per batch the
-caller hands it the adapter's output and the domain columns, and for sat then
-alpha after the acoustic-model forward. The worker runs the discriminator
-forward as soon as the features arrive, then the domain loss, the backward
-and the discriminator's sgd_step, and hands back the feature gradient, the
-mean domain loss and the count of correct domain calls. Meanwhile the caller
-runs the acoustic-model forward, the senone CE and its backward. At the end
-of the run the worker's discriminator values, gradients and velocity are
-copied into the caller's store in place.
+Where the work runs: the discriminator half and the assessment parameter
+half. Under gradient_reversal the discriminator and the frozen acoustic
+model are two heads on the adapter's output: within a batch neither waits
+for the other until both gradients reach the adapter. So when the host has
+a core to spare, adversarial_train forks one worker per run (_DiscWorker),
+and the worker owns the discriminator. Per batch the caller hands it the
+adapter's output and the domain columns, and for sat then alpha after the
+acoustic-model forward. The worker runs the discriminator forward as soon
+as the features arrive, then the domain loss, the backward and the
+discriminator's sgd_step, and hands back the feature gradient, the mean
+domain loss and the count of correct domain calls. Meanwhile the caller
+runs the acoustic-model forward, the senone CE and its backward.
 
-The host decides, not a setting (_second_core_free): the worker runs on Linux
+In an assessment step the parameter gradients of a layer wait only for its
+input and its pre-activation gradient, and no later layer reads them. So
+train_assessment_network forks one worker per run too (_AssessWorker), which
+owns the two heads and trunk layers 1 and up. The caller keeps the forward,
+both CE kernels, the heads' input gradients, the trunk's input-gradient
+chain (Network.preactivation_grads) and trunk layer 0's gradient and step;
+it hands over each layer's input and pre-activation gradient as soon as
+they exist. The worker forms each owned layer's gradient as it arrives and
+steps that layer's span of its store (sgd_step's span) at once, then
+publishes the owned values, which the caller copies in before its next
+forward. The caller's copy of a store is its own, so a step on the worker
+never races the caller's reads of the old weights.
+
+At the end of either run the worker's values, gradients and velocity of
+what it owns are copied into the caller's stores in place (_Worker, which
+both workers share).
+
+The host decides, not a setting (_second_core_free): a worker runs on Linux
 when the process's affinity mask holds at least two CPUs and the process has
-one OS thread. With a second thread, most often a BLAS thread pool, the batch
-runs in process, as it always does under alternating; forking only a
-single-threaded process is also what keeps the fork safe. The bits are the
-same on both paths: both run _domain_half on the same float64 bytes, each
-store takes the same sgd_step after the same gradients, and the hand-offs
-copy bytes only. The hand-offs poll fork-context semaphores with
-acquire(False), never a blocking wait: a process woken from a blocking wait
-on every hand-off lost more than the second core gave (ROADMAP, "Measured").
+one OS thread. With a second thread, most often a BLAS thread pool, the run
+stays in process, as an alternating run always does; forking only a
+single-threaded process is also what keeps the fork safe. A fork or
+semaphore that fails with OSError, at a process limit say, also leaves the
+run in process. The bits are the same on both paths: each layer's gradient
+is the same expression on the same float64 bytes, each span takes the same
+element-wise sgd_step arithmetic as its whole store, and the hand-offs copy
+bytes only. The hand-offs poll fork-context semaphores with acquire(False),
+never a blocking wait: a process woken from a blocking wait on every
+hand-off lost more than the second core gave (ROADMAP, "Measured").
 """
 
 from __future__ import annotations
@@ -79,7 +98,7 @@ import numpy as np
 from . import losses
 from .models import (DISC_MODES, AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
                      marginal_domain_probs)
-from .nn import NonFiniteError, sgd_step
+from .nn import NonFiniteError, ParameterStore, sgd_step
 from .synthdata import ASSESS_LEVELS, TrainingView
 
 
@@ -154,7 +173,8 @@ class TrainLogRecord:
 @dataclass
 class TrainLog:
     records: list[TrainLogRecord] = field(default_factory=list)
-    # whether a forked worker ran the discriminator half; not written to the file
+    # whether a forked worker ran part of the run (the discriminator half, or
+    # the assessment parameter half); not written to the file
     second_process: bool = False
 
     def write(self, path) -> None:
@@ -364,9 +384,9 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
 
 
 def _second_core_free() -> bool:
-    """Whether a forked worker may run the discriminator half: on Linux,
-    with at least two CPUs in this process's affinity mask and one OS thread
-    in this process. This is the one place that observes the host."""
+    """Whether a run may fork a worker: on Linux, with at least two CPUs in
+    this process's affinity mask and one OS thread in this process. This is
+    the one place that observes the host."""
     if sys.platform != "linux":
         return False
     try:
@@ -389,6 +409,8 @@ _POLLS_PER_YIELD = 100
 _YIELDS_PER_CHECK = 100
 # room for a worker's pickled exception
 _ERROR_BYTES = 1 << 16
+# the arenas of a store that a worker hands back, in the rows of its "store" region
+_ARENAS = ("flat_values", "flat_grads", "_velocity")
 
 
 def _take(sem, alive) -> bool:
@@ -407,87 +429,98 @@ def _take(sem, alive) -> bool:
             return sem.acquire(False)
 
 
-class _DiscWorker:
-    """A forked process that owns disc through one gradient-reversal run and
-    runs the discriminator half of each batch (see the module docstring).
+class _Worker:
+    """A forked process that owns spans of a run's parameter stores (owned,
+    a list of (store, span) pairs) and does their part of each batch (see
+    the module docstring). A subclass gives its name for messages, its
+    shared regions (_regions), the caller's hand-offs and the worker's side
+    of a batch (_batch).
 
-    Entering forks it, after the run's stores are zeroed. A normal exit
-    copies its discriminator values, gradients and velocity into disc.store
-    in place; every exit kills and reaps it, so an error leaves disc as it
-    was before the run. Hand-offs go through one shared anonymous mmap,
-    guarded by three semaphores: features (and the finish order), alpha, and
-    the worker's reply. A worker error is relayed and raised as its own type;
-    a dead worker raises RuntimeError; a worker whose parent died exits.
+    Entering forks it, after the run's stores are zeroed, when the host has
+    a core to spare (_second_core_free); forked says whether it did. When
+    the mmap, a semaphore or the fork fails with OSError (a process limit,
+    no shared memory) the run goes on in process. A normal exit copies the
+    owned spans' values, gradients and velocity into the caller's stores in
+    place; every exit kills and reaps the worker. Hand-offs go through one
+    shared anonymous mmap and two semaphores: msg carries the caller's
+    hand-offs, in a fixed order per batch, and reply the worker's answers.
+    Each batch's first hand-off sets its row count, and a count of 0 is the
+    finish order. A worker error is relayed and raised as its own type; a
+    dead worker raises RuntimeError; a worker whose parent died exits.
     """
 
-    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig):
-        self.disc, self.cfg = disc, cfg
+    def __init__(self, owned: list[tuple[ParameterStore, slice]]):
+        self._owned = owned
+        self.forked = False
         self.pid: int | None = None
+        self._mm = self._a = self._pieces = None
 
-    def __enter__(self) -> "_DiscWorker":
+    def _regions(self) -> dict:
+        raise NotImplementedError
+
+    def _batch(self, n: int) -> None:
+        raise NotImplementedError
+
+    def __enter__(self) -> "_Worker":
+        if not _second_core_free():
+            return self
         # imported here: multiprocessing adds about 10 ms to every CLI start
         import multiprocessing
 
-        rows = _largest_stratified_batch(self.cfg.batch_size)
-        dim, params = self.disc.net.in_dim, self.disc.store.flat_values.size
-        regions = {"rows": (np.int64, (1,)), "reply": (np.float64, (2,)),
-                   "error_len": (np.int64, (1,)), "feats": (np.float64, (rows, dim)),
-                   "domain": (np.int64, (rows,)), "alpha": (np.float64, (rows, self.disc.K or 0)),
-                   "grad": (np.float64, (rows, dim)), "store": (np.float64, (3, params)),
+        sizes = [store.flat_values[span].size for store, span in self._owned]
+        regions = {"rows": (np.int64, (1,)), "error_len": (np.int64, (1,)), **self._regions(),
+                   "store": (np.float64, (len(_ARENAS), sum(sizes))),
                    "error": (np.uint8, (_ERROR_BYTES,))}
         # each region on its own cache lines: the two processes write different ones
         offsets, size = {}, 0
         for name, (dtype, shape) in regions.items():
             offsets[name] = size
             size += -(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 64) * 64
-        self._mm = mmap.mmap(-1, size)
         try:
+            self._mm = mmap.mmap(-1, size)
             self._a = {name: np.frombuffer(self._mm, dtype, int(np.prod(shape)),
                                            offsets[name]).reshape(shape)
                        for name, (dtype, shape) in regions.items()}
+            bounds = np.cumsum([0] + sizes)
+            # per arena, each owned span's piece of the store region
+            self._pieces = [[row[a:b] for a, b in zip(bounds, bounds[1:])]
+                            for row in self._a["store"]]
             ctx = multiprocessing.get_context("fork")
-            self._features, self._alpha, self._reply = (ctx.Semaphore(0) for _ in range(3))
+            self._msg, self._reply = ctx.Semaphore(0), ctx.Semaphore(0)
             parent = os.getpid()
             pid = os.fork()
+        except OSError:
+            self._close()
+            return self
         except BaseException:
             self._close()
             raise
         if pid == 0:
             self._serve(parent)
-        self.pid = pid
+        self.pid, self.forked = pid, True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            if exc_type is None:
+            if exc_type is None and self.forked:
                 self._finish()
         finally:
             self._close()
 
+    def _copy(self, arena: str, to_shared: bool) -> None:
+        """Copy the owned spans of one store arena into the store region, or back."""
+        for (store, span), piece in zip(self._owned, self._pieces[_ARENAS.index(arena)]):
+            mine = getattr(store, arena)[span]
+            if to_shared:
+                piece[...] = mine
+            else:
+                mine[...] = piece
+
     # -- the caller's side -------------------------------------------------
-
-    def hand_features(self, feats: np.ndarray, domain: np.ndarray) -> None:
-        n, a = len(feats), self._a
-        a["feats"][:n] = feats
-        a["domain"][:n] = domain
-        a["rows"][0] = n
-        self._features.release()
-
-    def hand_alpha(self, alpha: np.ndarray | None) -> None:
-        if alpha is not None:
-            self._a["alpha"][: len(alpha)] = alpha
-            self._alpha.release()
-
-    def result(self) -> tuple[float, np.ndarray, int]:
-        """The mean domain loss, the feature gradient and the count of
-        correct domain calls of the batch last handed over."""
-        self._await_reply()
-        dom_mean, correct = self._a["reply"]
-        return float(dom_mean), self._a["grad"][: self._a["rows"][0]].copy(), int(correct)
 
     def _await_reply(self) -> None:
         if not _take(self._reply, self._worker_alive):
-            raise RuntimeError(f"the discriminator worker ended without a reply "
+            raise RuntimeError(f"the {self.name} worker ended without a reply "
                                f"(wait status {self._status})")
         n = int(self._a["error_len"][0])
         if n:
@@ -501,56 +534,46 @@ class _DiscWorker:
 
     def _finish(self) -> None:
         self._a["rows"][0] = 0
-        self._features.release()
+        self._msg.release()
         self._await_reply()
-        store = self.disc.store
-        if store._velocity is None:
-            store._velocity = np.empty_like(store.flat_values)
-        for mine, theirs in zip((store.flat_values, store.flat_grads, store._velocity),
-                                self._a["store"]):
-            mine[...] = theirs
+        for store, _ in self._owned:
+            if store._velocity is None:
+                store._velocity = np.zeros_like(store.flat_values)
+        for arena in _ARENAS:
+            self._copy(arena, to_shared=False)
 
     def _close(self) -> None:
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        self._a = None  # the views, before the map they look into
-        try:
-            self._mm.close()
-        except BufferError:  # a traceback still holds a view: the map goes with it
-            pass
+        self._a = self._pieces = None  # the views, before the map they look into
+        if self._mm is not None:
+            try:
+                self._mm.close()
+            except BufferError:  # a traceback still holds a view: the map goes with it
+                pass
 
     # -- the worker's side, in the forked child ----------------------------
+
+    def _receive(self) -> bool:
+        """Take the caller's next hand-off; False once the parent has died."""
+        return _take(self._msg, lambda: os.getppid() == self._parent)
 
     def _serve(self, parent: int) -> None:
         """Run batches until the finish order; never returns."""
         code = 0
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            a, disc, cfg = self._a, self.disc, self.cfg
-
-            def parent_alive():
-                return os.getppid() == parent
-
-            while _take(self._features, parent_alive):
-                n = int(a["rows"][0])
+            self._parent = parent
+            while self._receive():
+                n = int(self._a["rows"][0])
                 if n == 0:
-                    store = disc.store
-                    a["store"][:] = store.flat_values, store.flat_grads, store._velocity
+                    for arena in _ARENAS:
+                        self._copy(arena, to_shared=True)
                     self._reply.release()
                     break
-                trace = disc.net.forward(a["feats"][:n], check_input=False)
-                alpha = None
-                if disc.mode == "senone_aware":
-                    if not _take(self._alpha, parent_alive):
-                        break
-                    alpha = a["alpha"][:n]
-                dom_mean, feat_grad, correct = _domain_half(disc, trace, a["domain"][:n], alpha)
-                a["grad"][:n] = feat_grad
-                a["reply"][:] = dom_mean, correct
-                self._reply.release()
-                sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+                self._batch(n)
         except BaseException as e:  # every failure is relayed, then the worker exits
             code = 1
             try:
@@ -559,12 +582,67 @@ class _DiscWorker:
             except Exception:
                 blob = b""
             if not 0 < len(blob) <= _ERROR_BYTES:
-                blob = pickle.dumps(RuntimeError(f"discriminator worker: {e!r}"[:1000]))
+                blob = pickle.dumps(RuntimeError(f"{self.name} worker: {e!r}"[:1000]))
             self._a["error"][: len(blob)] = np.frombuffer(blob, np.uint8)
             self._a["error_len"][0] = len(blob)
             self._reply.release()
         finally:
             os._exit(code)
+
+
+class _DiscWorker(_Worker):
+    """Owns disc through one gradient-reversal run and runs the
+    discriminator half of each batch. Per batch the caller hands over the
+    features and the domain columns, then for sat alpha; the worker replies
+    with the feature gradient, the mean domain loss and the count of
+    correct domain calls, then takes the discriminator's sgd_step. An error
+    leaves disc as it was before the run."""
+
+    name = "discriminator"
+
+    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig):
+        super().__init__([(disc.store, slice(None))])
+        self.disc, self.cfg = disc, cfg
+
+    def _regions(self) -> dict:
+        rows = _largest_stratified_batch(self.cfg.batch_size)
+        dim = self.disc.net.in_dim
+        return {"reply": (np.float64, (2,)), "feats": (np.float64, (rows, dim)),
+                "domain": (np.int64, (rows,)), "alpha": (np.float64, (rows, self.disc.K or 0)),
+                "grad": (np.float64, (rows, dim))}
+
+    def hand_features(self, feats: np.ndarray, domain: np.ndarray) -> None:
+        n, a = len(feats), self._a
+        a["feats"][:n] = feats
+        a["domain"][:n] = domain
+        a["rows"][0] = n
+        self._msg.release()
+
+    def hand_alpha(self, alpha: np.ndarray | None) -> None:
+        if alpha is not None:
+            self._a["alpha"][: len(alpha)] = alpha
+            self._msg.release()
+
+    def result(self) -> tuple[float, np.ndarray, int]:
+        """The mean domain loss, the feature gradient and the count of
+        correct domain calls of the batch last handed over."""
+        self._await_reply()
+        dom_mean, correct = self._a["reply"]
+        return float(dom_mean), self._a["grad"][: self._a["rows"][0]].copy(), int(correct)
+
+    def _batch(self, n: int) -> None:
+        a, disc = self._a, self.disc
+        trace = disc.net.forward(a["feats"][:n], check_input=False)
+        alpha = None
+        if disc.mode == "senone_aware":
+            if not self._receive():
+                return
+            alpha = a["alpha"][:n]
+        dom_mean, feat_grad, correct = _domain_half(disc, trace, a["domain"][:n], alpha)
+        a["grad"][:n] = feat_grad
+        a["reply"][:] = dom_mean, correct
+        self._reply.release()
+        sgd_step(disc.store, self.cfg.lr_discriminator, self.cfg.momentum)
 
 
 def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -585,16 +663,15 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     rng = np.random.default_rng(cfg.seed)
     lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
             for epoch in range(cfg.epochs)]
-    worker = None
-    if cfg.update_scheme == "gradient_reversal" and _second_core_free():
-        worker = _DiscWorker(disc, cfg)
+    worker = _DiscWorker(disc, cfg) if cfg.update_scheme == "gradient_reversal" else None
 
     def step(epoch, idx):
+        forked = worker if worker is not None and worker.forked else None
         stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
                                         view.adult_senone_labels[idx],
                                         view.domain_labels[idx], cfg, lams[epoch],
-                                        worker=worker)
-        if worker is None and cfg.update_scheme == "gradient_reversal":
+                                        worker=forked)
+        if forked is None and cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
         return stats
@@ -602,7 +679,7 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     log = _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
                       lambda: _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size),
                       step, worker or contextlib.nullcontext())
-    log.second_process = worker is not None
+    log.second_process = worker is not None and worker.forked
     return log
 
 
@@ -630,12 +707,103 @@ def train_discriminator_only(disc: DomainDiscriminator, am: AdultAcousticModel,
                        lambda: _minibatches(rng, len(view.frames), 128), step)
 
 
+# the assessment run's fixed batch size and momentum
+_ASSESS_BATCH = 64
+_ASSESS_MOMENTUM = 0.9
+
+
+class _AssessWorker(_Worker):
+    """Owns the heads and trunk layers 1 and up of an AssessmentNetwork
+    through one train_assessment_network run, and forms and steps their
+    parameter gradients. Per batch the caller hands over the trunk's output
+    and the heads' logit gradients, then for each trunk layer i >= 1, from
+    the top down, its input and pre-activation gradient; the worker steps
+    each layer once it has its gradient and, after the last, publishes the
+    owned values, which the caller copies in before its next forward."""
+
+    name = "assessment"
+
+    def __init__(self, net, lr: float):
+        trunk = net.trunk
+        self._spans = [trunk.layer_span(i) for i in range(len(trunk.layers))]
+        owned = [(net.head_pron.store, slice(None)), (net.head_flu.store, slice(None))]
+        if len(trunk.layers) > 1:
+            owned.append((trunk.store, slice(self._spans[1].start, None)))
+        super().__init__(owned)
+        self.net, self.lr = net, lr
+        self._pending = False  # a batch's values not yet copied in
+
+    def _regions(self) -> dict:
+        # act{i} is trunk layer i's input; act{top + 1} is the heads' input
+        trunk, rows = self.net.trunk, _ASSESS_BATCH
+        regions = {"logit_grads": (np.float64, (2, rows, self.net.head_pron.out_dim)),
+                   f"act{len(trunk.layers)}": (np.float64, (rows, trunk.out_dim))}
+        for i, spec in enumerate(trunk.layers[1:], 1):
+            regions[f"act{i}"] = (np.float64, (rows, spec.in_dim))
+            regions[f"gz{i}"] = (np.float64, (rows, spec.out_dim))
+        return regions
+
+    def pull(self) -> None:
+        """Copy in the owned values the worker's last step left, if any."""
+        if self._pending:
+            self._await_reply()
+            self._copy("flat_values", to_shared=False)
+            self._pending = False
+
+    def backward_step(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
+        """The caller's half of AssessmentNetwork.backward and the stores'
+        sgd_steps: the heads' input gradients, the trunk's input-gradient
+        chain, and trunk layer 0's parameter gradient and step. Each layer's
+        input and pre-activation gradient go to the worker as they exist."""
+        net, a, n = self.net, self._a, len(grad_pron)
+        t, p, f = traces
+        a["rows"][0] = n
+        a[f"act{len(t.activations) - 1}"][:n] = t.output
+        a["logit_grads"][0, :n] = grad_pron
+        a["logit_grads"][1, :n] = grad_flu
+        self._msg.release()
+        gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
+              + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
+        for i, gz in net.trunk.preactivation_grads(t, gt):
+            if i == 0:
+                net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
+                break
+            a[f"act{i}"][:n] = t.activations[i]
+            a[f"gz{i}"][:n] = gz
+            self._msg.release()
+        self._pending = True
+        sgd_step(net.trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[0])
+
+    def _finish(self) -> None:
+        self.pull()
+        super()._finish()
+
+    def _batch(self, n: int) -> None:
+        net, a, trunk = self.net, self._a, self.net.trunk
+        top = a[f"act{len(trunk.layers)}"][:n]
+        for head, g in zip((net.head_pron, net.head_flu), a["logit_grads"]):
+            head.accumulate_layer_grads(0, top, g[:n])
+            sgd_step(head.store, self.lr, _ASSESS_MOMENTUM)
+        for i in range(len(trunk.layers) - 1, 0, -1):
+            if not self._receive():
+                return
+            trunk.accumulate_layer_grads(i, a[f"act{i}"][:n], a[f"gz{i}"][:n])
+            sgd_step(trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[i])
+        self._copy("flat_values", to_shared=True)
+        self._reply.release()
+
+
 def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
                              flu: np.ndarray, epochs: int, lr: float,
                              seed: int) -> TrainLog:
     """Joint training of the two-head assessment network in batches of 64 at
-    momentum 0.9; both heads use softmax CE against their 1..5 level labels."""
+    momentum 0.9; both heads use softmax CE against their 1..5 level labels.
+    With a core to spare, an _AssessWorker forms and steps the parameters of
+    the heads and of trunk layers 1 and up."""
     _check_sgd("assessment training", epochs, lr)
+    if not len(features) == len(pron) == len(flu):
+        raise ValueError(f"assessment training: {len(features)} feature rows, {len(pron)} "
+                         f"pronunciation and {len(flu)} fluency levels")
     if len(features) == 0:
         raise ValueError("assessment training corpus has no rows")
     if not np.isfinite(features).all():
@@ -645,21 +813,28 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
             raise ValueError(f"assessment levels must be in 1..{ASSESS_LEVELS}")
     rng = np.random.default_rng(seed)
     stores = (net.trunk.store, net.head_pron.store, net.head_flu.store)
+    worker = _AssessWorker(net, lr)
 
     def step(epoch, idx):
         x = features[idx]
         yp, yf = pron[idx] - 1, flu[idx] - 1
         rows = np.arange(len(idx))
+        worker.pull()
         traces = net.forward(x, check_input=False)
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)
-        net.backward(traces, g_p, g_f)
-        for store in stores:
-            sgd_step(store, lr, 0.9)
+        if worker.forked:
+            worker.backward_step(traces, g_p, g_f)
+        else:
+            net.backward(traces, g_p, g_f)
+            for store in stores:
+                sgd_step(store, lr, _ASSESS_MOMENTUM)
         # the CE of both heads: each row counts twice
         return _BatchStats((ce_p + ce_f) * len(idx), 2 * len(idx), 0.0, len(idx),
                            int((p.output.argmax(axis=1) == yp).sum()))
 
-    return _sgd_epochs(epochs, stores,
-                       lambda: _minibatches(rng, len(features), 64), step)
+    log = _sgd_epochs(epochs, stores,
+                      lambda: _minibatches(rng, len(features), _ASSESS_BATCH), step, worker)
+    log.second_process = worker.forked
+    return log

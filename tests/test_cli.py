@@ -190,6 +190,22 @@ class TestPipeline:
         for stem in ("gen", "pretrain", "adapt_bat", "adapt_sat", "eval"):
             assert (tmp_path / "run" / f"config.{stem}.resolved").exists()
 
+    # forced onto a host whose BLAS runs a thread pool, the workers fork a
+    # threaded process, which Python 3.12+ warns of
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    @pytest.mark.parametrize("free, where", [(True, "on a second process"),
+                                             (False, "in process")])
+    def test_stages_say_where_the_worker_half_ran(self, small_cfg, tmp_path, monkeypatch,
+                                                  capsys, free, where):
+        monkeypatch.setattr(training, "_second_core_free", lambda: free)
+        out = str(tmp_path / "run")
+        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "sat"), ("eval",)):
+            assert run(*argv, "--config", small_cfg, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith(f"discriminator half ran {where}")
+        assert lines[-1].endswith(f"assessment parameter half ran {where}")
+
     def test_generated_corpus_loadable_and_sized(self, small_cfg, tmp_path):
         out = tmp_path / "run"
         assert run("gen", "--config", small_cfg, "--out", str(out)) == 0

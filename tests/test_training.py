@@ -1,8 +1,10 @@
 """Training loop tests: pretraining, min-max gradients, schedules, logs."""
 
 import dataclasses
+import errno
 import importlib.util
 import math
+import multiprocessing
 import os
 import signal
 from pathlib import Path
@@ -424,6 +426,31 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch) -> list:
+    """Count the os.fork calls from here on, in the returned list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def make_fork_fail(monkeypatch, where: str) -> None:
+    """Make the next worker's os.fork or its semaphores fail as at a
+    process limit."""
+    def failing(*args, **kwargs):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    if where == "fork":
+        monkeypatch.setattr(os, "fork", failing)
+    else:
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Semaphore", failing)
+
+
 class TestAdversarialTrain:
 
     def setup_method(self):
@@ -629,18 +656,6 @@ class TestDiscriminatorWorker:
         return adversarial_train(adapter, self.am, disc, self.view,
                                  AdversarialConfig(mode=mode, epochs=2, **cfg))
 
-    @staticmethod
-    def count_forks(monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
-
     @FORKS_ANY_HOST
     @pytest.mark.parametrize("scheme, free, forks", [("gradient_reversal", True, 1),
                                                      ("gradient_reversal", False, 0),
@@ -648,7 +663,7 @@ class TestDiscriminatorWorker:
     def test_forks_one_worker_per_gradient_reversal_run(self, monkeypatch, scheme, free,
                                                         forks):
         use_worker(monkeypatch, free)
-        counted = self.count_forks(monkeypatch)
+        counted = count_forks(monkeypatch)
         log = self.train(update_scheme=scheme)
         assert len(counted) == forks
         assert log.second_process == (forks == 1)
@@ -664,9 +679,20 @@ class TestDiscriminatorWorker:
                             raising=False)
         monkeypatch.setattr(os, "listdir", lambda path: [str(i) for i in range(threads)]
                             if path == "/proc/self/task" else listdir(path))
-        counted = self.count_forks(monkeypatch)
+        counted = count_forks(monkeypatch)
         self.train()
         assert len(counted) == forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["fork", "semaphore"])
+    def test_failed_fork_runs_in_process(self, monkeypatch, where):
+        use_worker(monkeypatch, False)
+        in_process = self.train("sat")
+        use_worker(monkeypatch, True)
+        make_fork_fail(monkeypatch, where)
+        log = self.train("sat")
+        assert not log.second_process
+        assert log.trajectory_key() == in_process.trajectory_key()
         assert_no_child_left()
 
     def test_largest_stratified_batch_fits(self):
@@ -939,8 +965,12 @@ class TestInputCheckedBeforeFirstStep:
 
     @pytest.mark.parametrize("what, error", [("nan_feature", NonFiniteError),
                                              ("pron_0", ValueError), ("flu_6", ValueError),
-                                             ("no_rows", ValueError)])
-    def test_assessment(self, what, error):
+                                             ("no_rows", ValueError), ("short_pron", ValueError),
+                                             ("long_flu", ValueError)])
+    def test_assessment(self, monkeypatch, what, error):
+        # checked before the worker is forked, too
+        use_worker(monkeypatch, True)
+        forks = count_forks(monkeypatch)
         feats, pron, flu = generate_assessment_corpus(300, seed=13)
         if what == "nan_feature":
             feats[-1, 0] = np.nan
@@ -948,6 +978,10 @@ class TestInputCheckedBeforeFirstStep:
             pron[-1] = 0
         elif what == "flu_6":
             flu[-1] = 6
+        elif what == "short_pron":
+            pron = pron[:-1]
+        elif what == "long_flu":
+            flu = np.append(flu, 3)
         else:
             feats, pron, flu = feats[:0], pron[:0], flu[:0]
         net = AssessmentNetwork(input_dim=30, trunk_dims=(16,))
@@ -956,6 +990,7 @@ class TestInputCheckedBeforeFirstStep:
         with pytest.raises(error):
             train_assessment_network(net, feats, pron, flu, epochs=2, lr=0.05, seed=0)
         assert [store.serialize() for store in stores] == before
+        assert not forks
 
 
 class TestAssessmentTraining:
@@ -1018,15 +1053,109 @@ class TestAssessmentTraining:
                                               0.0, correct / n, 0.0))
         return log
 
-    def test_matches_reference_loop(self):
+    @FORKS_ANY_HOST
+    def test_matches_reference_loop(self, monkeypatch):
+        # bit-identical trajectories, values, gradients and velocities, for
+        # trunks of 1, 2 and 3 layers, with the parameter half in process and
+        # on the worker; 300 rows end each epoch in a batch of 44
         feats, pron, flu = generate_assessment_corpus(300, seed=12)
-        runs = []
-        for train in (train_assessment_network, self.reference_train):
-            net = AssessmentNetwork(input_dim=30, trunk_dims=(16, 16), rng=np.random.default_rng(12))
-            log = train(net, feats, pron, flu, epochs=4, lr=0.05, seed=12)
-            runs.append((log.trajectory_key(), net.trunk.store.serialize(),
-                         net.head_pron.store.serialize(), net.head_flu.store.serialize()))
-        assert runs[0] == runs[1]
+        for trunk_dims in ((16,), (16, 16), (16, 12, 16)):
+            for worker in (False, True):
+                use_worker(monkeypatch, worker)
+                runs, logs = [], []
+                for train in (train_assessment_network, self.reference_train):
+                    net = AssessmentNetwork(input_dim=30, trunk_dims=trunk_dims,
+                                            rng=np.random.default_rng(12))
+                    logs.append(train(net, feats, pron, flu, epochs=4, lr=0.05, seed=12))
+                    runs.append((logs[-1].trajectory_key(), *self.arenas(net)))
+                assert runs[0] == runs[1], (trunk_dims, worker)
+                assert logs[0].second_process == worker
+        assert_no_child_left()
+
+    @staticmethod
+    def arenas(net) -> list[bytes]:
+        """Every store's values, gradients and velocity."""
+        return [a.tobytes() for store in (net.trunk.store, net.head_pron.store, net.head_flu.store)
+                for a in (store.flat_values, store.flat_grads, store._velocity)]
+
+    @staticmethod
+    def train_small(trunk_dims=(16, 16), lr=0.05):
+        feats, pron, flu = generate_assessment_corpus(300, seed=12)
+        net = AssessmentNetwork(input_dim=30, trunk_dims=trunk_dims, rng=np.random.default_rng(12))
+        return net, train_assessment_network(net, feats, pron, flu, epochs=2, lr=lr, seed=12)
+
+    # the parameter half on a forked worker: which runs fork one, and every
+    # way a run can end reaps it
+
+    @FORKS_ANY_HOST
+    @pytest.mark.parametrize("free, forks", [(True, 1), (False, 0)])
+    def test_forks_one_worker_per_run(self, monkeypatch, free, forks):
+        use_worker(monkeypatch, free)
+        counted = count_forks(monkeypatch)
+        _, log = self.train_small()
+        assert len(counted) == forks
+        assert log.second_process == (forks == 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["fork", "semaphore"])
+    def test_failed_fork_runs_in_process(self, monkeypatch, where):
+        use_worker(monkeypatch, False)
+        ref_net, ref_log = self.train_small()
+        use_worker(monkeypatch, True)
+        make_fork_fail(monkeypatch, where)
+        net, log = self.train_small()
+        assert not log.second_process
+        assert log.trajectory_key() == ref_log.trajectory_key()
+        assert self.arenas(net) == self.arenas(ref_net)
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_overflow_raises_non_finite(self, monkeypatch, worker):
+        # the first steps overflow the weights; the caller's next forward
+        # meets the NaN on either path
+        use_worker(monkeypatch, worker)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            self.train_small(lr=1e300)
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_killed_worker_raises(self, monkeypatch):
+        use_worker(monkeypatch, True)
+        step, calls = training._AssessWorker.backward_step, []
+
+        def killing(worker, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(worker.pid, signal.SIGKILL)
+            return step(worker, *args)
+
+        monkeypatch.setattr(training._AssessWorker, "backward_step", killing)
+        with pytest.raises(RuntimeError, match="worker ended"):
+            self.train_small()
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_interrupt_between_the_hand_offs_reaps_the_worker(self, monkeypatch):
+        # the third batch's trunk chain stops after the top layer's
+        # gradient is handed over and before the next one is
+        use_worker(monkeypatch, True)
+        chain, trunk_chains = nn.Network.preactivation_grads, []
+
+        def interrupted(net, *args, **kwargs):
+            trunk = len(net.layers) == 3
+            if trunk:
+                trunk_chains.append(1)
+            for i, gz in chain(net, *args, **kwargs):
+                if trunk and len(trunk_chains) == 3 and i == 1:
+                    raise KeyboardInterrupt
+                yield i, gz
+
+        monkeypatch.setattr(nn.Network, "preactivation_grads", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.train_small(trunk_dims=(16, 16, 16))
+        assert len(trunk_chains) == 3
+        assert_no_child_left()
 
 
 class TestTrainLog:
