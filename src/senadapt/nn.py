@@ -7,8 +7,10 @@ and the parameters: its trace is the list of activations, input first.
 
 Parameters live in a ParameterStore: all of a store's values sit in one
 contiguous float64 arena, all its gradients in a second of the same layout
-and its momentum velocity (allocated by the first optimizer step) in a
-third, and every parameter name maps to a view into them. The layout is
+and its momentum velocity in a third, and every parameter name maps to a
+view into them. The three arenas are the rows of one anonymous shared mmap,
+allocated and zeroed at construction, so a process forked while the store
+lives reads and steps the very parameters of its parent. The layout is
 fixed at construction, from one dict of matrices, so no view can go stale.
 serialize() is a snapshot of the value arena's bytes, not a file format:
 a store reaches a file only inside a model bundle.
@@ -41,6 +43,7 @@ for a caller that hands each on as soon as it exists.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from math import prod
 
@@ -87,8 +90,10 @@ class LayerSpec:
 
 class ParameterStore:
     """Named 2-D float64 matrices, copied in dict order into one flat arena,
-    a gradient arena of the same layout, and a freeze flag. value(name) and
-    grad(name) return views into the arenas."""
+    a gradient arena and a velocity arena of the same layout, and a freeze
+    flag. The arenas are the three rows of one anonymous shared mmap, zeroed
+    at construction; a map the host cannot give raises MemoryError.
+    value(name) and grad(name) return views into the arenas."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         self._layout: dict[str, tuple[slice, tuple[int, int]]] = {}
@@ -98,9 +103,15 @@ class ParameterStore:
                 raise ShapeError(f"parameter {name!r} is not a 2-D float64 matrix")
             self._layout[name] = (slice(start, start + a.size), a.shape)
             start += a.size
-        self.flat_values = np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays.values()])
-        self.flat_grads = np.zeros(start)
-        self._velocity: np.ndarray | None = None  # allocated by the first sgd_step
+        try:
+            # zero-filled; a map of no bytes is an error, so a store of none maps one
+            shared = mmap.mmap(-1, max(3 * 8 * start, 1))
+        except OSError as e:
+            raise MemoryError(f"cannot map a store of {start} parameters: {e}") from None
+        self.flat_values, self.flat_grads, self._velocity = np.frombuffer(
+            shared, np.float64, 3 * start).reshape(3, start)
+        for name, a in arrays.items():
+            self.value(name)[...] = a
         self.frozen = False
 
     def names(self):
@@ -376,8 +387,6 @@ def sgd_step(store: ParameterStore, learning_rate: float, momentum: float = 0.0,
         raise ValueError("learning rate must be nonnegative")
     if not (0.0 <= momentum < 1.0):
         raise ValueError("momentum must be in [0, 1)")
-    if store._velocity is None:
-        store._velocity = np.zeros_like(store.flat_values)
     v, g, theta = store._velocity[span], store.flat_grads[span], store.flat_values[span]
     v *= momentum
     v += g

@@ -42,7 +42,7 @@ half. Under gradient_reversal the discriminator and the frozen acoustic
 model are two heads on the adapter's output: within a batch neither waits
 for the other until both gradients reach the adapter. So when the host has
 a core to spare, adversarial_train forks one worker per run (_DiscWorker),
-and the worker owns the discriminator. Per batch the caller hands it the
+which steps the discriminator. Per batch the caller hands it the
 adapter's output and the domain columns, and for sat then alpha after the
 acoustic-model forward. The worker runs the discriminator forward as soon
 as the features arrive, then the domain loss, the backward and the
@@ -53,19 +53,23 @@ runs the acoustic-model forward, the senone CE and its backward.
 In an assessment step the parameter gradients of a layer wait only for its
 input and its pre-activation gradient, and no later layer reads them. So
 train_assessment_network forks one worker per run too (_AssessWorker), which
-owns the two heads and trunk layers 1 and up. The caller keeps the forward,
-both CE kernels, the heads' input gradients, the trunk's input-gradient
-chain (Network.preactivation_grads) and trunk layer 0's gradient and step;
-it hands over each layer's input and pre-activation gradient as soon as
-they exist. The worker forms each owned layer's gradient as it arrives and
-steps that layer's span of its store (sgd_step's span) at once, then
-publishes the owned values, which the caller copies in before its next
-forward. The caller's copy of a store is its own, so a step on the worker
-never races the caller's reads of the old weights.
+forms and steps the gradients of the two heads and trunk layers 1 and up.
+The caller keeps the forward, both CE kernels, the heads' input gradients,
+the trunk's input-gradient chain (Network.preactivation_grads) and trunk
+layer 0's gradient and step. It hands over each layer's input and
+pre-activation gradient; the worker forms that layer's gradient and steps
+the layer's span of its store (sgd_step's span) at once.
 
-At the end of either run the worker's values, gradients and velocity of
-what it owns are copied into the caller's stores in place (_Worker, which
-both workers share).
+Each ParameterStore is one shared map, so a worker steps the caller's own
+parameters, of which there is one copy (_Worker, which both workers share,
+forks, hands off and reaps). One ordering rule keeps the caller from
+reading a weight the worker has stepped: the caller hands a layer over only
+after its own input-gradient chain has read that layer's weights, the
+heads once the heads' input gradients exist and trunk layer i once
+gz_(i-1) does, and it waits for the worker's reply before its next forward.
+The caller never reads the discriminator during a run, so its worker needs
+no such rule. After an error either path leaves the stores where their
+steps reached.
 
 The host decides, not a setting (_second_core_free): a worker runs on Linux
 when the process's affinity mask holds at least two CPUs and the process has
@@ -98,7 +102,7 @@ import numpy as np
 from . import losses
 from .models import (DISC_MODES, AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
                      marginal_domain_probs)
-from .nn import NonFiniteError, ParameterStore, sgd_step
+from .nn import NonFiniteError, sgd_step
 from .synthdata import ASSESS_LEVELS, TrainingView
 
 
@@ -241,33 +245,30 @@ class _BatchStats:
     correct: int
 
 
-def _sgd_epochs(epochs: int, stores, batches, step,
-                around=contextlib.nullcontext()) -> TrainLog:
+def _sgd_epochs(epochs: int, stores, batches, step) -> TrainLog:
     """The one training loop. Each epoch sums the _BatchStats that
     step(epoch, batch) returns for every batch batches() yields, and logs
-    them with the epoch's wall time. The epochs run inside the context
-    manager around, entered once the stores are zeroed."""
+    them with the epoch's wall time."""
     for store in stores:
         # every sgd_step leaves its store's gradients at zero
         store.zero_grads()
     log = TrainLog()
-    with around:
-        for epoch in range(epochs):
-            t0 = time.perf_counter()
-            ce = dom = 0.0
-            n_ce = n = correct = 0
-            for batch in batches():
-                s = step(epoch, batch)
-                ce += s.ce_sum
-                n_ce += s.n_ce
-                dom += s.dom_sum
-                n += s.n
-                correct += s.correct
-            ce_mean = ce / n_ce if n_ce else 0.0
-            # without senone rows the objective is -(domain loss), a zero loss giving -0.0
-            log.records.append(TrainLogRecord(
-                epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
-                correct / n, time.perf_counter() - t0))
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        ce = dom = 0.0
+        n_ce = n = correct = 0
+        for batch in batches():
+            s = step(epoch, batch)
+            ce += s.ce_sum
+            n_ce += s.n_ce
+            dom += s.dom_sum
+            n += s.n
+            correct += s.correct
+        ce_mean = ce / n_ce if n_ce else 0.0
+        # without senone rows the objective is -(domain loss), a zero loss giving -0.0
+        log.records.append(TrainLogRecord(
+            epoch, ce_mean - dom / n if n_ce else -dom / n, ce_mean, dom / n,
+            correct / n, time.perf_counter() - t0))
     return log
 
 
@@ -409,8 +410,6 @@ _POLLS_PER_YIELD = 100
 _YIELDS_PER_CHECK = 100
 # room for a worker's pickled exception
 _ERROR_BYTES = 1 << 16
-# the arenas of a store that a worker hands back, in the rows of its "store" region
-_ARENAS = ("flat_values", "flat_grads", "_velocity")
 
 
 def _take(sem, alive) -> bool:
@@ -430,30 +429,28 @@ def _take(sem, alive) -> bool:
 
 
 class _Worker:
-    """A forked process that owns spans of a run's parameter stores (owned,
-    a list of (store, span) pairs) and does their part of each batch (see
-    the module docstring). A subclass gives its name for messages, its
+    """A forked process that steps parts of the caller's own parameter
+    stores (each store is a shared map) and does their part of each batch
+    (see the module docstring). A subclass gives its name for messages, its
     shared regions (_regions), the caller's hand-offs and the worker's side
     of a batch (_batch).
 
-    Entering forks it, after the run's stores are zeroed, when the host has
-    a core to spare (_second_core_free); forked says whether it did. When
-    the mmap, a semaphore or the fork fails with OSError (a process limit,
-    no shared memory) the run goes on in process. A normal exit copies the
-    owned spans' values, gradients and velocity into the caller's stores in
-    place; every exit kills and reaps the worker. Hand-offs go through one
-    shared anonymous mmap and two semaphores: msg carries the caller's
-    hand-offs, in a fixed order per batch, and reply the worker's answers.
-    Each batch's first hand-off sets its row count, and a count of 0 is the
-    finish order. A worker error is relayed and raised as its own type; a
-    dead worker raises RuntimeError; a worker whose parent died exits.
+    Entering forks it when the host has a core to spare
+    (_second_core_free); forked says whether it did. When the mmap, a
+    semaphore or the fork fails with OSError (a process limit, no shared
+    memory) the run goes on in process. A normal exit waits for the
+    worker's last step; every exit kills and reaps the worker, so the stores
+    stay where its steps reached. Hand-offs go through one shared anonymous
+    mmap and two semaphores: msg carries the caller's hand-offs, in a fixed
+    order per batch, and reply the worker's answers. Each batch's first
+    hand-off sets its row count, and a count of 0 is the finish order. A
+    worker error is relayed and raised as its own type; a dead worker
+    raises RuntimeError; a worker whose parent died exits.
     """
 
-    def __init__(self, owned: list[tuple[ParameterStore, slice]]):
-        self._owned = owned
-        self.forked = False
-        self.pid: int | None = None
-        self._mm = self._a = self._pieces = None
+    forked = False
+    pid: int | None = None
+    _mm = _a = None
 
     def _regions(self) -> dict:
         raise NotImplementedError
@@ -467,9 +464,7 @@ class _Worker:
         # imported here: multiprocessing adds about 10 ms to every CLI start
         import multiprocessing
 
-        sizes = [store.flat_values[span].size for store, span in self._owned]
         regions = {"rows": (np.int64, (1,)), "error_len": (np.int64, (1,)), **self._regions(),
-                   "store": (np.float64, (len(_ARENAS), sum(sizes))),
                    "error": (np.uint8, (_ERROR_BYTES,))}
         # each region on its own cache lines: the two processes write different ones
         offsets, size = {}, 0
@@ -481,10 +476,6 @@ class _Worker:
             self._a = {name: np.frombuffer(self._mm, dtype, int(np.prod(shape)),
                                            offsets[name]).reshape(shape)
                        for name, (dtype, shape) in regions.items()}
-            bounds = np.cumsum([0] + sizes)
-            # per arena, each owned span's piece of the store region
-            self._pieces = [[row[a:b] for a, b in zip(bounds, bounds[1:])]
-                            for row in self._a["store"]]
             ctx = multiprocessing.get_context("fork")
             self._msg, self._reply = ctx.Semaphore(0), ctx.Semaphore(0)
             parent = os.getpid()
@@ -507,15 +498,6 @@ class _Worker:
         finally:
             self._close()
 
-    def _copy(self, arena: str, to_shared: bool) -> None:
-        """Copy the owned spans of one store arena into the store region, or back."""
-        for (store, span), piece in zip(self._owned, self._pieces[_ARENAS.index(arena)]):
-            mine = getattr(store, arena)[span]
-            if to_shared:
-                piece[...] = mine
-            else:
-                mine[...] = piece
-
     # -- the caller's side -------------------------------------------------
 
     def _await_reply(self) -> None:
@@ -536,18 +518,13 @@ class _Worker:
         self._a["rows"][0] = 0
         self._msg.release()
         self._await_reply()
-        for store, _ in self._owned:
-            if store._velocity is None:
-                store._velocity = np.zeros_like(store.flat_values)
-        for arena in _ARENAS:
-            self._copy(arena, to_shared=False)
 
     def _close(self) -> None:
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        self._a = self._pieces = None  # the views, before the map they look into
+        self._a = None  # the views, before the map they look into
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -569,8 +546,6 @@ class _Worker:
             while self._receive():
                 n = int(self._a["rows"][0])
                 if n == 0:
-                    for arena in _ARENAS:
-                        self._copy(arena, to_shared=True)
                     self._reply.release()
                     break
                 self._batch(n)
@@ -591,21 +566,21 @@ class _Worker:
 
 
 class _DiscWorker(_Worker):
-    """Owns disc through one gradient-reversal run and runs the
-    discriminator half of each batch. Per batch the caller hands over the
+    """Runs the discriminator half of each batch of one gradient-reversal
+    run over n_frames frames, and steps disc, which the caller does not
+    read during the run. Per batch the caller hands over the
     features and the domain columns, then for sat alpha; the worker replies
     with the feature gradient, the mean domain loss and the count of
-    correct domain calls, then takes the discriminator's sgd_step. An error
-    leaves disc as it was before the run."""
+    correct domain calls, then takes the discriminator's sgd_step."""
 
     name = "discriminator"
 
-    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig):
-        super().__init__([(disc.store, slice(None))])
-        self.disc, self.cfg = disc, cfg
+    def __init__(self, disc: DomainDiscriminator, cfg: AdversarialConfig, n_frames: int):
+        self.disc, self.cfg, self.n_frames = disc, cfg, n_frames
 
     def _regions(self) -> dict:
-        rows = _largest_stratified_batch(self.cfg.batch_size)
+        # a batch_size beyond the frame count makes one batch of every frame
+        rows = _largest_stratified_batch(min(self.cfg.batch_size, self.n_frames))
         dim = self.disc.net.in_dim
         return {"reply": (np.float64, (2,)), "feats": (np.float64, (rows, dim)),
                 "domain": (np.int64, (rows,)), "alpha": (np.float64, (rows, self.disc.K or 0)),
@@ -663,7 +638,8 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     rng = np.random.default_rng(cfg.seed)
     lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
             for epoch in range(cfg.epochs)]
-    worker = _DiscWorker(disc, cfg) if cfg.update_scheme == "gradient_reversal" else None
+    worker = (_DiscWorker(disc, cfg, len(view.frames))
+              if cfg.update_scheme == "gradient_reversal" else None)
 
     def step(epoch, idx):
         forked = worker if worker is not None and worker.forked else None
@@ -676,9 +652,10 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
         return stats
 
-    log = _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
-                      lambda: _stratified_batches(rng, adult_idx, child_idx, cfg.batch_size),
-                      step, worker or contextlib.nullcontext())
+    with worker or contextlib.nullcontext():
+        log = _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
+                          lambda: _stratified_batches(rng, adult_idx, child_idx,
+                                                      cfg.batch_size), step)
     log.second_process = worker is not None and worker.forked
     return log
 
@@ -713,25 +690,22 @@ _ASSESS_MOMENTUM = 0.9
 
 
 class _AssessWorker(_Worker):
-    """Owns the heads and trunk layers 1 and up of an AssessmentNetwork
-    through one train_assessment_network run, and forms and steps their
-    parameter gradients. Per batch the caller hands over the trunk's output
-    and the heads' logit gradients, then for each trunk layer i >= 1, from
-    the top down, its input and pre-activation gradient; the worker steps
-    each layer once it has its gradient and, after the last, publishes the
-    owned values, which the caller copies in before its next forward."""
+    """Forms and steps the parameter gradients of the heads and trunk layers
+    1 and up of an AssessmentNetwork through one train_assessment_network
+    run. Per batch the caller hands over the trunk's output and the heads'
+    logit gradients once the heads' input gradients exist, then for each
+    trunk layer i >= 1, from the top down, its input and pre-activation
+    gradient once gz_(i-1) exists: a layer goes over only after the
+    caller's chain has read its weights. The worker steps each layer once
+    it has its gradient and replies after the last; the caller waits for
+    that reply before its next forward."""
 
     name = "assessment"
 
     def __init__(self, net, lr: float):
-        trunk = net.trunk
-        self._spans = [trunk.layer_span(i) for i in range(len(trunk.layers))]
-        owned = [(net.head_pron.store, slice(None)), (net.head_flu.store, slice(None))]
-        if len(trunk.layers) > 1:
-            owned.append((trunk.store, slice(self._spans[1].start, None)))
-        super().__init__(owned)
         self.net, self.lr = net, lr
-        self._pending = False  # a batch's values not yet copied in
+        self._spans = [net.trunk.layer_span(i) for i in range(len(net.trunk.layers))]
+        self._pending = False  # a batch whose steps may still be running
 
     def _regions(self) -> dict:
         # act{i} is trunk layer i's input; act{top + 1} is the heads' input
@@ -744,33 +718,36 @@ class _AssessWorker(_Worker):
         return regions
 
     def pull(self) -> None:
-        """Copy in the owned values the worker's last step left, if any."""
+        """Wait for the worker's steps of the last batch, if any."""
         if self._pending:
             self._await_reply()
-            self._copy("flat_values", to_shared=False)
             self._pending = False
 
     def backward_step(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
         """The caller's half of AssessmentNetwork.backward and the stores'
         sgd_steps: the heads' input gradients, the trunk's input-gradient
         chain, and trunk layer 0's parameter gradient and step. Each layer's
-        input and pre-activation gradient go to the worker as they exist."""
+        input and pre-activation gradient go to the worker once the chain
+        has read the layer's weights."""
         net, a, n = self.net, self._a, len(grad_pron)
         t, p, f = traces
+        gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
+              + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
         a["rows"][0] = n
         a[f"act{len(t.activations) - 1}"][:n] = t.output
         a["logit_grads"][0, :n] = grad_pron
         a["logit_grads"][1, :n] = grad_flu
         self._msg.release()
-        gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
-              + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
+        above = None  # layer i + 1's pre-activation gradient
         for i, gz in net.trunk.preactivation_grads(t, gt):
+            if above is not None:  # gz is formed: layer i + 1's weights are read
+                a[f"act{i + 1}"][:n] = t.activations[i + 1]
+                a[f"gz{i + 1}"][:n] = above
+                self._msg.release()
             if i == 0:
                 net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
                 break
-            a[f"act{i}"][:n] = t.activations[i]
-            a[f"gz{i}"][:n] = gz
-            self._msg.release()
+            above = gz
         self._pending = True
         sgd_step(net.trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[0])
 
@@ -789,7 +766,6 @@ class _AssessWorker(_Worker):
                 return
             trunk.accumulate_layer_grads(i, a[f"act{i}"][:n], a[f"gz{i}"][:n])
             sgd_step(trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[i])
-        self._copy("flat_values", to_shared=True)
         self._reply.release()
 
 
@@ -834,7 +810,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         return _BatchStats((ce_p + ce_f) * len(idx), 2 * len(idx), 0.0, len(idx),
                            int((p.output.argmax(axis=1) == yp).sum()))
 
-    log = _sgd_epochs(epochs, stores,
-                      lambda: _minibatches(rng, len(features), _ASSESS_BATCH), step, worker)
+    with worker:
+        log = _sgd_epochs(epochs, stores,
+                          lambda: _minibatches(rng, len(features), _ASSESS_BATCH), step)
     log.second_process = worker.forked
     return log

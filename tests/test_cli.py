@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline tests on a miniature configuration."""
 
+import errno
 import filecmp
 import math
+import mmap
 import shutil
 from pathlib import Path
 
@@ -692,6 +694,24 @@ def test_bad_input_ends_in_documented_code(pretrained_run, tmp_path, extra, dama
     assert not (out / "report.tsv").is_file()
     if damage is None:  # the pretrained run holds no adapt arm, and a failed adapt writes none
         assert not list(out.glob("*_*.bundle"))
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "adapt"])
+def test_store_the_host_cannot_map_is_a_config_error(pretrained_run, tmp_path, monkeypatch,
+                                                     stage):
+    """A parameter store the host cannot map ends in exit 2, as a size the
+    host cannot allocate does: pretrain builds the acoustic model's store,
+    adapt loads am.bundle into one."""
+    out = tmp_path / "run"
+    shutil.copytree(pretrained_run, out)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL)
+
+    def failing(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", failing)
+    assert run(stage, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
 
 
 # every file eval reads -> the seed of its byte-mutation fuzz

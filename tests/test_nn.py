@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 import tempfile
 from pathlib import Path
 
@@ -316,6 +318,38 @@ class TestFlatArena:
         npt.assert_array_equal(store.flat_grads, np.zeros(7))
         a[0, 0] = -1.0  # the store holds a copy
         assert store.value("a")[0, 0] == 0.0
+
+    def test_arenas_are_the_rows_of_one_shared_map(self):
+        # a process forked while the store lives steps the same parameters
+        store = make_net([LayerSpec(3, 4, "rectifier"), LayerSpec(4, 2, "softmax")]).store
+        n, arenas = store.flat_values.size, store.flat_values.base
+        assert store.flat_grads.base is arenas and store._velocity.base is arenas
+        assert isinstance(arenas.base.obj, mmap.mmap)
+        arenas[...] = np.repeat([1.0, 2.0, 3.0], n)
+        for arena, row in ((store.flat_values, 1.0), (store.flat_grads, 2.0),
+                           (store._velocity, 3.0)):
+            npt.assert_array_equal(arena, np.full(n, row))
+
+    def test_velocity_zero_before_the_first_step(self):
+        store = make_net([LayerSpec(3, 4, "rectifier")]).store
+        npt.assert_array_equal(store._velocity, np.zeros(store.flat_values.size))
+        store.flat_grads[...] = 1.0
+        sgd_step(store, 0.1, momentum=0.5)
+        npt.assert_array_equal(store._velocity, 1.0)
+        npt.assert_array_equal(store.flat_grads, 0.0)
+
+    def test_map_the_host_cannot_give_raises_memory_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", failing)
+        with pytest.raises(MemoryError, match="12 parameters"):
+            ParameterStore({"w": np.zeros((3, 4))})
+
+    def test_store_of_no_parameters(self):
+        store = ParameterStore({})
+        assert store.names() == [] and store.serialize() == b""
+        sgd_step(store, 0.1)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 2), "<u4"), np.zeros(3),
                                      np.zeros((1, 2, 2))])

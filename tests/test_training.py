@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,12 @@ REFERENCE_CASES = (
                     ("sat", "gradient_reversal", "constant"))])
 
 
+def arena_bytes(*stores) -> list[bytes]:
+    """Every store's values, gradients and velocity."""
+    return [a.tobytes() for store in stores
+            for a in (store.flat_values, store.flat_grads, store._velocity)]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -696,29 +703,51 @@ class TestDiscriminatorWorker:
         assert_no_child_left()
 
     def test_largest_stratified_batch_fits(self):
+        # the worker's regions hold min(batch_size, frames) rows' bound: a
+        # batch size at or beyond the frame count makes one batch of them all
         rng = np.random.default_rng(0)
         for _ in range(300):
             n_adult, n_child = rng.integers(1, 600, size=2)
-            batch_size = int(rng.integers(2, 200))
-            largest = max(len(b) for b in _stratified_batches(
-                rng, np.arange(n_adult), np.arange(n_adult, n_adult + n_child), batch_size))
-            assert largest <= training._largest_stratified_batch(batch_size)
+            n = int(n_adult + n_child)
+            for batch_size in (int(rng.integers(2, 200)), n, n + int(rng.integers(1, 10**8)),
+                               2**62):
+                largest = max(len(b) for b in _stratified_batches(
+                    rng, np.arange(n_adult), np.arange(n_adult, n), batch_size))
+                assert largest <= training._largest_stratified_batch(min(batch_size, n))
+
+    @FORKS_ANY_HOST
+    def test_batch_size_beyond_the_frame_count(self, monkeypatch):
+        # the worker sizes its regions from the frames, not from a batch_size
+        # whose row bound would overflow
+        use_worker(monkeypatch, False)
+        in_process = self.train("sat", batch_size=2**62)
+        use_worker(monkeypatch, True)
+        log = self.train("sat", batch_size=2**62)
+        assert log.second_process
+        assert log.trajectory_key() == in_process.trajectory_key()
+        assert_no_child_left()
 
     @FORKS_ANY_HOST
     @pytest.mark.parametrize("mode", ["bat", "sat"])
     def test_nan_on_the_worker_raises_in_the_caller(self, monkeypatch, mode):
-        # the first discriminator step overflows its weights; the worker's next
-        # forward meets the NaN, and the caller's disc is as it was built
-        use_worker(monkeypatch, True)
-        rng = np.random.default_rng(0)
-        adapter = AdaptationNetwork(8, [12], rng=rng)
-        disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
-                                   K=4 if mode == "sat" else None, rng=rng)
-        before = disc.store.serialize()
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-            adversarial_train(adapter, self.am, disc, self.view,
-                              AdversarialConfig(mode=mode, epochs=2, lr_discriminator=1e300))
-        assert disc.store.serialize() == before
+        # the first discriminator step overflows its weights and the next
+        # forward meets the NaN; on the worker as in process, the run raises
+        # and leaves both stores where its steps reached
+        runs = []
+        for worker in (False, True):
+            use_worker(monkeypatch, worker)
+            rng = np.random.default_rng(0)
+            adapter = AdaptationNetwork(8, [12], rng=rng)
+            disc = DomainDiscriminator(8, [12], "senone_aware" if mode == "sat" else "binary",
+                                       K=4 if mode == "sat" else None, rng=rng)
+            built = disc.store.serialize()
+            with (np.errstate(over="ignore", invalid="ignore"),
+                  pytest.raises(NonFiniteError) as raised):
+                adversarial_train(adapter, self.am, disc, self.view,
+                                  AdversarialConfig(mode=mode, epochs=2, lr_discriminator=1e300))
+            assert disc.store.serialize() != built
+            runs.append((str(raised.value), *arena_bytes(adapter.store, disc.store)))
+        assert runs[0] == runs[1]
         assert_no_child_left()
 
     @FORKS_ANY_HOST
@@ -1075,14 +1104,40 @@ class TestAssessmentTraining:
     @staticmethod
     def arenas(net) -> list[bytes]:
         """Every store's values, gradients and velocity."""
-        return [a.tobytes() for store in (net.trunk.store, net.head_pron.store, net.head_flu.store)
-                for a in (store.flat_values, store.flat_grads, store._velocity)]
+        return arena_bytes(net.trunk.store, net.head_pron.store, net.head_flu.store)
 
     @staticmethod
     def train_small(trunk_dims=(16, 16), lr=0.05):
         feats, pron, flu = generate_assessment_corpus(300, seed=12)
         net = AssessmentNetwork(input_dim=30, trunk_dims=trunk_dims, rng=np.random.default_rng(12))
         return net, train_assessment_network(net, feats, pron, flu, epochs=2, lr=lr, seed=12)
+
+    @FORKS_ANY_HOST
+    def test_caller_reads_each_layer_before_the_worker_steps_it(self, monkeypatch):
+        # the caller waits 2 ms before each read of the heads' or a trunk
+        # layer's weights in its input-gradient chain: a layer handed to the
+        # worker before that read would be read stepped
+        backward, chain = nn.Network.backward, nn.Network.preactivation_grads
+
+        def slow_backward(net, *args, **kwargs):
+            time.sleep(0.002)
+            return backward(net, *args, **kwargs)
+
+        def slow_chain(net, *args, **kwargs):
+            for item in chain(net, *args, **kwargs):
+                yield item
+                time.sleep(0.002)
+
+        monkeypatch.setattr(nn.Network, "backward", slow_backward)
+        monkeypatch.setattr(nn.Network, "preactivation_grads", slow_chain)
+        runs = []
+        for worker in (False, True):
+            use_worker(monkeypatch, worker)
+            net, log = self.train_small(trunk_dims=(16, 16, 16))
+            assert log.second_process == worker
+            runs.append((log.trajectory_key(), *self.arenas(net)))
+        assert runs[0] == runs[1]
+        assert_no_child_left()
 
     # the parameter half on a forked worker: which runs fork one, and every
     # way a run can end reaps it
@@ -1137,8 +1192,8 @@ class TestAssessmentTraining:
 
     @FORKS_ANY_HOST
     def test_interrupt_between_the_hand_offs_reaps_the_worker(self, monkeypatch):
-        # the third batch's trunk chain stops after the top layer's
-        # gradient is handed over and before the next one is
+        # the third batch's trunk chain stops after the top layer is handed
+        # over (once layer 1's gradient exists) and before layer 1 is
         use_worker(monkeypatch, True)
         chain, trunk_chains = nn.Network.preactivation_grads, []
 
@@ -1147,7 +1202,7 @@ class TestAssessmentTraining:
             if trunk:
                 trunk_chains.append(1)
             for i, gz in chain(net, *args, **kwargs):
-                if trunk and len(trunk_chains) == 3 and i == 1:
+                if trunk and len(trunk_chains) == 3 and i == 0:
                     raise KeyboardInterrupt
                 yield i, gz
 
