@@ -37,52 +37,31 @@ nothing, as the loss kernels it calls check nothing: adversarial_train checks
 the config, the models, the labels and the frames once per run, and its
 batches each hold an adult frame.
 
-Where the work runs: the discriminator half and the assessment parameter
-half. Under gradient_reversal the discriminator and the frozen acoustic
-model are two heads on the adapter's output: within a batch neither waits
-for the other until both gradients reach the adapter. So when the host has
-a core to spare, adversarial_train forks one worker per run (_DiscWorker),
-which steps the discriminator. Per batch the caller hands it the
-adapter's output and the domain columns, and for sat then alpha after the
-acoustic-model forward. The worker runs the discriminator forward as soon
-as the features arrive, then the domain loss, the backward and the
-discriminator's sgd_step, and hands back the feature gradient, the mean
-domain loss and the count of correct domain calls. Meanwhile the caller
-runs the acoustic-model forward, the senone CE and its backward.
-
-In an assessment step the parameter gradients of a layer wait only for its
-input and its pre-activation gradient, and no later layer reads them. So
-train_assessment_network forks one worker per run too (_AssessWorker), which
-forms and steps the gradients of the two heads and trunk layers 1 and up.
-The caller keeps the forward, both CE kernels, the heads' input gradients,
-the trunk's input-gradient chain (Network.preactivation_grads) and trunk
-layer 0's gradient and step. It hands over each layer's input and
-pre-activation gradient; the worker forms that layer's gradient and steps
-the layer's span of its store (sgd_step's span) at once.
-
+Where the work runs. Under gradient_reversal the discriminator and the
+frozen acoustic model are two heads on the adapter's output, and in an
+assessment step a layer's parameter gradient waits only for its input and
+pre-activation gradient, which no later layer reads. So neither half waits
+for the other within a batch, and when the host has a core to spare each
+run forks one worker that does the discriminator half (_DiscWorker) or the
+assessment parameter half (_AssessWorker); each class gives its hand-offs.
 Each ParameterStore is one shared map, so a worker steps the caller's own
-parameters, of which there is one copy (_Worker, which both workers share,
-forks, hands off and reaps). One ordering rule keeps the caller from
-reading a weight the worker has stepped: the caller hands a layer over only
-after its own input-gradient chain has read that layer's weights, the
-heads once the heads' input gradients exist and trunk layer i once
-gz_(i-1) does, and it waits for the worker's reply before its next forward.
-The caller never reads the discriminator during a run, so its worker needs
-no such rule. After an error either path leaves the stores where their
-steps reached.
+parameters. One ordering rule keeps the caller from reading a weight the
+worker has stepped: the caller hands a layer over only after its own
+input-gradient chain has read that layer's weights, and waits for the
+worker's reply before its next forward. The caller never reads the
+discriminator during a run. The bits are the same on both paths: each
+layer's gradient is the same expression on the same float64 bytes, each
+span takes the same element-wise sgd_step arithmetic as its whole store,
+and the hand-offs copy bytes only.
 
-The host decides, not a setting (_second_core_free): a worker runs on Linux
-when the process's affinity mask holds at least two CPUs and the process has
-one OS thread. With a second thread, most often a BLAS thread pool, the run
-stays in process, as an alternating run always does; forking only a
-single-threaded process is also what keeps the fork safe. A fork or
-semaphore that fails with OSError, at a process limit say, also leaves the
-run in process. The bits are the same on both paths: each layer's gradient
-is the same expression on the same float64 bytes, each span takes the same
-element-wise sgd_step arithmetic as its whole store, and the hand-offs copy
-bytes only. The hand-offs poll fork-context semaphores with acquire(False),
-never a blocking wait: a process woken from a blocking wait on every
-hand-off lost more than the second core gave (ROADMAP, "Measured").
+The hand-offs poll fork-context semaphores with acquire(False), never a
+blocking wait: a process woken from a blocking wait on every hand-off lost
+more than the second core gave (ROADMAP, "Measured"). The host decides, not
+a setting (_second_core_free): a worker runs on Linux when the process's
+affinity mask holds at least two CPUs and the process has one OS thread.
+Beside a second thread, most often a BLAS thread pool, a worker ran slower
+than the run in process (ROADMAP, "Measured"), and forking only a
+single-threaded process is what keeps the fork safe.
 """
 
 from __future__ import annotations
@@ -438,19 +417,22 @@ class _Worker:
     Entering forks it when the host has a core to spare
     (_second_core_free); forked says whether it did. When the mmap, a
     semaphore or the fork fails with OSError (a process limit, no shared
-    memory) the run goes on in process. A normal exit waits for the
-    worker's last step; every exit kills and reaps the worker, so the stores
-    stay where its steps reached. Hand-offs go through one shared anonymous
-    mmap and two semaphores: msg carries the caller's hand-offs, in a fixed
-    order per batch, and reply the worker's answers. Each batch's first
-    hand-off sets its row count, and a count of 0 is the finish order. A
-    worker error is relayed and raised as its own type; a dead worker
-    raises RuntimeError; a worker whose parent died exits.
+    memory) the run goes on in process. Hand-offs go through one shared
+    anonymous mmap, each region rows-first on its own cache lines, and two
+    semaphores: msg carries the caller's hand-offs (_hand), in a fixed order
+    per batch, and reply the worker's answers (_answer). A batch's first
+    hand-off sets its row count and makes its reply pending, which wait()
+    takes; a count of 0 is the finish order. A normal exit waits for the
+    worker's last step and its answer to the finish order; every exit kills
+    and reaps the worker, so the stores stay where its steps reached. A
+    worker error is relayed and raised as its own type; a dead worker raises
+    RuntimeError; a worker whose parent died exits.
     """
 
     forked = False
     pid: int | None = None
     _mm = _a = None
+    _pending = False  # a handed-over batch whose reply is not yet taken
 
     def _regions(self) -> dict:
         raise NotImplementedError
@@ -494,30 +476,47 @@ class _Worker:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None and self.forked:
-                self._finish()
+                self.wait()
+                self._hand(0)
+                self.wait()
         finally:
             self._close()
 
+    def _put(self, sem, arrays: dict) -> None:
+        """Copy each array into the first rows of its region; release sem."""
+        for name, x in arrays.items():
+            self._a[name][: len(x)] = x
+        sem.release()
+
     # -- the caller's side -------------------------------------------------
 
-    def _await_reply(self) -> None:
+    def _hand(self, rows: int | None = None, **arrays) -> None:
+        """Hand arrays over through msg (_put). Passing rows starts a batch
+        of that many rows (0 finishes the run), whose reply is then pending."""
+        if rows is not None:
+            arrays["rows"] = [rows]
+            self._pending = True
+        self._put(self._msg, arrays)
+
+    def wait(self) -> None:
+        """Take the worker's reply to the batch last handed over, if it is
+        still pending. Raises the worker's error, or RuntimeError when the
+        worker ended without a reply."""
+        if not self._pending:
+            return
         if not _take(self._reply, self._worker_alive):
             raise RuntimeError(f"the {self.name} worker ended without a reply "
                                f"(wait status {self._status})")
         n = int(self._a["error_len"][0])
         if n:
             raise pickle.loads(self._a["error"][:n].tobytes())
+        self._pending = False
 
     def _worker_alive(self) -> bool:
         pid, self._status = os.waitpid(self.pid, os.WNOHANG)
         if pid:
             self.pid = None  # reaped
         return not pid
-
-    def _finish(self) -> None:
-        self._a["rows"][0] = 0
-        self._msg.release()
-        self._await_reply()
 
     def _close(self) -> None:
         if self.pid is not None:
@@ -537,6 +536,10 @@ class _Worker:
         """Take the caller's next hand-off; False once the parent has died."""
         return _take(self._msg, lambda: os.getppid() == self._parent)
 
+    def _answer(self, **arrays) -> None:
+        """Answer the caller with arrays through reply (_put)."""
+        self._put(self._reply, arrays)
+
     def _serve(self, parent: int) -> None:
         """Run batches until the finish order; never returns."""
         code = 0
@@ -546,7 +549,7 @@ class _Worker:
             while self._receive():
                 n = int(self._a["rows"][0])
                 if n == 0:
-                    self._reply.release()
+                    self._answer()
                     break
                 self._batch(n)
         except BaseException as e:  # every failure is relayed, then the worker exits
@@ -558,9 +561,7 @@ class _Worker:
                 blob = b""
             if not 0 < len(blob) <= _ERROR_BYTES:
                 blob = pickle.dumps(RuntimeError(f"{self.name} worker: {e!r}"[:1000]))
-            self._a["error"][: len(blob)] = np.frombuffer(blob, np.uint8)
-            self._a["error_len"][0] = len(blob)
-            self._reply.release()
+            self._answer(error=np.frombuffer(blob, np.uint8), error_len=[len(blob)])
         finally:
             os._exit(code)
 
@@ -587,21 +588,16 @@ class _DiscWorker(_Worker):
                 "grad": (np.float64, (rows, dim))}
 
     def hand_features(self, feats: np.ndarray, domain: np.ndarray) -> None:
-        n, a = len(feats), self._a
-        a["feats"][:n] = feats
-        a["domain"][:n] = domain
-        a["rows"][0] = n
-        self._msg.release()
+        self._hand(len(feats), feats=feats, domain=domain)
 
     def hand_alpha(self, alpha: np.ndarray | None) -> None:
         if alpha is not None:
-            self._a["alpha"][: len(alpha)] = alpha
-            self._msg.release()
+            self._hand(alpha=alpha)
 
     def result(self) -> tuple[float, np.ndarray, int]:
         """The mean domain loss, the feature gradient and the count of
         correct domain calls of the batch last handed over."""
-        self._await_reply()
+        self.wait()
         dom_mean, correct = self._a["reply"]
         return float(dom_mean), self._a["grad"][: self._a["rows"][0]].copy(), int(correct)
 
@@ -614,9 +610,7 @@ class _DiscWorker(_Worker):
                 return
             alpha = a["alpha"][:n]
         dom_mean, feat_grad, correct = _domain_half(disc, trace, a["domain"][:n], alpha)
-        a["grad"][:n] = feat_grad
-        a["reply"][:] = dom_mean, correct
-        self._reply.release()
+        self._answer(grad=feat_grad, reply=(dom_mean, correct))
         sgd_step(disc.store, self.cfg.lr_discriminator, self.cfg.momentum)
 
 
@@ -705,23 +699,17 @@ class _AssessWorker(_Worker):
     def __init__(self, net, lr: float):
         self.net, self.lr = net, lr
         self._spans = [net.trunk.layer_span(i) for i in range(len(net.trunk.layers))]
-        self._pending = False  # a batch whose steps may still be running
 
     def _regions(self) -> dict:
         # act{i} is trunk layer i's input; act{top + 1} is the heads' input
-        trunk, rows = self.net.trunk, _ASSESS_BATCH
-        regions = {"logit_grads": (np.float64, (2, rows, self.net.head_pron.out_dim)),
+        net, trunk, rows = self.net, self.net.trunk, _ASSESS_BATCH
+        regions = {"g_pron": (np.float64, (rows, net.head_pron.out_dim)),
+                   "g_flu": (np.float64, (rows, net.head_flu.out_dim)),
                    f"act{len(trunk.layers)}": (np.float64, (rows, trunk.out_dim))}
         for i, spec in enumerate(trunk.layers[1:], 1):
             regions[f"act{i}"] = (np.float64, (rows, spec.in_dim))
             regions[f"gz{i}"] = (np.float64, (rows, spec.out_dim))
         return regions
-
-    def pull(self) -> None:
-        """Wait for the worker's steps of the last batch, if any."""
-        if self._pending:
-            self._await_reply()
-            self._pending = False
 
     def backward_step(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
         """The caller's half of AssessmentNetwork.backward and the stores'
@@ -729,36 +717,25 @@ class _AssessWorker(_Worker):
         chain, and trunk layer 0's parameter gradient and step. Each layer's
         input and pre-activation gradient go to the worker once the chain
         has read the layer's weights."""
-        net, a, n = self.net, self._a, len(grad_pron)
+        net = self.net
         t, p, f = traces
         gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
               + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
-        a["rows"][0] = n
-        a[f"act{len(t.activations) - 1}"][:n] = t.output
-        a["logit_grads"][0, :n] = grad_pron
-        a["logit_grads"][1, :n] = grad_flu
-        self._msg.release()
-        above = None  # layer i + 1's pre-activation gradient
-        for i, gz in net.trunk.preactivation_grads(t, gt):
-            if above is not None:  # gz is formed: layer i + 1's weights are read
-                a[f"act{i + 1}"][:n] = t.activations[i + 1]
-                a[f"gz{i + 1}"][:n] = above
-                self._msg.release()
-            if i == 0:
-                net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
-                break
-            above = gz
-        self._pending = True
+        self._hand(len(grad_pron), **{f"act{len(t.activations) - 1}": t.output},
+                   g_pron=grad_pron, g_flu=grad_flu)
+        chain = net.trunk.preactivation_grads(t, gt)
+        i, gz = next(chain)
+        while i > 0:
+            below = next(chain)  # forming gz_(i-1) has read layer i's weights
+            self._hand(**{f"act{i}": t.activations[i], f"gz{i}": gz})
+            i, gz = below
+        net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
         sgd_step(net.trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[0])
-
-    def _finish(self) -> None:
-        self.pull()
-        super()._finish()
 
     def _batch(self, n: int) -> None:
         net, a, trunk = self.net, self._a, self.net.trunk
         top = a[f"act{len(trunk.layers)}"][:n]
-        for head, g in zip((net.head_pron, net.head_flu), a["logit_grads"]):
+        for head, g in ((net.head_pron, a["g_pron"]), (net.head_flu, a["g_flu"])):
             head.accumulate_layer_grads(0, top, g[:n])
             sgd_step(head.store, self.lr, _ASSESS_MOMENTUM)
         for i in range(len(trunk.layers) - 1, 0, -1):
@@ -766,7 +743,7 @@ class _AssessWorker(_Worker):
                 return
             trunk.accumulate_layer_grads(i, a[f"act{i}"][:n], a[f"gz{i}"][:n])
             sgd_step(trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[i])
-        self._reply.release()
+        self._answer()
 
 
 def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
@@ -795,7 +772,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         x = features[idx]
         yp, yf = pron[idx] - 1, flu[idx] - 1
         rows = np.arange(len(idx))
-        worker.pull()
+        worker.wait()
         traces = net.forward(x, check_input=False)
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)

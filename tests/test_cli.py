@@ -208,6 +208,31 @@ class TestPipeline:
         assert lines[-2].endswith(f"discriminator half ran {where}")
         assert lines[-1].endswith(f"assessment parameter half ran {where}")
 
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_both_worker_paths_write_the_same_bytes(self, small_cfg, tmp_path, monkeypatch,
+                                                    capsys):
+        # the workers change where the arithmetic runs, not what it computes
+        outs = {}
+        for free, where in ((True, "on a second process"), (False, "in process")):
+            monkeypatch.setattr(training, "_second_core_free", lambda: free)
+            outs[free] = out = tmp_path / where.replace(" ", "_")
+            for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "bat"),
+                         ("adapt", "--mode", "sat"), ("eval",)):
+                assert run(*argv, "--config", small_cfg, "--out", str(out)) == 0, argv
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-2].endswith(f"discriminator half ran {where}")
+            assert lines[-1].endswith(f"assessment parameter half ran {where}")
+        names = ["corpus.saco", "report.tsv"] + [
+            p.name for p in sorted(outs[True].iterdir())
+            if p.suffix == ".bundle" or p.name.startswith("config.")]
+        assert len(names) == 2 + 5 + 5
+        for name in names:
+            assert filecmp.cmp(outs[True] / name, outs[False] / name, shallow=False), name
+        for log in ("pretrain.log", "adapt_bat.log", "adapt_sat.log"):
+            assert (TrainLog.read(outs[True] / log).trajectory_key()
+                    == TrainLog.read(outs[False] / log).trajectory_key()), log
+
     def test_generated_corpus_loadable_and_sized(self, small_cfg, tmp_path):
         out = tmp_path / "run"
         assert run("gen", "--config", small_cfg, "--out", str(out)) == 0
