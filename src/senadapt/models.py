@@ -157,8 +157,9 @@ class AssessmentNetwork:
         self.head_pron = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
         self.head_flu = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
 
-    def forward(self, x: np.ndarray, *, check_input: bool = True):
-        t = self.trunk.forward(x, check_input=check_input)
+    def forward(self, x: np.ndarray, *, check_input: bool = True,
+                trunk_out: list[np.ndarray] | None = None):
+        t = self.trunk.forward(x, check_input=check_input, out=trunk_out)
         # the trunk's output is checked: the heads skip their input check
         p = self.head_pron.forward(t.output, check_input=False)
         f = self.head_flu.forward(t.output, check_input=False)

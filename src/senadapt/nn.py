@@ -24,7 +24,11 @@ fixed adult acoustic model participates in adversarial training.
 Network.forward checks its output for NaN and Inf, and its input unless the
 caller passes check_input=False: the training loops do for frames they
 checked once per run and for a network's (checked) output. NonFiniteError
-stays the default for every other caller.
+stays the default for every other caller. Given out=, one row-first buffer
+per layer, it writes each layer's pre-activation z into that layer's buffer,
+with the bits of a forward without out=: a rectifier or identity layer's h
+is the buffer itself, so the trace holds views of the buffers (sigmoid and
+softmax layers allocate their h).
 
 Network.backward never writes into the caller's upstream gradient; it works
 in place only on arrays it allocated itself. With from_logits=True the
@@ -287,10 +291,12 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: np.ndarray, *, check_input: bool = True) -> ForwardTrace:
+    def forward(self, x: np.ndarray, *, check_input: bool = True,
+                out: list[np.ndarray] | None = None) -> ForwardTrace:
         """Run the stack on x. The output is always checked for NaN and Inf;
         check_input=False skips the same check on x, for callers whose x
-        was already checked (a training run's frames, a network's output)."""
+        was already checked (a training run's frames, a network's output).
+        out holds one (rows, out_dim) buffer per layer (module docstring)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
@@ -299,8 +305,8 @@ class Network:
         if check_input and not np.isfinite(x).all():
             raise NonFiniteError("non-finite values in network input")
         acts = [x]
-        for spec, (W, b, _, _) in zip(self.layers, self._params):
-            z = acts[-1] @ W
+        for i, (spec, (W, b, _, _)) in enumerate(zip(self.layers, self._params)):
+            z = acts[-1] @ W if out is None else np.matmul(acts[-1], W, out=out[i])
             z += b
             if spec.activation == "rectifier":
                 h = np.maximum(z, 0.0, out=z)

@@ -46,13 +46,14 @@ run forks one worker that does the discriminator half (_DiscWorker) or the
 assessment parameter half (_AssessWorker); each class gives its hand-offs.
 Each ParameterStore is one shared map, so a worker steps the caller's own
 parameters. One ordering rule keeps the caller from reading a weight the
-worker has stepped: the caller hands a layer over only after its own
-input-gradient chain has read that layer's weights, and waits for the
-worker's reply before its next forward. The caller never reads the
-discriminator during a run. The bits are the same on both paths: each
-layer's gradient is the same expression on the same float64 bytes, each
-span takes the same element-wise sgd_step arithmetic as its whole store,
-and the hand-offs copy bytes only.
+worker has stepped: a layer goes to the worker when its gradient exists,
+and the worker steps it at the caller's next hand-off, which comes after
+the caller's input-gradient chain has read the layer's weights; the
+caller waits for the worker's reply before its next forward. The caller
+never reads the discriminator during a run. The bits are the same on both
+paths: each layer's gradient is the same expression on the same float64
+bytes, each span takes the same element-wise sgd_step arithmetic as its
+whole store, and the hand-offs copy bytes only.
 
 The hand-offs poll fork-context semaphores with acquire(False), never a
 blocking wait: a process woken from a blocking wait on every hand-off lost
@@ -686,13 +687,15 @@ _ASSESS_MOMENTUM = 0.9
 class _AssessWorker(_Worker):
     """Forms and steps the parameter gradients of the heads and trunk layers
     1 and up of an AssessmentNetwork through one train_assessment_network
-    run. Per batch the caller hands over the trunk's output and the heads'
-    logit gradients once the heads' input gradients exist, then for each
-    trunk layer i >= 1, from the top down, its input and pre-activation
-    gradient once gz_(i-1) exists: a layer goes over only after the
-    caller's chain has read its weights. The worker steps each layer once
-    it has its gradient and replies after the last; the caller waits for
-    that reply before its next forward."""
+    run. The caller's trunk forward writes its activations into the act{i}
+    regions (activations()), and per batch it hands over the heads' logit
+    gradients, each trunk layer's pre-activation gradient gz_i, i >= 1,
+    from the top down, and once gz_0 exists nothing. The worker forms each
+    layer's parameter gradient at once but steps the layer only at the
+    next hand-off, which comes after the caller has read its weights (the
+    heads' in their input gradients, W_i in forming gz_(i-1)). Its reply
+    follows its last step; the caller waits for it before its next forward,
+    which overwrites the regions."""
 
     name = "assessment"
 
@@ -711,38 +714,45 @@ class _AssessWorker(_Worker):
             regions[f"gz{i}"] = (np.float64, (rows, spec.out_dim))
         return regions
 
+    def activations(self, n: int) -> list[np.ndarray]:
+        """The trunk forward's out= for a batch of n rows: [act1, ..., act{top + 1}]."""
+        return [self._a[f"act{i}"][:n] for i in range(1, len(self._spans) + 1)]
+
     def backward_step(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
         """The caller's half of AssessmentNetwork.backward and the stores'
         sgd_steps: the heads' input gradients, the trunk's input-gradient
-        chain, and trunk layer 0's parameter gradient and step. Each layer's
-        input and pre-activation gradient go to the worker once the chain
-        has read the layer's weights."""
+        chain, and trunk layer 0's parameter gradient and step, with the
+        hand-offs between them."""
         net = self.net
         t, p, f = traces
+        self._hand(len(grad_pron), g_pron=grad_pron, g_flu=grad_flu)
         gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
               + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
-        self._hand(len(grad_pron), **{f"act{len(t.activations) - 1}": t.output},
-                   g_pron=grad_pron, g_flu=grad_flu)
-        chain = net.trunk.preactivation_grads(t, gt)
-        i, gz = next(chain)
-        while i > 0:
-            below = next(chain)  # forming gz_(i-1) has read layer i's weights
-            self._hand(**{f"act{i}": t.activations[i], f"gz{i}": gz})
-            i, gz = below
+        for i, gz in net.trunk.preactivation_grads(t, gt):
+            if i == 0:
+                break
+            self._hand(**{f"gz{i}": gz})
+        self._hand()  # gz_0 exists: the chain has read every weight above layer 0
         net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
         sgd_step(net.trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[0])
 
     def _batch(self, n: int) -> None:
         net, a, trunk = self.net, self._a, self.net.trunk
-        top = a[f"act{len(trunk.layers)}"][:n]
+        depth = len(self._spans)
         for head, g in ((net.head_pron, a["g_pron"]), (net.head_flu, a["g_flu"])):
-            head.accumulate_layer_grads(0, top, g[:n])
-            sgd_step(head.store, self.lr, _ASSESS_MOMENTUM)
-        for i in range(len(trunk.layers) - 1, 0, -1):
+            head.accumulate_layer_grads(0, a[f"act{depth}"][:n], g[:n])
+        # the hand-off of gz_i (of nothing for i = 0) releases the layer above
+        # trunk layer i: layer i + 1, or the heads above the top
+        for i in range(depth - 1, -1, -1):
             if not self._receive():
                 return
-            trunk.accumulate_layer_grads(i, a[f"act{i}"][:n], a[f"gz{i}"][:n])
-            sgd_step(trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[i])
+            if i + 1 < depth:
+                sgd_step(trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[i + 1])
+            else:
+                for head in (net.head_pron, net.head_flu):
+                    sgd_step(head.store, self.lr, _ASSESS_MOMENTUM)
+            if i > 0:
+                trunk.accumulate_layer_grads(i, a[f"act{i}"][:n], a[f"gz{i}"][:n])
         self._answer()
 
 
@@ -773,7 +783,8 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         yp, yf = pron[idx] - 1, flu[idx] - 1
         rows = np.arange(len(idx))
         worker.wait()
-        traces = net.forward(x, check_input=False)
+        traces = net.forward(x, check_input=False,
+                             trunk_out=worker.activations(len(idx)) if worker.forked else None)
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)

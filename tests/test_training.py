@@ -1139,6 +1139,81 @@ class TestAssessmentTraining:
         assert runs[0] == runs[1]
         assert_no_child_left()
 
+    @FORKS_ANY_HOST
+    def test_each_layer_goes_over_before_the_chain_reads_it(self, monkeypatch):
+        # per batch of a 3-layer trunk: the heads' gradients before the
+        # chain forms gz2, gz2 before it forms gz1 from W2, gz1 before it
+        # forms gz0 from W1, and one empty hand-off, which releases layer 1,
+        # once gz0 exists. On the worker the trunk's activations above its
+        # input are the worker's act regions; in process they are arrays of
+        # their own
+        hand, chain = training._Worker._hand, nn.Network.preactivation_grads
+        forward, backward_step = AssessmentNetwork.forward, training._AssessWorker.backward_step
+        events, checked = [], []
+
+        def recorded_hand(worker, rows=None, **arrays):
+            events.append(("hand", rows, *sorted(arrays)))
+            return hand(worker, rows, **arrays)
+
+        def recorded_chain(net, *args, **kwargs):
+            for i, gz in chain(net, *args, **kwargs):
+                if len(net.layers) == 3:
+                    events.append(("formed", i))
+                yield i, gz
+
+        def in_process_forward(net, *args, **kwargs):
+            traces = forward(net, *args, **kwargs)
+            assert kwargs["trunk_out"] is None
+            assert all(a.flags.owndata for a in traces[0].activations[1:])
+            checked.append(1)
+            return traces
+
+        def worker_backward_step(worker, traces, *args):
+            for i, a in enumerate(traces[0].activations[1:], 1):
+                assert np.shares_memory(a, worker._a[f"act{i}"])
+            checked.append(1)
+            return backward_step(worker, traces, *args)
+
+        monkeypatch.setattr(training._Worker, "_hand", recorded_hand)
+        monkeypatch.setattr(nn.Network, "preactivation_grads", recorded_chain)
+        runs = []
+        for worker in (False, True):
+            use_worker(monkeypatch, worker)
+            if worker:
+                monkeypatch.setattr(AssessmentNetwork, "forward", forward)
+                monkeypatch.setattr(training._AssessWorker, "backward_step",
+                                    worker_backward_step)
+            else:
+                monkeypatch.setattr(AssessmentNetwork, "forward", in_process_forward)
+            events.clear()
+            checked.clear()
+            net, log = self.train_small(trunk_dims=(16, 16, 16))
+            assert log.second_process == worker
+            # 300 rows: four batches of 64 and one of 44 per epoch, two epochs
+            assert len(checked) == 10
+            runs.append((log.trajectory_key(), *self.arenas(net)))
+        batch = [("formed", 2), ("hand", None, "gz2"), ("formed", 1), ("hand", None, "gz1"),
+                 ("formed", 0), ("hand", None)]
+        assert events == [event for n in [64, 64, 64, 64, 44] * 2
+                          for event in [("hand", n, "g_flu", "g_pron"), *batch]] + [("hand", 0)]
+        assert runs[0] == runs[1]
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_worker_matches_in_process_at_the_eval_shapes(self, monkeypatch):
+        # eval's network (30 -> 128 x 3 trunk) on 1,200 rows: each epoch ends
+        # in a batch of 48; the reference-loop test runs 16-wide trunks only
+        feats, pron, flu = generate_assessment_corpus(1200, seed=13)
+        runs = []
+        for worker in (False, True):
+            use_worker(monkeypatch, worker)
+            net = AssessmentNetwork(input_dim=30, rng=np.random.default_rng(13))
+            log = train_assessment_network(net, feats, pron, flu, epochs=3, lr=0.05, seed=13)
+            assert log.second_process == worker
+            runs.append((log.trajectory_key(), *self.arenas(net)))
+        assert runs[0] == runs[1]
+        assert_no_child_left()
+
     # the parameter half on a forked worker: which runs fork one, and every
     # way a run can end reaps it
 
@@ -1192,10 +1267,16 @@ class TestAssessmentTraining:
 
     @FORKS_ANY_HOST
     def test_interrupt_between_the_hand_offs_reaps_the_worker(self, monkeypatch):
-        # the third batch's trunk chain stops after the top layer is handed
-        # over (once layer 1's gradient exists) and before layer 1 is
+        # the third batch's trunk chain stops as gz_0 is formed: layers 2 and
+        # 1 are handed over, and the worker waits for the hand-off that
+        # releases layer 1
         use_worker(monkeypatch, True)
         chain, trunk_chains = nn.Network.preactivation_grads, []
+        hand, handed = training._Worker._hand, []
+
+        def recorded_hand(worker, rows=None, **arrays):
+            handed.append(sorted(arrays))
+            return hand(worker, rows, **arrays)
 
         def interrupted(net, *args, **kwargs):
             trunk = len(net.layers) == 3
@@ -1207,9 +1288,11 @@ class TestAssessmentTraining:
                 yield i, gz
 
         monkeypatch.setattr(nn.Network, "preactivation_grads", interrupted)
+        monkeypatch.setattr(training._Worker, "_hand", recorded_hand)
         with pytest.raises(KeyboardInterrupt):
             self.train_small(trunk_dims=(16, 16, 16))
         assert len(trunk_chains) == 3
+        assert handed[-2:] == [["gz2"], ["gz1"]]
         assert_no_child_left()
 
 
