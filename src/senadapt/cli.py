@@ -35,6 +35,12 @@ order: adapt and eval share the acoustic model's, and eval reads each adapt
 arm it finds whole. eval generates its assessment corpus from its own
 assess_n and seed.
 
+The config keys are RunConfig's settings (CONFIG_SCHEMA): seed, the fields of
+GeneratorConfig (split_fractions as split_train, split_dev and split_test),
+PretrainConfig (pretrain_*), AdversarialConfig (but update_scheme and
+alpha_source), AssessConfig (assess_*) and the three hidden-width lists. Each
+dataclass's validate() checks its fields; a bad one is exit 2, named by key.
+
 Files are checked for their values as well as their layout: finite floats,
 senone labels below K, domains in {0, 1}, split tags in {0, 1, 2} with both
 domains in every split.
@@ -72,56 +78,6 @@ PIPELINE = (
 )
 
 
-def _scalar_keys(config_cls, leave_out=()) -> dict:
-    """key -> (caster, default) for each field of a config dataclass but its
-    seed (a key of its own), its tuple fields (spelled out below) and the
-    fields left out."""
-    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(config_cls)
-            if f.name not in ("seed", *leave_out) and not isinstance(f.default, tuple)}
-
-
-_GEN_KEYS = _scalar_keys(synthdata.GeneratorConfig)
-# the CLI runs gradient reversal with alpha from the adapted features: the
-# other settings of these two fields are for library callers
-_ADV_KEYS = _scalar_keys(training.AdversarialConfig,
-                         leave_out=("update_scheme", "alpha_source"))
-_GEN_DEFAULTS = synthdata.GeneratorConfig()
-
-# key -> (caster, default). The key order, the dataclasses' field order
-# included, is the order of the resolved config text, which every report's
-# fingerprint hashes.
-CONFIG_SCHEMA = {
-    "seed": (int, 0),
-    **_GEN_KEYS,
-    "shift_profile": (str, ",".join(str(s) for s in _GEN_DEFAULTS.shift_profile)),
-    **{f"split_{name}": (float, frac)
-       for name, frac in zip(("train", "dev", "test"), _GEN_DEFAULTS.split_fractions)},
-    "assess_n": (int, 1500),
-    "am_hidden": (str, "64,64"),
-    "adapter_hidden": (str, "64"),
-    "disc_hidden": (str, "64"),
-    "pretrain_epochs": (int, 30),
-    "pretrain_lr": (float, 0.1),
-    "pretrain_batch": (int, 128),
-    "pretrain_momentum": (float, 0.9),
-    **_ADV_KEYS,
-    "assess_epochs": (int, 150),
-    "assess_lr": (float, 0.05),
-}
-
-# key -> (bound, test) for the keys whose config dataclass does not check them
-_BOUNDS = {
-    "seed": (">= 0", lambda v: v >= 0),
-    "pretrain_epochs": (">= 1", lambda v: v >= 1),
-    "pretrain_batch": (">= 1", lambda v: v >= 1),
-    "assess_epochs": (">= 1", lambda v: v >= 1),
-    "pretrain_lr": ("> 0", lambda v: v > 0),
-    "assess_lr": ("> 0", lambda v: v > 0),
-    "pretrain_momentum": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "assess_n": (f">= {synthdata.MIN_ASSESS_N}", lambda v: v >= synthdata.MIN_ASSESS_N),
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -134,7 +90,92 @@ class StageError(Exception):
         self.code = code
 
 
-def load_run_config(path: str | None, overrides: dict) -> dict:
+@dataclasses.dataclass
+class RunConfig:
+    """What one seed's run of the pipeline uses; seed replaces gen's and adv's."""
+    seed: int = 0
+    gen: synthdata.GeneratorConfig = dataclasses.field(default_factory=synthdata.GeneratorConfig)
+    pretrain: training.PretrainConfig = dataclasses.field(default_factory=training.PretrainConfig)
+    adv: training.AdversarialConfig = dataclasses.field(default_factory=training.AdversarialConfig)
+    am_hidden: tuple[int, ...] = (64, 64)
+    adapter_hidden: tuple[int, ...] = (64,)
+    disc_hidden: tuple[int, ...] = (64,)
+    assess: training.AssessConfig = dataclasses.field(default_factory=training.AssessConfig)
+
+    def __post_init__(self):
+        self.gen = dataclasses.replace(self.gen, seed=self.seed)
+        self.adv = dataclasses.replace(self.adv, seed=self.seed)
+
+    def validate(self) -> None:
+        """ConfigError naming the key of the first setting out of its bound."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("am_hidden", "adapter_hidden", "disc_hidden"):
+            if min(getattr(self, key), default=1) < 1:
+                raise ConfigError(f"{key} must hold widths >= 1, got {_text(getattr(self, key))}")
+        for section in ("gen", "pretrain", "adv", "assess"):
+            try:
+                getattr(self, section).validate()
+            except synthdata.SettingError as e:
+                if (key := _KEY_AT.get(f"{section}.{e.name}")) is None:
+                    raise  # a field no key sets, as update_scheme
+                raise ConfigError(f"{key} must be {e.bound}, got {_text(e.value)}") from None
+
+
+# key -> its place in RunConfig, a dotted path of fields and tuple items. The
+# key order is the order of the resolved config text, which every report's
+# fingerprint hashes.
+CONFIG_SCHEMA = {
+    "seed": "seed",
+    **{key: f"gen.{key}" for key in ("K", "dim", "n_adult", "n_child", "within_class_std",
+                                     "shift_coherence", "class_separation", "shift_profile")},
+    **{f"split_{name}": f"gen.split_fractions.{i}"
+       for i, name in enumerate(("train", "dev", "test"))},
+    "assess_n": "assess.n",
+    **{key: key for key in ("am_hidden", "adapter_hidden", "disc_hidden")},
+    **{f"pretrain_{name}": f"pretrain.{name}" for name in ("epochs", "lr", "batch", "momentum")},
+    # the CLI runs gradient reversal with alpha from the adapted features:
+    # update_scheme and alpha_source are no keys, for library callers only
+    **{key: f"adv.{key}" for key in ("mode", "reversal_coefficient", "lr_adapter",
+                                     "lr_discriminator", "momentum", "epochs", "batch_size",
+                                     "lambda_shape")},
+    "assess_epochs": "assess.epochs",
+    "assess_lr": "assess.lr",
+}
+# the key that names a setting in a message; the split keys share one
+_KEY_AT = {place: key for key, place in CONFIG_SCHEMA.items()} | {
+    "gen.split_fractions": "split_train, split_dev and split_test"}
+
+
+def _at(obj, place: str):
+    """The value at place in obj, a dataclass or a tuple."""
+    for name in place.split("."):
+        obj = obj[int(name)] if isinstance(obj, tuple) else getattr(obj, name)
+    return obj
+
+
+def _replaced(obj, place: str, value):
+    """A copy of obj with value at place; obj itself is left as it is."""
+    name, _, rest = place.partition(".")
+    value = _replaced(_at(obj, name), rest, value) if rest else value
+    if isinstance(obj, tuple):
+        return obj[:int(name)] + (value,) + obj[int(name) + 1:]
+    return dataclasses.replace(obj, **{name: value})
+
+
+def _parse(text: str, default):
+    """A key's text as its default's type; a tuple's comma-separated, empty if text is."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(t) for t in text.split(",")) if text else ()
+    return type(default)(text)
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def load_run_config(path: str | None, overrides: dict) -> RunConfig:
+    """The validated RunConfig of a config file, then of overrides (key -> value or None)."""
     raw = {}
     if path is not None:
         try:
@@ -145,48 +186,22 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     unknown = set(raw) - set(CONFIG_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {}
-    for key, (cast, default) in CONFIG_SCHEMA.items():
+    cfg = RunConfig()
+    for key, text in raw.items():
         try:
-            cfg[key] = cast(raw[key]) if key in raw else default
+            value = _parse(text, _at(cfg, CONFIG_SCHEMA[key]))
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {e}")
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    for key, (cast, _) in CONFIG_SCHEMA.items():
-        if cast is float and not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
-    for key in ("am_hidden", "adapter_hidden", "disc_hidden"):
-        _int_list(cfg[key])
-    for key, (bound, holds) in _BOUNDS.items():
-        if not holds(cfg[key]):
-            raise ConfigError(f"{key} must be {bound}, got {cfg[key]}")
-    _gen_config(cfg).validate()
-    _adv_config(cfg).validate()
+        cfg = _replaced(cfg, CONFIG_SCHEMA[key], value)
+    for key, value in overrides.items():
+        if value is not None:
+            cfg = _replaced(cfg, CONFIG_SCHEMA[key], value)
+    cfg.validate()
     return cfg
 
-def resolved_config_text(cfg: dict) -> str:
-    return "".join(f"{k}={cfg[k]}\n" for k in CONFIG_SCHEMA)
 
-
-def _int_list(text: str) -> list[int]:
-    widths = [int(t) for t in text.split(",") if t.strip()]
-    if any(w < 1 for w in widths):
-        raise ConfigError(f"layer widths must be positive, got {text!r}")
-    return widths
-
-
-def _gen_config(cfg: dict) -> synthdata.GeneratorConfig:
-    return synthdata.GeneratorConfig(
-        **{key: cfg[key] for key in _GEN_KEYS}, seed=cfg["seed"],
-        shift_profile=tuple(float(s) for s in cfg["shift_profile"].split(",")),
-        split_fractions=(cfg["split_train"], cfg["split_dev"], cfg["split_test"]))
-
-
-def _adv_config(cfg: dict) -> training.AdversarialConfig:
-    return training.AdversarialConfig(**{key: cfg[key] for key in _ADV_KEYS},
-                                      seed=cfg["seed"])
+def resolved_config_text(cfg: RunConfig) -> str:
+    return "".join(f"{key}={_text(_at(cfg, place))}\n" for key, place in CONFIG_SCHEMA.items())
 
 
 def _load(path: Path, loader, what: str, code: int):
@@ -206,36 +221,27 @@ def _finite_outputs():
         raise StageError(EXIT_NO_BUNDLE, f"a model bundle gives non-finite outputs: {e}") from None
 
 
-def _read_corpus(cfg: dict, out: Path) -> synthdata.SyntheticCorpus:
+def _read_corpus(cfg: RunConfig, out: Path) -> synthdata.SyntheticCorpus:
     """corpus.saco, of the config's dim and K (exit 4 or 2)."""
     corpus = _load(out / "corpus.saco", synthdata.load_corpus, "corpus", EXIT_NO_CORPUS)
-    if (corpus.dim, corpus.K) != (cfg["dim"], cfg["K"]):
+    if (corpus.dim, corpus.K) != (cfg.gen.dim, cfg.gen.K):
         raise StageError(EXIT_CONFIG, f"corpus (dim, K) {corpus.dim, corpus.K} is not the config's")
     return corpus
 
 
-def _check_hidden(cfg: dict, **nets) -> None:
-    """Exit 2 unless each network's hidden widths are those of its config key."""
-    for key, net in nets.items():
-        if (widths := [s.out_dim for s in net.layers[:-1]]) != _int_list(cfg[key]):
-            raise StageError(EXIT_CONFIG, f"a bundle's hidden widths {widths} are not "
-                                          f"the config's {key} = {cfg[key]}")
-
-
-def _read_am(cfg: dict, out: Path, corpus) -> models.AdultAcousticModel:
+def _read_am(cfg: RunConfig, out: Path, corpus) -> models.AdultAcousticModel:
     """am.bundle: frozen (else exit 5), of the config's dim, K and widths (2), finite (6)."""
     am = _load(out / "am.bundle", models.load_adult_am, "acoustic-model bundle", EXIT_NO_BUNDLE)
     if not am.frozen:
         raise StageError(EXIT_UNFROZEN, "acoustic-model bundle is not frozen")
-    if (am.net.in_dim, am.K) != (corpus.dim, corpus.K):
-        raise StageError(EXIT_CONFIG, f"AM (dim, K) {am.net.in_dim, am.K} is not the config's")
-    _check_hidden(cfg, am_hidden=am.net)
+    if (found := (am.net.in_dim, am.K, am.net.hidden)) != (corpus.dim, corpus.K, cfg.am_hidden):
+        raise StageError(EXIT_CONFIG, f"AM (dim, K, am_hidden) {found} is not the config's")
     with _finite_outputs():
         am.posteriors(corpus.frames)
     return am
 
 
-def _read_arm(cfg: dict, out: Path, mode: str, corpus) -> tuple | None:
+def _read_arm(cfg: RunConfig, out: Path, mode: str, corpus) -> tuple | None:
     """(adapter, discriminator) of an adapt arm, or None if neither bundle is there; exit 6
     unless both load with the corpus's dim, the discriminator as the arm's adversary at K,
     and exit 2 unless their hidden widths are the config's."""
@@ -247,11 +253,13 @@ def _read_arm(cfg: dict, out: Path, mode: str, corpus) -> tuple | None:
     if ({adapter.g.in_dim, disc.net.in_dim} != {corpus.dim}
             or not training.is_adversary(disc, mode, corpus.K)):
         raise StageError(EXIT_NO_BUNDLE, f"not a {mode} arm for (dim, K) {corpus.dim, corpus.K}")
-    _check_hidden(cfg, adapter_hidden=adapter.g, disc_hidden=disc.net)
+    if (found := (adapter.g.hidden, disc.net.hidden)) != (cfg.adapter_hidden, cfg.disc_hidden):
+        raise StageError(EXIT_CONFIG, f"the {mode} arm's (adapter_hidden, disc_hidden) {found} "
+                                      f"are not the config's")
     return adapter, disc
 
 
-def _check_converged(cfg: dict, out: Path, stem: str, what: str, log, n: int) -> None:
+def _check_converged(cfg: RunConfig, out: Path, stem: str, what: str, log, n: int) -> None:
     """Exit 7, resolved config written, unless the final mean CE beats a uniform guess over n."""
     ce = log.records[-1].senone_ce
     if not ce < math.log(n):
@@ -260,7 +268,7 @@ def _check_converged(cfg: dict, out: Path, stem: str, what: str, log, n: int) ->
                                         f"CE {ce:.4g} >= ln {n} = {math.log(n):.4g}")
 
 
-def _write_resolved(cfg: dict, out: Path, stem: str) -> None:
+def _write_resolved(cfg: RunConfig, out: Path, stem: str) -> None:
     (out / f"config.{stem}.resolved").write_text(resolved_config_text(cfg))
 
 
@@ -273,8 +281,8 @@ def _clear_from(out: Path, stage: str) -> None:
         (out / name).unlink(missing_ok=True)
 
 
-def cmd_gen(cfg: dict, out: Path) -> int:
-    corpus = synthdata.generate_corpus(_gen_config(cfg))
+def cmd_gen(cfg: RunConfig, out: Path) -> int:
+    corpus = synthdata.generate_corpus(cfg.gen)
     out.mkdir(parents=True, exist_ok=True)
     _clear_from(out, "gen")
     synthdata.save_corpus(corpus, out / "corpus.saco")
@@ -283,20 +291,20 @@ def cmd_gen(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: dict, out: Path) -> int:
+def cmd_pretrain(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus = _read_corpus(cfg, out)
-    rng = np.random.default_rng(cfg["seed"])
-    am = models.build_adult_am(cfg["dim"], _int_list(cfg["am_hidden"]), cfg["K"], rng=rng)
+    rng = np.random.default_rng(cfg.seed)
+    am = models.build_adult_am(cfg.gen.dim, cfg.am_hidden, cfg.gen.K, rng=rng)
     _clear_from(out, "pretrain")
-    log = training.pretrain_adult_am(am, corpus.training_view("train"),
-                                     epochs=cfg["pretrain_epochs"], lr=cfg["pretrain_lr"],
-                                     seed=cfg["seed"], batch_size=cfg["pretrain_batch"],
-                                     momentum=cfg["pretrain_momentum"])
+    p = cfg.pretrain
+    log = training.pretrain_adult_am(am, corpus.training_view("train"), epochs=p.epochs,
+                                     lr=p.lr, seed=cfg.seed, batch_size=p.batch,
+                                     momentum=p.momentum)
     dev = corpus.subset("dev", "adult")
     acc = float((am.posteriors(dev.frames).argmax(axis=1) == dev.senone_labels).mean())
     log.write(out / "pretrain.log")
-    _check_converged(cfg, out, "pretrain", "pretraining", log, cfg["K"])
+    _check_converged(cfg, out, "pretrain", "pretraining", log, cfg.gen.K)
     _write_resolved(cfg, out, "pretrain")
     models.save_adult_am(out / "am.bundle", am)
     print(f"pretrained AM frozen; adult dev senone accuracy {acc:.3f}")
@@ -308,20 +316,20 @@ def _where(log: training.TrainLog) -> str:
     return "on a second process" if log.second_process else "in process"
 
 
-def cmd_adapt(cfg: dict, out: Path) -> int:
+def cmd_adapt(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus = _read_corpus(cfg, out)
     am = _read_am(cfg, out, corpus)
     view = corpus.training_view("train")
-    acfg = _adv_config(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    adapter = models.AdaptationNetwork(cfg["dim"], _int_list(cfg["adapter_hidden"]), rng=rng)
-    disc = models.DomainDiscriminator(cfg["dim"], _int_list(cfg["disc_hidden"]),
-                                      mode=training.DISC_MODES[acfg.mode], K=cfg["K"], rng=rng)
+    acfg = cfg.adv
+    rng = np.random.default_rng(cfg.seed)
+    adapter = models.AdaptationNetwork(cfg.gen.dim, cfg.adapter_hidden, rng=rng)
+    disc = models.DomainDiscriminator(cfg.gen.dim, cfg.disc_hidden,
+                                      mode=training.DISC_MODES[acfg.mode], K=cfg.gen.K, rng=rng)
     _clear_from(out, f"adapt_{acfg.mode}")
     log = training.adversarial_train(adapter, am, disc, view, acfg)
     log.write(out / f"adapt_{acfg.mode}.log")
-    _check_converged(cfg, out, f"adapt_{acfg.mode}", f"adaptation ({acfg.mode})", log, cfg["K"])
+    _check_converged(cfg, out, f"adapt_{acfg.mode}", f"adaptation ({acfg.mode})", log, cfg.gen.K)
     _write_resolved(cfg, out, f"adapt_{acfg.mode}")
     models.save_adapter(out / f"adapter_{acfg.mode}.bundle", adapter)
     models.save_discriminator(out / f"disc_{acfg.mode}.bundle", disc)
@@ -344,15 +352,15 @@ def _report_arms(corpus, am, arms: dict, report) -> dict:
     return errors
 
 
-def cmd_eval(cfg: dict, out: Path) -> int:
+def cmd_eval(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _clear_from(out, "eval")
     corpus = _read_corpus(cfg, out)
     am = _read_am(cfg, out, corpus)
     arms = {m: arm for m in training.DISC_MODES if (arm := _read_arm(cfg, out, m, corpus))}
     report = evaluate.MetricsReport(
-        fingerprint=evaluate.config_fingerprint(resolved_config_text(cfg), cfg["seed"]),
-        seed=cfg["seed"])
+        fingerprint=evaluate.config_fingerprint(resolved_config_text(cfg), cfg.seed),
+        seed=cfg.seed)
 
     with _finite_outputs():
         errors = _report_arms(corpus, am, arms, report)
@@ -364,12 +372,12 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         report.set("senone_err.abs_reduction.sat_vs_dnn",
                    evaluate.absolute_reduction(errors["dnn"], errors["sat"]))
 
-    feats, pron, flu = synthdata.generate_assessment_corpus(cfg["assess_n"], cfg["seed"])
+    feats, pron, flu = synthdata.generate_assessment_corpus(cfg.assess.n, cfg.seed)
     n_train = int(0.8 * len(feats))
-    net = AssessmentNetwork(input_dim=feats.shape[1], rng=np.random.default_rng(cfg["seed"]))
+    net = AssessmentNetwork(input_dim=feats.shape[1], rng=np.random.default_rng(cfg.seed))
     log = training.train_assessment_network(net, feats[:n_train], pron[:n_train],
-                                            flu[:n_train], epochs=cfg["assess_epochs"],
-                                            lr=cfg["assess_lr"], seed=cfg["seed"])
+                                            flu[:n_train], epochs=cfg.assess.epochs,
+                                            lr=cfg.assess.lr, seed=cfg.seed)
     _check_converged(cfg, out, "eval", "assessment training", log, synthdata.ASSESS_LEVELS)
     for name, val in evaluate.assessment_metrics(
             net, feats[n_train:], pron[n_train:], flu[n_train:]).items():
@@ -412,7 +420,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except NonFiniteError as e:  # a loaded model's NaN or Inf is exit 6, in _finite_outputs
-        stage = f"adapt ({cfg['mode']})" if args.command == "adapt" else args.command
+        stage = f"adapt ({cfg.adv.mode})" if args.command == "adapt" else args.command
         print(f"error: {stage} diverged: {e}; no output written", file=sys.stderr)
         return EXIT_DIVERGED
     except (MemoryError, ValueError) as e:  # a size or setting the config checks let by

@@ -215,8 +215,8 @@ def load_bundle(path) -> tuple[ParameterStore, dict]:
 
 
 def _save_model(path, kind: str, net: Network, **numbers) -> None:
-    hidden = ",".join(str(s.out_dim) for s in net.layers[:-1])
-    save_bundle(path, net.store, {"kind": kind, "dim": net.in_dim, "hidden": hidden, **numbers,
+    save_bundle(path, net.store, {"kind": kind, "dim": net.in_dim,
+                                  "hidden": ",".join(map(str, net.hidden)), **numbers,
                                   "frozen": "true" if net.store.frozen else "false"})
 
 

@@ -291,6 +291,10 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def hidden(self) -> tuple[int, ...]:
+        return tuple(s.out_dim for s in self.layers[:-1])
+
     def forward(self, x: np.ndarray, *, check_input: bool = True,
                 out: list[np.ndarray] | None = None) -> ForwardTrace:
         """Run the stack on x. The output is always checked for NaN and Inf;

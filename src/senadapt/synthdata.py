@@ -31,6 +31,22 @@ MIN_ASSESS_N = 50
 ASSESS_LEVELS = 5
 
 
+class SettingError(ValueError):
+    """A setting out of its bound. name is the setting's field in its config
+    dataclass; label, if given, is what the message calls it."""
+
+    def __init__(self, what: str, name: str, bound: str, value, label: str = ""):
+        super().__init__(f"{what}: {label or name} must be {bound}, got {value}")
+        self.name, self.bound, self.value = name, bound, value
+
+
+def check_settings(what: str, *rows) -> None:
+    """SettingError for the first row (name, value, bound, holds[, label]) that fails."""
+    for name, value, bound, holds, *label in rows:
+        if not holds:
+            raise SettingError(what, name, bound, value, *label)
+
+
 @dataclass
 class GeneratorConfig:
     K: int = 10
@@ -48,32 +64,28 @@ class GeneratorConfig:
     split_fractions: tuple = (0.7, 0.15, 0.15)
 
     def validate(self) -> None:
-        if self.K < 2:
-            raise ValueError("K must be at least 2")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if len(self.shift_profile) != self.K:
-            raise ValueError("shift_profile length must equal K")
-        if not all(0 <= s < np.inf for s in self.shift_profile):
-            raise ValueError("shift magnitudes must be finite and nonnegative")
-        if not 0 < self.within_class_std < np.inf:
-            raise ValueError("within_class_std must be finite and positive")
-        if not all(self.K <= n < 2**63 for n in (self.n_adult, self.n_child)):
-            raise ValueError("n_adult and n_child must each be in [K, 2**63)")
-        if not (0.0 <= self.shift_coherence <= 1.0):
-            raise ValueError("shift_coherence must be in [0, 1]")
-        if not 0 < self.class_separation < np.inf:
-            raise ValueError("class_separation must be finite and positive")
-        if (len(self.split_fractions) != 3 or abs(sum(self.split_fractions) - 1.0) > 1e-9
-                or not all(0 <= f <= 1 for f in self.split_fractions)):
-            raise ValueError("split_fractions must be three values in [0, 1] summing to 1")
+        K, shifts, fracs = self.K, self.shift_profile, self.split_fractions
+        check_settings(
+            "generator", ("K", K, ">= 2", K >= 2), ("dim", self.dim, ">= 1", self.dim >= 1),
+            ("shift_profile", shifts, f"{K} values in [0, inf)",
+             len(shifts) == K and all(0 <= s < np.inf for s in shifts)),
+            ("within_class_std", self.within_class_std, "in (0, inf)",
+             0 < self.within_class_std < np.inf),
+            *((name, n, "in [K, 2**63)", K <= n < 2**63)
+              for name, n in (("n_adult", self.n_adult), ("n_child", self.n_child))),
+            ("shift_coherence", self.shift_coherence, "in [0, 1]",
+             0 <= self.shift_coherence <= 1),
+            ("class_separation", self.class_separation, "in (0, inf)",
+             0 < self.class_separation < np.inf),
+            ("split_fractions", fracs, "three values in [0, 1] summing to 1",
+             len(fracs) == 3 and abs(sum(fracs) - 1.0) <= 1e-9 and all(0 <= f <= 1 for f in fracs)))
         for n in (self.n_adult, self.n_child):
             sizes = np.zeros(3, dtype=np.int64)
-            for count in _balanced_class_counts(n, self.K):
-                sizes += [len(range(count)[part])
-                          for part in _split_slices(count, self.split_fractions)]
+            for count in _balanced_class_counts(n, K):
+                sizes += [len(range(count)[part]) for part in _split_slices(count, fracs)]
             if not sizes.all():
-                raise ValueError("split_fractions leave a split without frames of a domain")
+                raise SettingError("generator", "split_fractions",
+                                   "fractions that give every split frames of each domain", fracs)
 
 
 @dataclass

@@ -83,20 +83,42 @@ from . import losses
 from .models import (DISC_MODES, AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
                      marginal_domain_probs)
 from .nn import NonFiniteError, sgd_step
-from .synthdata import ASSESS_LEVELS, TrainingView
+from .synthdata import ASSESS_LEVELS, MIN_ASSESS_N, TrainingView, check_settings
 
 
-def _check_sgd(what: str, epochs: int, lr: float, momentum: float = 0.0,
-               batch_size: int = 1) -> None:
+def _check_sgd(what: str, epochs: int, lr: float, momentum: float = 0.0, batch: int = 1,
+               lr_name: str = "lr") -> None:
     """The settings every SGD run needs, checked before its first step."""
-    if epochs < 1:
-        raise ValueError(f"{what}: epochs must be at least 1, got {epochs}")
-    if not 0 < lr < math.inf:
-        raise ValueError(f"{what}: learning rate must be finite and positive, got {lr}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"{what}: momentum must be in [0, 1), got {momentum}")
-    if batch_size < 1:
-        raise ValueError(f"{what}: batch size must be at least 1, got {batch_size}")
+    check_settings(what, ("epochs", epochs, ">= 1", epochs >= 1),
+                   (lr_name, lr, "> 0", lr > 0, "learning rate"),
+                   (lr_name, lr, "finite", lr < math.inf, "learning rate"),
+                   ("momentum", momentum, "in [0, 1)", 0 <= momentum < 1),
+                   ("batch", batch, ">= 1", batch >= 1, "batch size"))
+
+
+@dataclass
+class PretrainConfig:
+    """The supervised run that pretrains the adult acoustic model."""
+    epochs: int = 30
+    lr: float = 0.1
+    batch: int = 128
+    momentum: float = 0.9
+
+    def validate(self) -> None:
+        _check_sgd("pretraining", self.epochs, self.lr, self.momentum, self.batch)
+
+
+@dataclass
+class AssessConfig:
+    """The assessment run: n rows of its corpus, and the run that trains on them."""
+    n: int = 1500
+    epochs: int = 150
+    lr: float = 0.05
+
+    def validate(self) -> None:
+        check_settings("assessment corpus",
+                       ("n", self.n, f">= {MIN_ASSESS_N}", self.n >= MIN_ASSESS_N))
+        _check_sgd("assessment training", self.epochs, self.lr)
 
 
 def is_adversary(disc: DomainDiscriminator, mode: str, K: int) -> bool:
@@ -115,24 +137,24 @@ class AdversarialConfig:
     epochs: int = 30
     batch_size: int = 128
     seed: int = 0
-    alpha_source: str = "adapted"           # only value; goes with ROADMAP item 3
+    alpha_source: str = "adapted"           # only value; goes with ROADMAP item 6
     lambda_shape: str = "ramp"              # | "constant"
 
     def validate(self) -> None:
-        if self.mode not in DISC_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.update_scheme not in ("gradient_reversal", "alternating"):
-            raise ValueError(f"unknown update scheme {self.update_scheme!r}")
-        if self.alpha_source != "adapted":
-            raise ValueError(f"alpha_source must be 'adapted', got {self.alpha_source!r}")
-        if self.lambda_shape not in ("ramp", "constant"):
-            raise ValueError(f"unknown lambda shape {self.lambda_shape!r}")
-        if not (0 <= self.reversal_coefficient < math.inf):
-            raise ValueError("reversal coefficient must be finite and nonnegative")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        _check_sgd("adapter", self.epochs, self.lr_adapter, self.momentum)
-        _check_sgd("discriminator", self.epochs, self.lr_discriminator, self.momentum)
+        check_settings(
+            "adversarial training",
+            ("mode", self.mode, f"one of {', '.join(DISC_MODES)}", self.mode in DISC_MODES),
+            ("update_scheme", self.update_scheme, "gradient_reversal or alternating",
+             self.update_scheme in ("gradient_reversal", "alternating")),
+            ("alpha_source", self.alpha_source, "adapted", self.alpha_source == "adapted"),
+            ("lambda_shape", self.lambda_shape, "ramp or constant",
+             self.lambda_shape in ("ramp", "constant")),
+            ("reversal_coefficient", self.reversal_coefficient, "in [0, inf)",
+             0 <= self.reversal_coefficient < math.inf),
+            ("batch_size", self.batch_size, ">= 2", self.batch_size >= 2))
+        _check_sgd("adapter", self.epochs, self.lr_adapter, self.momentum, lr_name="lr_adapter")
+        _check_sgd("discriminator", self.epochs, self.lr_discriminator, self.momentum,
+                   lr_name="lr_discriminator")
 
 
 @dataclass

@@ -18,6 +18,7 @@ from senadapt.cli import (
     EXIT_NO_BUNDLE,
     EXIT_NO_CORPUS,
     EXIT_UNFROZEN,
+    CONFIG_SCHEMA,
     PIPELINE,
     ConfigError,
     load_run_config,
@@ -71,6 +72,42 @@ def small_with(extra: str) -> str:
     return "".join(kept) + extra
 
 
+# every key at a value other than its default; disc_hidden is empty, which
+# is no hidden layer
+EVERY_KEY = """\
+seed = 5
+K = 3
+dim = 4
+n_adult = 90
+n_child = 60
+within_class_std = 0.5
+shift_coherence = 0.25
+class_separation = 2.5
+shift_profile = 0.5,1,3
+split_train = 0.6
+split_dev = 0.2
+split_test = 0.2
+assess_n = 60
+am_hidden = 8,4
+adapter_hidden = 6
+disc_hidden =
+pretrain_epochs = 2
+pretrain_lr = 0.2
+pretrain_batch = 32
+pretrain_momentum = 0.5
+mode = bat
+reversal_coefficient = 0.5
+lr_adapter = 0.01
+lr_discriminator = 0.1
+momentum = 0.3
+epochs = 2
+batch_size = 16
+lambda_shape = constant
+assess_epochs = 3
+assess_lr = 0.02
+"""
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
@@ -86,8 +123,8 @@ class TestConfig:
 
     def test_defaults_without_file(self):
         cfg = load_run_config(None, {})
-        assert cfg["K"] == 10 and cfg["dim"] == 20
-        assert cfg["mode"] == "sat"
+        assert cfg.gen.K == 10 and cfg.gen.dim == 20
+        assert cfg.adv.mode == "sat"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -121,7 +158,9 @@ class TestConfig:
 
     def test_overrides_win(self, small_cfg):
         cfg = load_run_config(small_cfg, {"seed": 42, "mode": "bat"})
-        assert cfg["seed"] == 42 and cfg["mode"] == "bat" and cfg["K"] == 4
+        assert cfg.seed == 42 and cfg.adv.mode == "bat" and cfg.gen.K == 4
+        # the one seed is the generator's and the adversarial run's
+        assert cfg.gen.seed == cfg.adv.seed == 42
 
     def test_negative_seed_flag_rejected(self, tmp_path):
         for stage in ALL_STAGES:
@@ -130,12 +169,41 @@ class TestConfig:
     def test_resolved_text_covers_every_key(self, small_cfg):
         cfg = load_run_config(small_cfg, {})
         text = resolved_config_text(cfg)
-        for key in cfg:
-            assert f"{key}=" in text
+        assert [line.partition("=")[0] for line in text.splitlines()] == list(CONFIG_SCHEMA)
+
+    def test_every_key_config_sets_every_key(self, tmp_path):
+        path = tmp_path / "every.cfg"
+        path.write_text(EVERY_KEY)
+        cfg = load_run_config(str(path), {})
+        assert cfg.disc_hidden == ()
+        defaults = resolved_config_text(load_run_config(None, {})).splitlines()
+        lines = resolved_config_text(cfg).splitlines()
+        assert [a for a, b in zip(defaults, lines) if a == b] == []
+
+    @pytest.mark.parametrize("text", [None, SMALL, EVERY_KEY],
+                             ids=["defaults", "small", "every_key"])
+    def test_resolved_text_parses_to_itself(self, tmp_path, text):
+        path = None
+        if text is not None:
+            path = tmp_path / "given.cfg"
+            path.write_text(text)
+        resolved = resolved_config_text(load_run_config(path and str(path), {}))
+        again = tmp_path / "resolved.cfg"
+        again.write_text(resolved)
+        assert resolved_config_text(load_run_config(str(again), {})) == resolved
+
+    @pytest.mark.parametrize("text", [SMALL, EVERY_KEY], ids=["small", "every_key"])
+    def test_gen_from_its_resolved_config_writes_the_same_bytes(self, tmp_path, text):
+        given, a, b = tmp_path / "given.cfg", tmp_path / "a", tmp_path / "b"
+        given.write_text(text)
+        assert run("gen", "--config", str(given), "--out", str(a), "--seed", "3") == 0
+        assert run("gen", "--config", str(a / "config.gen.resolved"), "--out", str(b)) == 0
+        for name in ("corpus.saco", "config.gen.resolved"):
+            assert filecmp.cmp(a / name, b / name, shallow=False), name
 
     def test_default_resolved_text(self):
-        # the key order feeds every report's fingerprint: reordering a key,
-        # or a field of GeneratorConfig or AdversarialConfig, changes it
+        # the key order feeds every report's fingerprint: reordering a key
+        # of CONFIG_SCHEMA, or changing a default, changes it
         assert resolved_config_text(load_run_config(None, {})) == (
             "seed=0\n"
             "K=10\n"
@@ -256,11 +324,11 @@ class TestPipeline:
         for stage in ("gen", "pretrain", "eval"):
             assert run(stage, "--config", small_cfg, "--out", out, "--seed", "3") == 0
         cfg = load_run_config(small_cfg, {"seed": 3})
-        feats, pron, flu = generate_assessment_corpus(cfg["assess_n"], 3)
+        feats, pron, flu = generate_assessment_corpus(cfg.assess.n, 3)
         n_train = int(0.8 * len(feats))
         net = AssessmentNetwork(rng=np.random.default_rng(3))
         training.train_assessment_network(net, feats[:n_train], pron[:n_train], flu[:n_train],
-                                          epochs=cfg["assess_epochs"], lr=cfg["assess_lr"],
+                                          epochs=cfg.assess.epochs, lr=cfg.assess.lr,
                                           seed=3)
         expected = evaluate.assessment_metrics(net, feats[n_train:], pron[n_train:],
                                                flu[n_train:])
@@ -593,6 +661,10 @@ PROBES = {
     "adapted_alpha_source": ("alpha_source = adapted\n", None, ALL_STAGES, EXIT_CONFIG),
     "out_dir_in_config": ("out_dir = elsewhere\n", None, ALL_STAGES, EXIT_CONFIG),
     "non_integer_hidden_width": ("adapter_hidden = 8,x\n", None, ALL_STAGES, EXIT_CONFIG),
+    # an empty item would give one network two spellings, and two fingerprints
+    "empty_item_in_hidden_widths": ("am_hidden = 16,,16\n", None, ALL_STAGES, EXIT_CONFIG),
+    "trailing_comma_in_hidden_widths": ("disc_hidden = 12,\n", None, ALL_STAGES,
+                                        EXIT_CONFIG),
     "nan_learning_rate": ("lr_adapter = nan\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_adversarial_epochs": ("epochs = 0\n", None, ALL_STAGES, EXIT_CONFIG),
     "zero_pretrain_batch": ("pretrain_batch = 0\n", None, ALL_STAGES, EXIT_CONFIG),

@@ -25,12 +25,15 @@ from senadapt.models import (
 from senadapt.nn import NonFiniteError, sgd_step
 from senadapt.synthdata import (
     GeneratorConfig,
+    SettingError,
     TrainingView,
     generate_assessment_corpus,
     generate_corpus,
 )
 from senadapt.training import (
     AdversarialConfig,
+    AssessConfig,
+    PretrainConfig,
     TrainLog,
     TrainLogRecord,
     _minibatches,
@@ -188,6 +191,31 @@ class TestPretraining:
             log = train(am, view, epochs=3, lr=0.1, seed=6, batch_size=64, momentum=0.9)
             runs.append((log.trajectory_key(), am.net.store.serialize()))
         assert runs[0] == runs[1]
+
+
+class TestStageConfigs:
+    """PretrainConfig and AssessConfig reject every setting their runs would,
+    naming the field that is out of its bound."""
+
+    def test_defaults_pass(self):
+        PretrainConfig().validate()
+        AssessConfig().validate()
+
+    @pytest.mark.parametrize("cfg, name", [
+        (PretrainConfig(epochs=0), "epochs"), (PretrainConfig(lr=0.0), "lr"),
+        (PretrainConfig(lr=math.nan), "lr"), (PretrainConfig(lr=math.inf), "lr"),
+        (PretrainConfig(momentum=1.0), "momentum"), (PretrainConfig(batch=0), "batch"),
+        (AssessConfig(n=49), "n"), (AssessConfig(epochs=0), "epochs"),
+        (AssessConfig(lr=0.0), "lr"), (AssessConfig(lr=math.nan), "lr"),
+        (AssessConfig(lr=math.inf), "lr")],
+        ids=["pretrain-epochs-0", "pretrain-lr-0", "pretrain-lr-nan", "pretrain-lr-inf",
+             "pretrain-momentum-1", "pretrain-batch-0", "assess-n-49", "assess-epochs-0",
+             "assess-lr-0", "assess-lr-nan", "assess-lr-inf"])
+    def test_out_of_bound_setting_rejected(self, cfg, name):
+        with pytest.raises(SettingError) as e:
+            cfg.validate()
+        assert e.value.name == name
+        assert e.value.value is getattr(cfg, name)
 
 
 class TestLambdaSchedule:
