@@ -37,13 +37,13 @@ nothing, as the loss kernels it calls check nothing: adversarial_train checks
 the config, the models, the labels and the frames once per run, and its
 batches each hold an adult frame.
 
-Where the work runs. Under gradient_reversal the discriminator and the
-frozen acoustic model are two heads on the adapter's output, and in an
-assessment step a layer's parameter gradient waits only for its input and
-pre-activation gradient, which no later layer reads. So neither half waits
-for the other within a batch, and when the host has a core to spare each
-run forks one worker that does the discriminator half (_DiscWorker) or the
-assessment parameter half (_AssessWorker); each class gives its hand-offs.
+Where the work runs. The discriminator's half of a batch of either scheme
+(_discriminator_half) reads only the adapter's output, alpha and the
+domains, and in an assessment step a layer's parameter gradient waits only
+for its input and pre-activation gradient, which no later layer reads. So
+neither half waits for the other within a batch, and when the host has a
+core to spare each run forks one worker that does the discriminator half
+(_DiscWorker) or the assessment parameter half (_AssessWorker).
 Each ParameterStore is one shared map, so a worker steps the caller's own
 parameters. One ordering rule keeps the caller from reading a weight the
 worker has stepped: a layer goes to the worker when its gradient exists,
@@ -67,7 +67,6 @@ single-threaded process is what keeps the fork safe.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import os
@@ -339,6 +338,20 @@ def _domain_half(disc: DomainDiscriminator, trace, domain: np.ndarray,
     return dom_mean, feat_grad, correct
 
 
+def _discriminator_half(disc: DomainDiscriminator, feats: np.ndarray, trace, domain: np.ndarray,
+                        alpha: np.ndarray | None, cfg: AdversarialConfig) -> tuple:
+    """_domain_half for one batch of cfg.update_scheme after the forward
+    trace of feats, in process or on the worker. Under alternating the
+    discriminator steps here, and a second forward of feats forms the
+    feature gradient against the stepped discriminator."""
+    if cfg.update_scheme == "alternating":
+        _domain_half(disc, trace, domain, alpha, input_grad=False)
+        sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
+        return _domain_half(disc, disc.net.forward(feats, check_input=False), domain, alpha,
+                            param_grads=False)
+    return _domain_half(disc, trace, domain, alpha)
+
+
 def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
                             disc: DomainDiscriminator, x: np.ndarray,
                             senone_labels: np.ndarray, domain: np.ndarray,
@@ -353,8 +366,8 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     gradient_reversal both stores accumulate their gradients and neither is
     stepped. Under alternating the discriminator takes its sgd_step here,
     and the adapter gradients are formed against the stepped discriminator.
-    With a worker (gradient_reversal only) the worker's discriminator takes
-    the gradients and its sgd_step, and disc is left as it is.
+    With a worker the worker runs the discriminator's half of either scheme
+    and takes its sgd_step, on the parameters of disc.
     """
     adult_rows = np.flatnonzero(domain == 0)
 
@@ -366,16 +379,9 @@ def adversarial_batch_grads(adapter: AdaptationNetwork, am: AdultAcousticModel,
     alpha = am_trace.output if disc.mode == "senone_aware" else None
     if worker is not None:
         worker.hand_alpha(alpha)
-    elif cfg.update_scheme == "alternating":
-        _domain_half(disc, disc.net.forward(at.output, check_input=False), domain, alpha,
-                     input_grad=False)
-        sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
-        dom_mean, feat_grad_dom, correct = _domain_half(
-            disc, disc.net.forward(at.output, check_input=False), domain, alpha,
-            param_grads=False)
     else:
-        dom_mean, feat_grad_dom, correct = _domain_half(
-            disc, disc.net.forward(at.output, check_input=False), domain, alpha)
+        dom_mean, feat_grad_dom, correct = _discriminator_half(
+            disc, at.output, disc.net.forward(at.output, check_input=False), domain, alpha, cfg)
     ce, ce_grad = losses.ce_kernel(am_trace.output, adult_rows, senone_labels[adult_rows])
     feat_grad = am.net.backward(am_trace, ce_grad, from_logits=True)
     if worker is not None:
@@ -590,12 +596,13 @@ class _Worker:
 
 
 class _DiscWorker(_Worker):
-    """Runs the discriminator half of each batch of one gradient-reversal
-    run over n_frames frames, and steps disc, which the caller does not
-    read during the run. Per batch the caller hands over the
-    features and the domain columns, then for sat alpha; the worker replies
-    with the feature gradient, the mean domain loss and the count of
-    correct domain calls, then takes the discriminator's sgd_step."""
+    """Runs the discriminator half of each batch of one adversarial run
+    over n_frames frames, and steps disc, which the caller does not read
+    during the run. Per batch the caller hands over the features and the
+    domain columns, then for sat alpha; the worker replies with the feature
+    gradient, the mean domain loss and the count of correct domain calls.
+    It steps the discriminator after its reply under gradient_reversal, and
+    under alternating before its second forward, which reads the features."""
 
     name = "discriminator"
 
@@ -625,16 +632,19 @@ class _DiscWorker(_Worker):
         return float(dom_mean), self._a["grad"][: self._a["rows"][0]].copy(), int(correct)
 
     def _batch(self, n: int) -> None:
-        a, disc = self._a, self.disc
-        trace = disc.net.forward(a["feats"][:n], check_input=False)
+        a, disc, cfg = self._a, self.disc, self.cfg
+        feats = a["feats"][:n]
+        trace = disc.net.forward(feats, check_input=False)
         alpha = None
         if disc.mode == "senone_aware":
             if not self._receive():
                 return
             alpha = a["alpha"][:n]
-        dom_mean, feat_grad, correct = _domain_half(disc, trace, a["domain"][:n], alpha)
+        dom_mean, feat_grad, correct = _discriminator_half(disc, feats, trace, a["domain"][:n],
+                                                           alpha, cfg)
         self._answer(grad=feat_grad, reply=(dom_mean, correct))
-        sgd_step(disc.store, self.cfg.lr_discriminator, self.cfg.momentum)
+        if cfg.update_scheme == "gradient_reversal":
+            sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
 
 
 def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
@@ -655,25 +665,23 @@ def adversarial_train(adapter: AdaptationNetwork, am: AdultAcousticModel,
     rng = np.random.default_rng(cfg.seed)
     lams = [cfg.reversal_coefficient * lambda_schedule(epoch, cfg.epochs, cfg.lambda_shape)
             for epoch in range(cfg.epochs)]
-    worker = (_DiscWorker(disc, cfg, len(view.frames))
-              if cfg.update_scheme == "gradient_reversal" else None)
+    worker = _DiscWorker(disc, cfg, len(view.frames))
 
     def step(epoch, idx):
-        forked = worker if worker is not None and worker.forked else None
         stats = adversarial_batch_grads(adapter, am, disc, view.frames[idx],
                                         view.adult_senone_labels[idx],
                                         view.domain_labels[idx], cfg, lams[epoch],
-                                        worker=forked)
-        if forked is None and cfg.update_scheme == "gradient_reversal":
+                                        worker=worker if worker.forked else None)
+        if not worker.forked and cfg.update_scheme == "gradient_reversal":
             sgd_step(disc.store, cfg.lr_discriminator, cfg.momentum)
         sgd_step(adapter.store, cfg.lr_adapter, cfg.momentum)
         return stats
 
-    with worker or contextlib.nullcontext():
+    with worker:
         log = _sgd_epochs(cfg.epochs, [adapter.store, disc.store],
                           lambda: _stratified_batches(rng, adult_idx, child_idx,
                                                       cfg.batch_size), step)
-    log.second_process = worker is not None and worker.forked
+    log.second_process = worker.forked
     return log
 
 

@@ -446,7 +446,8 @@ REFERENCE_CASES = (
         ("sat", "alternating", "ramp"), ("sat", "gradient_reversal", "ramp"),
         ("sat", "gradient_reversal", "constant"))]
     + [pytest.param(*case, True, id="-".join(case) + "-worker", marks=FORKS_ANY_HOST)
-       for case in (("bat", "gradient_reversal", "ramp"), ("sat", "gradient_reversal", "ramp"),
+       for case in (("bat", "alternating", "ramp"), ("bat", "gradient_reversal", "ramp"),
+                    ("sat", "alternating", "ramp"), ("sat", "gradient_reversal", "ramp"),
                     ("sat", "gradient_reversal", "constant"))])
 
 
@@ -675,8 +676,9 @@ class TestAdversarialTrain:
 
 
 class TestDiscriminatorWorker:
-    """The discriminator half of a gradient-reversal batch on a forked
-    worker: which runs fork one, and every way a run can end reaps it."""
+    """The discriminator half of an adversarial batch, of either scheme, on
+    a forked worker: which runs fork one, and every way a run can end reaps
+    it."""
 
     def setup_method(self):
         self.view = small_corpus(seed=8).training_view("train")
@@ -692,16 +694,42 @@ class TestDiscriminatorWorker:
                                  AdversarialConfig(mode=mode, epochs=2, **cfg))
 
     @FORKS_ANY_HOST
-    @pytest.mark.parametrize("scheme, free, forks", [("gradient_reversal", True, 1),
-                                                     ("gradient_reversal", False, 0),
-                                                     ("alternating", True, 0)])
-    def test_forks_one_worker_per_gradient_reversal_run(self, monkeypatch, scheme, free,
-                                                        forks):
+    @pytest.mark.parametrize("free, forks", [(True, 1), (False, 0)])
+    @pytest.mark.parametrize("scheme", ["gradient_reversal", "alternating"])
+    def test_forks_one_worker_per_run(self, monkeypatch, scheme, free, forks):
+        # whatever the scheme: the host alone decides
         use_worker(monkeypatch, free)
         counted = count_forks(monkeypatch)
         log = self.train(update_scheme=scheme)
         assert len(counted) == forks
         assert log.second_process == (forks == 1)
+        assert_no_child_left()
+
+    @FORKS_ANY_HOST
+    def test_worker_matches_in_process_at_the_fixture_shapes(self, monkeypatch):
+        # the acceptance fixture's networks (20 -> 64 adapter and
+        # discriminator, K = 10, batch 128) on 1,000 frames per domain; the
+        # reference-loop test runs 8-wide networks only
+        cfg = GeneratorConfig(n_adult=1400, n_child=1400, split_fractions=(5 / 7, 1 / 7, 1 / 7),
+                              seed=14)
+        view = generate_corpus(cfg).training_view("train")
+        am = build_adult_am(20, [64, 64], 10, rng=np.random.default_rng(14))
+        pretrain_adult_am(am, view, epochs=2, lr=0.1, seed=14)
+        for mode in ("bat", "sat"):
+            for scheme in ("gradient_reversal", "alternating"):
+                runs = []
+                for worker in (False, True):
+                    use_worker(monkeypatch, worker)
+                    rng = np.random.default_rng(14)
+                    adapter = AdaptationNetwork(20, [64], rng=rng)
+                    disc = DomainDiscriminator(
+                        20, [64], "senone_aware" if mode == "sat" else "binary",
+                        K=10 if mode == "sat" else None, rng=rng)
+                    log = adversarial_train(adapter, am, disc, view, AdversarialConfig(
+                        mode=mode, update_scheme=scheme, epochs=2, seed=14))
+                    assert log.second_process == worker
+                    runs.append((log.trajectory_key(), *arena_bytes(adapter.store, disc.store)))
+                assert runs[0] == runs[1], (mode, scheme)
         assert_no_child_left()
 
     @FORKS_ANY_HOST
@@ -756,11 +784,16 @@ class TestDiscriminatorWorker:
         assert_no_child_left()
 
     @FORKS_ANY_HOST
-    @pytest.mark.parametrize("mode", ["bat", "sat"])
-    def test_nan_on_the_worker_raises_in_the_caller(self, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, scheme", [
+        ("bat", "gradient_reversal"), ("sat", "gradient_reversal"),
+        ("bat", "alternating"), ("sat", "alternating")],
+        ids=["bat", "sat", "bat-alternating", "sat-alternating"])
+    def test_nan_on_the_worker_raises_in_the_caller(self, monkeypatch, mode, scheme):
         # the first discriminator step overflows its weights and the next
-        # forward meets the NaN; on the worker as in process, the run raises
-        # and leaves both stores where its steps reached
+        # forward meets the NaN: the next batch's under gradient_reversal,
+        # the same batch's second forward under alternating, which on the
+        # worker comes before its reply; on the worker as in process, the
+        # run raises and leaves both stores where its steps reached
         runs = []
         for worker in (False, True):
             use_worker(monkeypatch, worker)
@@ -772,7 +805,8 @@ class TestDiscriminatorWorker:
             with (np.errstate(over="ignore", invalid="ignore"),
                   pytest.raises(NonFiniteError) as raised):
                 adversarial_train(adapter, self.am, disc, self.view,
-                                  AdversarialConfig(mode=mode, epochs=2, lr_discriminator=1e300))
+                                  AdversarialConfig(mode=mode, update_scheme=scheme, epochs=2,
+                                                    lr_discriminator=1e300))
             assert disc.store.serialize() != built
             runs.append((str(raised.value), *arena_bytes(adapter.store, disc.store)))
         assert runs[0] == runs[1]
@@ -781,21 +815,23 @@ class TestDiscriminatorWorker:
     @FORKS_ANY_HOST
     def test_error_between_the_hand_offs_reaps_the_worker(self, monkeypatch):
         # the acoustic-model forward of a sat batch runs after the features
-        # are handed over and before alpha is
+        # are handed over and before alpha is, under either scheme
         use_worker(monkeypatch, True)
-        forward, calls = self.am.net.forward, []
+        forward = self.am.net.forward
+        for scheme in ("gradient_reversal", "alternating"):
+            calls = []
 
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return forward(*args, **kwargs)
+            def failing(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+                return forward(*args, **kwargs)
 
-        monkeypatch.setattr(self.am.net, "forward", failing)
-        with pytest.raises(KeyboardInterrupt):
-            self.train("sat")
-        assert len(calls) == 3
-        assert_no_child_left()
+            monkeypatch.setattr(self.am.net, "forward", failing)
+            with pytest.raises(KeyboardInterrupt):
+                self.train("sat", update_scheme=scheme)
+            assert len(calls) == 3
+            assert_no_child_left()
 
     @FORKS_ANY_HOST
     def test_killed_worker_raises(self, monkeypatch):
