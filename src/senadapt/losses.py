@@ -46,7 +46,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import PROB_FLOOR, ShapeError
+from .nn import ShapeError
+
+# floor for the log arguments of loss values; no training gradient reads it
+PROB_FLOOR = 1e-12
 
 
 def _check_indicator(indicator: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses
 from .nn import (FormatError, ForwardTrace, LayerSpec, Network, ParameterStore,
                  ShapeError, pack_container, unpack_container)
 from .synthdata import ASSESS_LEVELS
@@ -133,17 +132,6 @@ class DomainDiscriminator:
     def store(self) -> ParameterStore:
         return self.net.store
 
-    def loss_backward(self, trace: ForwardTrace, domain_cols: np.ndarray,
-                      alpha: np.ndarray | None, **backward):
-        """The domain loss and backward of trace, the caller's forward of this
-        network (keywords go to Network.backward): the senone-aware loss
-        against alpha, or against alpha = 1, the binary loss, when alpha is
-        None. The forward is the caller's, so that it can run before alpha
-        is known. Returns the mean domain loss and the input gradient."""
-        alpha = np.ones((len(trace.output), 1)) if alpha is None else alpha
-        dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain_cols, alpha)
-        return dom_mean, self.net.backward(trace, grad, from_logits=True, **backward)
-
 
 class AssessmentNetwork:
     """Shared rectifier trunk with two 5-way softmax heads
@@ -157,9 +145,8 @@ class AssessmentNetwork:
         self.head_pron = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
         self.head_flu = Network(_stack(width, [], ASSESS_LEVELS, "softmax"), rng=rng)
 
-    def forward(self, x: np.ndarray, *, check_input: bool = True,
-                trunk_out: list[np.ndarray] | None = None):
-        t = self.trunk.forward(x, check_input=check_input, out=trunk_out)
+    def forward(self, x: np.ndarray, *, check_input: bool = True):
+        t = self.trunk.forward(x, check_input=check_input)
         # the trunk's output is checked: the heads skip their input check
         p = self.head_pron.forward(t.output, check_input=False)
         f = self.head_flu.forward(t.output, check_input=False)

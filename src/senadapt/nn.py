@@ -24,11 +24,7 @@ fixed adult acoustic model participates in adversarial training.
 Network.forward checks its output for NaN and Inf, and its input unless the
 caller passes check_input=False: the training loops do for frames they
 checked once per run and for a network's (checked) output. NonFiniteError
-stays the default for every other caller. Given out=, one row-first buffer
-per layer, it writes each layer's pre-activation z into that layer's buffer,
-with the bits of a forward without out=: a rectifier or identity layer's h
-is the buffer itself, so the trace holds views of the buffers (sigmoid and
-softmax layers allocate their h).
+stays the default for every other caller.
 
 Network.backward never writes into the caller's upstream gradient; it works
 in place only on arrays it allocated itself. With from_logits=True the
@@ -54,9 +50,6 @@ from math import prod
 import numpy as np
 
 ACTIVATIONS = ("rectifier", "sigmoid", "identity", "softmax")
-
-# floor for the log arguments of loss values; no training gradient reads it
-PROB_FLOOR = 1e-12
 
 CONTAINER_MAGIC = b"SENADAPT"
 # the only dtypes a container holds, as numpy dtype strings (byte order explicit)
@@ -295,12 +288,10 @@ class Network:
     def hidden(self) -> tuple[int, ...]:
         return tuple(s.out_dim for s in self.layers[:-1])
 
-    def forward(self, x: np.ndarray, *, check_input: bool = True,
-                out: list[np.ndarray] | None = None) -> ForwardTrace:
+    def forward(self, x: np.ndarray, *, check_input: bool = True) -> ForwardTrace:
         """Run the stack on x. The output is always checked for NaN and Inf;
         check_input=False skips the same check on x, for callers whose x
-        was already checked (a training run's frames, a network's output).
-        out holds one (rows, out_dim) buffer per layer (module docstring)."""
+        was already checked (a training run's frames, a network's output)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
@@ -309,8 +300,8 @@ class Network:
         if check_input and not np.isfinite(x).all():
             raise NonFiniteError("non-finite values in network input")
         acts = [x]
-        for i, (spec, (W, b, _, _)) in enumerate(zip(self.layers, self._params)):
-            z = acts[-1] @ W if out is None else np.matmul(acts[-1], W, out=out[i])
+        for spec, (W, b, _, _) in zip(self.layers, self._params):
+            z = acts[-1] @ W
             z += b
             if spec.activation == "rectifier":
                 h = np.maximum(z, 0.0, out=z)

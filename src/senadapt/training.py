@@ -8,8 +8,8 @@ discriminator's pairing and its whole input before its first step (finite
 frames or features, domains in {0, 1}, senone labels in [0, K) on adult rows,
 assessment levels in range, one level of each kind per feature row); its
 step then runs the losses' unchecked kernels and skips Network.forward's
-input check. The discriminator-only run trains
-the binary reference; it and the assessment run use fixed batch sizes and momenta.
+input check. The discriminator-only run trains the binary reference; it and
+the assessment run use fixed batch sizes and momenta.
 
 The min-max objective is realized two ways, selectable per AdversarialConfig;
 one call of adversarial_batch_grads runs one whole batch of either:
@@ -329,11 +329,16 @@ def _stratified_batches(rng: np.random.Generator, adult_idx: np.ndarray,
 def _domain_half(disc: DomainDiscriminator, trace, domain: np.ndarray,
                  alpha: np.ndarray | None, **backward) -> tuple[float, np.ndarray | None, int]:
     """The discriminator's half of a batch after its forward trace: the
-    domain loss against alpha and its backward (keywords go to
-    Network.backward). Returns the mean domain loss, the feature gradient
-    and the count of correct domain calls. The in-process batch, the worker
-    and the reference discriminator's run all call it."""
-    dom_mean, feat_grad = disc.loss_backward(trace, domain.astype(np.intp), alpha, **backward)
+    senone-aware domain loss against alpha, or against alpha = 1, the binary
+    loss, when alpha is None, and its backward (keywords go to
+    Network.backward). The forward is the caller's, so that it can run
+    before alpha is known. Returns the mean domain loss, the feature
+    gradient and the count of correct domain calls. The in-process batch,
+    the worker and the reference discriminator's run all call it."""
+    alpha = np.ones((len(domain), 1)) if alpha is None else alpha
+    dom_mean, grad = losses.senone_aware_domain_kernel(trace.output, domain.astype(np.intp),
+                                                       alpha)
+    feat_grad = disc.net.backward(trace, grad, from_logits=True, **backward)
     correct = int((marginal_domain_probs(trace.output).argmax(axis=1) == domain).sum())
     return dom_mean, feat_grad, correct
 
@@ -717,15 +722,14 @@ _ASSESS_MOMENTUM = 0.9
 class _AssessWorker(_Worker):
     """Forms and steps the parameter gradients of the heads and trunk layers
     1 and up of an AssessmentNetwork through one train_assessment_network
-    run. The caller's trunk forward writes its activations into the act{i}
-    regions (activations()), and per batch it hands over the heads' logit
-    gradients, each trunk layer's pre-activation gradient gz_i, i >= 1,
-    from the top down, and once gz_0 exists nothing. The worker forms each
-    layer's parameter gradient at once but steps the layer only at the
-    next hand-off, which comes after the caller has read its weights (the
-    heads' in their input gradients, W_i in forming gz_(i-1)). Its reply
-    follows its last step; the caller waits for it before its next forward,
-    which overwrites the regions."""
+    run. Per batch the caller hands over the heads' input and logit
+    gradients, then each trunk layer's input act_i with its pre-activation
+    gradient gz_i, i >= 1, from the top down, and once gz_0 exists nothing.
+    The worker forms each layer's parameter gradient at once but steps the
+    layer only at the next hand-off, which comes after the caller has read
+    its weights (the heads' in their input gradients, W_i in forming
+    gz_(i-1)). Its reply follows its last step; the caller waits for it
+    before its next forward, which reads the stepped weights."""
 
     name = "assessment"
 
@@ -744,10 +748,6 @@ class _AssessWorker(_Worker):
             regions[f"gz{i}"] = (np.float64, (rows, spec.out_dim))
         return regions
 
-    def activations(self, n: int) -> list[np.ndarray]:
-        """The trunk forward's out= for a batch of n rows: [act1, ..., act{top + 1}]."""
-        return [self._a[f"act{i}"][:n] for i in range(1, len(self._spans) + 1)]
-
     def backward_step(self, traces, grad_pron: np.ndarray, grad_flu: np.ndarray) -> None:
         """The caller's half of AssessmentNetwork.backward and the stores'
         sgd_steps: the heads' input gradients, the trunk's input-gradient
@@ -755,13 +755,14 @@ class _AssessWorker(_Worker):
         hand-offs between them."""
         net = self.net
         t, p, f = traces
-        self._hand(len(grad_pron), g_pron=grad_pron, g_flu=grad_flu)
+        self._hand(len(grad_pron), g_pron=grad_pron, g_flu=grad_flu,
+                   **{f"act{len(self._spans)}": t.output})
         gt = (net.head_pron.backward(p, grad_pron, from_logits=True, param_grads=False)
               + net.head_flu.backward(f, grad_flu, from_logits=True, param_grads=False))
         for i, gz in net.trunk.preactivation_grads(t, gt):
             if i == 0:
                 break
-            self._hand(**{f"gz{i}": gz})
+            self._hand(**{f"act{i}": t.activations[i], f"gz{i}": gz})
         self._hand()  # gz_0 exists: the chain has read every weight above layer 0
         net.trunk.accumulate_layer_grads(0, t.activations[0], gz)
         sgd_step(net.trunk.store, self.lr, _ASSESS_MOMENTUM, span=self._spans[0])
@@ -813,8 +814,7 @@ def train_assessment_network(net, features: np.ndarray, pron: np.ndarray,
         yp, yf = pron[idx] - 1, flu[idx] - 1
         rows = np.arange(len(idx))
         worker.wait()
-        traces = net.forward(x, check_input=False,
-                             trunk_out=worker.activations(len(idx)) if worker.forked else None)
+        traces = net.forward(x, check_input=False)
         _, p, f = traces
         ce_p, g_p = losses.ce_kernel(p.output, rows, yp)
         ce_f, g_f = losses.ce_kernel(f.output, rows, yf)

@@ -264,20 +264,6 @@ class TestPipeline:
     # threaded process, which Python 3.12+ warns of
     @pytest.mark.filterwarnings(
         "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
-    @pytest.mark.parametrize("free, where", [(True, "on a second process"),
-                                             (False, "in process")])
-    def test_stages_say_where_the_worker_half_ran(self, small_cfg, tmp_path, monkeypatch,
-                                                  capsys, free, where):
-        monkeypatch.setattr(training, "_second_core_free", lambda: free)
-        out = str(tmp_path / "run")
-        for argv in (("gen",), ("pretrain",), ("adapt", "--mode", "sat"), ("eval",)):
-            assert run(*argv, "--config", small_cfg, "--out", out) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-2].endswith(f"discriminator half ran {where}")
-        assert lines[-1].endswith(f"assessment parameter half ran {where}")
-
-    @pytest.mark.filterwarnings(
-        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
     def test_both_worker_paths_write_the_same_bytes(self, small_cfg, tmp_path, monkeypatch,
                                                     capsys):
         # the workers change where the arithmetic runs, not what it computes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from senadapt.losses import (
+    PROB_FLOOR,
     binary_domain_loss,
     ce_kernel,
     senone_aware_domain_kernel,
@@ -13,7 +14,7 @@ from senadapt.losses import (
     senone_ce_loss,
 )
 from senadapt.models import marginal_domain_probs
-from senadapt.nn import PROB_FLOOR, ShapeError, _activation_backward, _softmax
+from senadapt.nn import ShapeError, _activation_backward, _softmax
 
 
 def naive_senone_aware_loss(disc_out, indicator, alpha):

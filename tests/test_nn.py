@@ -86,20 +86,6 @@ class TestForward:
         with pytest.raises(NonFiniteError, match="output"):
             net.forward(np.array([[1.0, np.nan]]), check_input=False)
 
-    def test_out_buffers_hold_the_trace(self):
-        # the first rows of larger buffers, as a training worker's regions:
-        # the bits of a forward without out=, and rectifier and identity
-        # outputs are the buffers while sigmoid and softmax ones are not
-        specs = [LayerSpec(6, 8), LayerSpec(8, 7, "identity"), LayerSpec(7, 5, "sigmoid"),
-                 LayerSpec(5, 4, "softmax")]
-        net = make_net(specs, seed=3)
-        x = np.random.default_rng(3).standard_normal((9, 6))
-        out = [np.zeros((16, s.out_dim))[:9] for s in specs]
-        plain, into = net.forward(x).activations, net.forward(x, out=out).activations
-        assert [a.tobytes() for a in into] == [a.tobytes() for a in plain]
-        assert [np.shares_memory(h, buf) for h, buf in zip(into[1:], out)] == [
-            True, True, False, False]
-
     def test_softmax_only_final(self):
         with pytest.raises(ValueError, match="final"):
             zero_net([LayerSpec(2, 2, "softmax"), LayerSpec(2, 2, "identity")])

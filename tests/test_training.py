@@ -1208,12 +1208,12 @@ class TestAssessmentTraining:
         # per batch of a 3-layer trunk: the heads' gradients before the
         # chain forms gz2, gz2 before it forms gz1 from W2, gz1 before it
         # forms gz0 from W1, and one empty hand-off, which releases layer 1,
-        # once gz0 exists. On the worker the trunk's activations above its
-        # input are the worker's act regions; in process they are arrays of
-        # their own
+        # once gz0 exists. Each layer's input goes over with its gradient: on
+        # either path the caller's trunk activations are arrays of its own,
+        # never the worker's regions
         hand, chain = training._Worker._hand, nn.Network.preactivation_grads
-        forward, backward_step = AssessmentNetwork.forward, training._AssessWorker.backward_step
-        events, checked = [], []
+        forward, enter = AssessmentNetwork.forward, training._AssessWorker.__enter__
+        events, checked, workers = [], [], []
 
         def recorded_hand(worker, rows=None, **arrays):
             events.append(("hand", rows, *sorted(arrays)))
@@ -1225,30 +1225,25 @@ class TestAssessmentTraining:
                     events.append(("formed", i))
                 yield i, gz
 
-        def in_process_forward(net, *args, **kwargs):
+        def recorded_enter(worker):
+            workers.append(worker)
+            return enter(worker)
+
+        def checked_forward(net, *args, **kwargs):
             traces = forward(net, *args, **kwargs)
-            assert kwargs["trunk_out"] is None
-            assert all(a.flags.owndata for a in traces[0].activations[1:])
+            regions = (workers[-1]._a or {}).values()
+            assert not any(np.shares_memory(a, r)
+                           for a in traces[0].activations for r in regions)
             checked.append(1)
             return traces
 
-        def worker_backward_step(worker, traces, *args):
-            for i, a in enumerate(traces[0].activations[1:], 1):
-                assert np.shares_memory(a, worker._a[f"act{i}"])
-            checked.append(1)
-            return backward_step(worker, traces, *args)
-
         monkeypatch.setattr(training._Worker, "_hand", recorded_hand)
         monkeypatch.setattr(nn.Network, "preactivation_grads", recorded_chain)
+        monkeypatch.setattr(training._AssessWorker, "__enter__", recorded_enter)
+        monkeypatch.setattr(AssessmentNetwork, "forward", checked_forward)
         runs = []
         for worker in (False, True):
             use_worker(monkeypatch, worker)
-            if worker:
-                monkeypatch.setattr(AssessmentNetwork, "forward", forward)
-                monkeypatch.setattr(training._AssessWorker, "backward_step",
-                                    worker_backward_step)
-            else:
-                monkeypatch.setattr(AssessmentNetwork, "forward", in_process_forward)
             events.clear()
             checked.clear()
             net, log = self.train_small(trunk_dims=(16, 16, 16))
@@ -1256,10 +1251,11 @@ class TestAssessmentTraining:
             # 300 rows: four batches of 64 and one of 44 per epoch, two epochs
             assert len(checked) == 10
             runs.append((log.trajectory_key(), *self.arenas(net)))
-        batch = [("formed", 2), ("hand", None, "gz2"), ("formed", 1), ("hand", None, "gz1"),
-                 ("formed", 0), ("hand", None)]
+        batch = [("formed", 2), ("hand", None, "act2", "gz2"), ("formed", 1),
+                 ("hand", None, "act1", "gz1"), ("formed", 0), ("hand", None)]
         assert events == [event for n in [64, 64, 64, 64, 44] * 2
-                          for event in [("hand", n, "g_flu", "g_pron"), *batch]] + [("hand", 0)]
+                          for event in [("hand", n, "act3", "g_flu", "g_pron"), *batch]] + [
+                              ("hand", 0)]
         assert runs[0] == runs[1]
         assert_no_child_left()
 
@@ -1356,7 +1352,7 @@ class TestAssessmentTraining:
         with pytest.raises(KeyboardInterrupt):
             self.train_small(trunk_dims=(16, 16, 16))
         assert len(trunk_chains) == 3
-        assert handed[-2:] == [["gz2"], ["gz1"]]
+        assert handed[-2:] == [["act2", "gz2"], ["act1", "gz1"]]
         assert_no_child_left()
 
 
