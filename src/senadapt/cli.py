@@ -74,7 +74,7 @@ PIPELINE = (
     {"pretrain": ("am.bundle", "pretrain.log", "config.pretrain.resolved")},
     {f"adapt_{mode}": (f"adapter_{mode}.bundle", f"disc_{mode}.bundle", f"adapt_{mode}.log",
                        f"config.adapt_{mode}.resolved") for mode in training.DISC_MODES},
-    {"eval": ("report.tsv", "config.eval.resolved")},
+    {"eval": ("report.tsv", "assess.log", "config.eval.resolved")},
 )
 
 
@@ -378,6 +378,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     log = training.train_assessment_network(net, feats[:n_train], pron[:n_train],
                                             flu[:n_train], epochs=cfg.assess.epochs,
                                             lr=cfg.assess.lr, seed=cfg.seed)
+    log.write(out / "assess.log")
     _check_converged(cfg, out, "eval", "assessment training", log, synthdata.ASSESS_LEVELS)
     for name, val in evaluate.assessment_metrics(
             net, feats[n_train:], pron[n_train:], flu[n_train:]).items():

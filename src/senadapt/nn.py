@@ -8,8 +8,8 @@ and the parameters: its trace is the list of activations, input first.
 Parameters live in a ParameterStore: all of a store's values sit in one
 contiguous float64 arena, all its gradients in a second of the same layout
 and its momentum velocity in a third, and every parameter name maps to a
-view into them. The three arenas are the rows of one anonymous shared mmap,
-allocated and zeroed at construction, so a process forked while the store
+view into them. The three arenas are the rows of one shared_zeros array,
+the one place the package maps memory, so a process forked while the store
 lives reads and steps the very parameters of its parent. The layout is
 fixed at construction, from one dict of matrices, so no view can go stale.
 serialize() is a snapshot of the value arena's bytes, not a file format:
@@ -85,11 +85,21 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def shared_zeros(dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed array in an anonymous shared map of its own: a process
+    forked while it lives reads and writes the same memory. The map starts
+    on a page of its own and goes when the array's last view goes. Raises
+    OSError when the host cannot give the map."""
+    dtype, n = np.dtype(dtype), prod(shape)
+    # a map of no bytes is an error, so an empty array maps one
+    return np.frombuffer(mmap.mmap(-1, max(dtype.itemsize * n, 1)), dtype, n).reshape(shape)
+
+
 class ParameterStore:
     """Named 2-D float64 matrices, copied in dict order into one flat arena,
     a gradient arena and a velocity arena of the same layout, and a freeze
-    flag. The arenas are the three rows of one anonymous shared mmap, zeroed
-    at construction; a map the host cannot give raises MemoryError.
+    flag. The arenas are the three rows of one shared_zeros array; a map
+    the host cannot give raises MemoryError.
     value(name) and grad(name) return views into the arenas."""
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -101,12 +111,10 @@ class ParameterStore:
             self._layout[name] = (slice(start, start + a.size), a.shape)
             start += a.size
         try:
-            # zero-filled; a map of no bytes is an error, so a store of none maps one
-            shared = mmap.mmap(-1, max(3 * 8 * start, 1))
+            arenas = shared_zeros(np.float64, (3, start))
         except OSError as e:
             raise MemoryError(f"cannot map a store of {start} parameters: {e}") from None
-        self.flat_values, self.flat_grads, self._velocity = np.frombuffer(
-            shared, np.float64, 3 * start).reshape(3, start)
+        self.flat_values, self.flat_grads, self._velocity = arenas
         for name, a in arrays.items():
             self.value(name)[...] = a
         self.frozen = False

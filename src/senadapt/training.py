@@ -44,16 +44,16 @@ for its input and pre-activation gradient, which no later layer reads. So
 neither half waits for the other within a batch, and when the host has a
 core to spare each run forks one worker that does the discriminator half
 (_DiscWorker) or the assessment parameter half (_AssessWorker).
-Each ParameterStore is one shared map, so a worker steps the caller's own
-parameters. One ordering rule keeps the caller from reading a weight the
-worker has stepped: a layer goes to the worker when its gradient exists,
-and the worker steps it at the caller's next hand-off, which comes after
-the caller's input-gradient chain has read the layer's weights; the
-caller waits for the worker's reply before its next forward. The caller
-never reads the discriminator during a run. The bits are the same on both
-paths: each layer's gradient is the same expression on the same float64
-bytes, each span takes the same element-wise sgd_step arithmetic as its
-whole store, and the hand-offs copy bytes only.
+Each ParameterStore's arenas and each hand-off region are nn.shared_zeros
+arrays, so a worker steps the caller's own parameters. One ordering rule
+keeps the caller from reading a weight the worker has stepped: a layer goes
+to the worker when its gradient exists, and the worker steps it at the
+caller's next hand-off, which comes after the caller's input-gradient chain
+has read the layer's weights; the caller waits for the worker's reply
+before its next forward. The caller never reads the discriminator during a
+run. The bits are the same on both paths: each layer's gradient is the same
+expression on the same float64 bytes, each span takes the same element-wise
+sgd_step arithmetic as its whole store, and the hand-offs copy bytes only.
 
 The hand-offs poll fork-context semaphores with acquire(False), never a
 blocking wait: a process woken from a blocking wait on every hand-off lost
@@ -68,7 +68,6 @@ single-threaded process is what keeps the fork safe.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -81,7 +80,7 @@ import numpy as np
 from . import losses
 from .models import (DISC_MODES, AdaptationNetwork, AdultAcousticModel, DomainDiscriminator,
                      marginal_domain_probs)
-from .nn import NonFiniteError, sgd_step
+from .nn import NonFiniteError, sgd_step, shared_zeros
 from .synthdata import ASSESS_LEVELS, MIN_ASSESS_N, TrainingView, check_settings
 
 
@@ -443,29 +442,29 @@ def _take(sem, alive) -> bool:
 
 class _Worker:
     """A forked process that steps parts of the caller's own parameter
-    stores (each store is a shared map) and does their part of each batch
+    stores (their arenas are shared) and does their part of each batch
     (see the module docstring). A subclass gives its name for messages, its
     shared regions (_regions), the caller's hand-offs and the worker's side
     of a batch (_batch).
 
     Entering forks it when the host has a core to spare
-    (_second_core_free); forked says whether it did. When the mmap, a
-    semaphore or the fork fails with OSError (a process limit, no shared
-    memory) the run goes on in process. Hand-offs go through one shared
-    anonymous mmap, each region rows-first on its own cache lines, and two
-    semaphores: msg carries the caller's hand-offs (_hand), in a fixed order
-    per batch, and reply the worker's answers (_answer). A batch's first
-    hand-off sets its row count and makes its reply pending, which wait()
-    takes; a count of 0 is the finish order. A normal exit waits for the
-    worker's last step and its answer to the finish order; every exit kills
-    and reaps the worker, so the stores stay where its steps reached. A
-    worker error is relayed and raised as its own type; a dead worker raises
-    RuntimeError; a worker whose parent died exits.
+    (_second_core_free); forked says whether it did. When a region's map,
+    a semaphore or the fork fails with OSError (a process limit, no shared
+    memory) the run goes on in process. Hand-offs go through regions, each
+    an nn.shared_zeros array filled rows-first, and two semaphores: msg
+    carries the caller's hand-offs (_hand), in a fixed order per batch, and
+    reply the worker's answers (_answer). A batch's first hand-off sets its
+    row count and makes its reply pending, which wait() takes; a count of 0
+    is the finish order. A normal exit waits for the worker's last step and
+    its answer to the finish order; every exit kills and reaps the worker,
+    so the stores stay where its steps reached. A worker error is relayed
+    and raised as its own type; a dead worker raises RuntimeError; a worker
+    whose parent died exits.
     """
 
     forked = False
     pid: int | None = None
-    _mm = _a = None
+    _a = None  # the regions, by name, while forked
     _pending = False  # a handed-over batch whose reply is not yet taken
 
     def _regions(self) -> dict:
@@ -482,16 +481,9 @@ class _Worker:
 
         regions = {"rows": (np.int64, (1,)), "error_len": (np.int64, (1,)), **self._regions(),
                    "error": (np.uint8, (_ERROR_BYTES,))}
-        # each region on its own cache lines: the two processes write different ones
-        offsets, size = {}, 0
-        for name, (dtype, shape) in regions.items():
-            offsets[name] = size
-            size += -(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 64) * 64
         try:
-            self._mm = mmap.mmap(-1, size)
-            self._a = {name: np.frombuffer(self._mm, dtype, int(np.prod(shape)),
-                                           offsets[name]).reshape(shape)
-                       for name, (dtype, shape) in regions.items()}
+            # each region on pages of its own: the two processes write different cache lines
+            self._a = {name: shared_zeros(*region) for name, region in regions.items()}
             ctx = multiprocessing.get_context("fork")
             self._msg, self._reply = ctx.Semaphore(0), ctx.Semaphore(0)
             parent = os.getpid()
@@ -557,12 +549,7 @@ class _Worker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        self._a = None  # the views, before the map they look into
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:  # a traceback still holds a view: the map goes with it
-                pass
+        self._a = None  # each region goes with its last view
 
     # -- the worker's side, in the forked child ----------------------------
 

@@ -283,7 +283,7 @@ class TestPipeline:
         assert len(names) == 2 + 5 + 5
         for name in names:
             assert filecmp.cmp(outs[True] / name, outs[False] / name, shallow=False), name
-        for log in ("pretrain.log", "adapt_bat.log", "adapt_sat.log"):
+        for log in ("pretrain.log", "adapt_bat.log", "adapt_sat.log", "assess.log"):
             assert (TrainLog.read(outs[True] / log).trajectory_key()
                     == TrainLog.read(outs[False] / log).trajectory_key()), log
 
@@ -407,6 +407,8 @@ class TestExitCodes:
         assert not (out / "report.tsv").exists()
         assert (out / "config.eval.resolved").read_text() == resolved_config_text(
             load_run_config(str(bad), {}))
+        # the log of the run that saturated stays, as pretrain's and adapt's do
+        assert TrainLog.read(out / "assess.log").records[-1].senone_ce >= math.log(5)
         err = capsys.readouterr().err
         assert "assessment training diverged or saturated" in err and "bundle" not in err
 

@@ -1,6 +1,7 @@
 import errno
 import math
 import mmap
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from senadapt.models import load_bundle, save_bundle
 from senadapt.nn import (CONTAINER_MAGIC, FormatError, FrozenStoreError, LayerSpec,
                          Network, NonFiniteError, ParameterStore, ShapeError,
-                         finite_diff_gradient, pack_container, sgd_step,
+                         finite_diff_gradient, pack_container, sgd_step, shared_zeros,
                          unpack_container)
 
 
@@ -329,6 +330,23 @@ class TestFlatArena:
         for arena, row in ((store.flat_values, 1.0), (store.flat_grads, 2.0),
                            (store._velocity, 3.0)):
             npt.assert_array_equal(arena, np.full(n, row))
+
+    # the suite's BLAS may run a thread pool, and Python 3.12+ warns of a
+    # threaded fork; the child only writes one element and exits
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_shared_zeros_is_shared_with_a_forked_child(self):
+        a = shared_zeros(np.int64, (2, 3))
+        assert a.dtype == np.int64 and a.shape == (2, 3) and not a.any()
+        assert shared_zeros(np.float64, (4, 0)).shape == (4, 0)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                a[1, 2] = 7
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        npt.assert_array_equal(a, [[0, 0, 0], [0, 0, 7]])
 
     def test_velocity_zero_before_the_first_step(self):
         store = make_net([LayerSpec(3, 4, "rectifier")]).store

@@ -477,14 +477,20 @@ def count_forks(monkeypatch) -> list:
 
 def make_fork_fail(monkeypatch, where: str) -> None:
     """Make the next worker's os.fork or its semaphores fail as at a
-    process limit."""
+    process limit, or its regions' maps as on a host out of memory; the
+    stores, which nn maps, still build."""
     def failing(*args, **kwargs):
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    def unmappable(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
     if where == "fork":
         monkeypatch.setattr(os, "fork", failing)
-    else:
+    elif where == "semaphore":
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Semaphore", failing)
+    else:
+        monkeypatch.setattr(training, "shared_zeros", unmappable)
 
 
 class TestAdversarialTrain:
@@ -747,7 +753,7 @@ class TestDiscriminatorWorker:
         assert len(counted) == forks
         assert_no_child_left()
 
-    @pytest.mark.parametrize("where", ["fork", "semaphore"])
+    @pytest.mark.parametrize("where", ["fork", "semaphore", "map"])
     def test_failed_fork_runs_in_process(self, monkeypatch, where):
         use_worker(monkeypatch, False)
         in_process = self.train("sat")
@@ -1287,7 +1293,7 @@ class TestAssessmentTraining:
         assert log.second_process == (forks == 1)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("where", ["fork", "semaphore"])
+    @pytest.mark.parametrize("where", ["fork", "semaphore", "map"])
     def test_failed_fork_runs_in_process(self, monkeypatch, where):
         use_worker(monkeypatch, False)
         ref_net, ref_log = self.train_small()
